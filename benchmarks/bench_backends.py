@@ -1,7 +1,10 @@
 """Throughput comparison of the compiled and numpy weight kernels.
 
 Times the inner path-weight evaluation on its own and then a full
-estimate_Q call, for each installed backend.  Run from the repo root:
+estimate_Q call, for each installed backend.  Both use a truncated
+inverted quadratic: only clipped forms reach the kernel, because
+unclipped ones are evaluated from per-path trapezoid sums.  Run from the
+repo root:
 
     python benchmarks/bench_backends.py --n-paths 20000 --n-steps 128
 """
@@ -13,8 +16,10 @@ import numpy as np
 
 from bridgekac.backend import HAVE_COMPILED, available_backends, quadratic_weights
 from bridgekac.feynman_kac import estimate_Q
-from bridgekac.potentials import harmonic, inverted_quadratic, truncate
+from bridgekac.potentials import inverted_quadratic, truncate
 from bridgekac.stochastic import RngSeed, sample_bridge_batch
+
+CLIPPED = truncate(inverted_quadratic(0.05), 8.0)
 
 
 def time_call(fn, repeats: int) -> float:
@@ -28,14 +33,13 @@ def time_call(fn, repeats: int) -> float:
 
 def bench_weights(n_paths: int, n_steps: int, repeats: int) -> None:
     alpha = sample_bridge_batch(1, n_steps, n_paths, RngSeed(0).generator(0))
-    form = truncate(inverted_quadratic(0.05), 8.0).form
     out = np.empty(n_paths)
     work = n_paths * (n_steps + 1)
     print(f"weight kernel: {n_paths} paths x {n_steps} steps")
     base = None
     for backend in available_backends():
         secs = time_call(
-            lambda: quadratic_weights(alpha, 0.3, -0.2, 1.0, form,
+            lambda: quadratic_weights(alpha, 0.3, -0.2, 1.0, CLIPPED.form,
                                       backend=backend, out=out),
             repeats,
         )
@@ -49,11 +53,10 @@ def bench_weights(n_paths: int, n_steps: int, repeats: int) -> None:
 
 
 def bench_estimate(n_samples: int, n_steps: int, repeats: int) -> None:
-    V = harmonic(omega=1.0)
-    print(f"estimate_Q:    {n_samples} samples x {n_steps} steps (harmonic)")
+    print(f"estimate_Q:    {n_samples} samples x {n_steps} steps ({CLIPPED.name})")
     for backend in available_backends():
         secs = time_call(
-            lambda: estimate_Q(0.3, -0.2, V, 1.0, n_samples, n_steps,
+            lambda: estimate_Q(0.3, -0.2, CLIPPED, 1.0, n_samples, n_steps,
                                RngSeed(1), backend=backend),
             repeats,
         )

@@ -34,6 +34,7 @@ from .feynman_kac import (
     QEstimate,
     QuadratureConfig,
     Wavefunction,
+    _check_backend,
     estimate_Q,
     matrix_element,
 )
@@ -318,6 +319,7 @@ def truncation_study(
     levels = [float(n) for n in levels]
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
+    _check_backend(backend)  # before the first grid oracle is built
     quadrature = quadrature or QuadratureConfig()
     oracle = oracle or OracleConfig()
 

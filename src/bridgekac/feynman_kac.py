@@ -13,6 +13,13 @@ supports, where K_t is the free heat kernel.
 
 Units are hbar = m = 1 with kinetic part -(1/2) Laplacian.
 
+For an unclipped quadratic potential V(z) = q |z|^2 + g . z + c the
+trapezoid action of a path is linear in three of its trapezoid sums,
+A = sum' alpha, B = sum' u alpha and C = sum' |alpha|^2, plus terms that
+depend on x and y alone.  Such potentials are evaluated from those sums,
+which lets `matrix_element` reuse one set of paths at every quadrature
+node pair.
+
 Estimates carry a heavy-tail heuristic: when the top_k heaviest samples
 hold more than `heavy_fraction` of the total weight, the estimate is
 flagged `divergence_suspected`.  Monte Carlo cannot certify an infinite
@@ -24,13 +31,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable
 
 import numpy as np
 
 from . import backend as _backend
-from .potentials import PotentialSpec
+from .potentials import PotentialSpec, QuadraticForm
 from .stochastic import BridgePath, RngSeed, bridge_values
 
 __all__ = [
@@ -51,6 +58,9 @@ __all__ = [
 ]
 
 _CHUNK = 32768
+# Cap on the (node pairs x paths) weight block that a shared-path matrix
+# element holds at once: 4 MB of float64 per array.
+_BLOCK_ELEMENTS = 2**19
 
 
 @dataclass(frozen=True)
@@ -203,50 +213,135 @@ def _generic_weights(alpha: np.ndarray, x: np.ndarray, y: np.ndarray, t: float,
     return np.exp(action)
 
 
+def _trapezoid_grid(n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid times u_k = k / n_steps and trapezoid weights summing to one."""
+    u = np.arange(n_steps + 1, dtype=np.float64) / n_steps
+    tau = np.full(n_steps + 1, 1.0 / n_steps)
+    tau[[0, -1]] *= 0.5
+    return u, tau
+
+
+def _path_sums(alpha: np.ndarray):
+    """Trapezoid sums A = sum' alpha, B = sum' u alpha, C = sum' |alpha|^2.
+
+    `alpha` has shape (n_paths, n_steps + 1, dim) and may be a strided
+    view; A and B have shape (n_paths, dim), C has shape (n_paths,).
+    """
+    u, tau = _trapezoid_grid(alpha.shape[1] - 1)
+    at = alpha.transpose(0, 2, 1)
+    ab = at @ np.stack([tau, tau * u], axis=1)
+    return ab[..., 0], ab[..., 1], (np.square(at) @ tau).sum(axis=1)
+
+
+def _sums_weights(sums, xs: np.ndarray, ys: np.ndarray, t: float,
+                  form: QuadraticForm, n_steps: int) -> np.ndarray:
+    """exp(-trapezoid action) of an unclipped form from per-path sums.
+
+    `xs` and `ys` hold endpoints of shape (n_x, dim) and (n_y, dim); the
+    result has shape (n_x, n_y, n_paths).  Along (1-u) x + u y +
+    sqrt(t) alpha the action is t times
+    D(x, y) + 2 q sqrt(t) (x . (A - B) + y . B) + q t C + sqrt(t) g . A,
+    where D is the trapezoid action of the straight line.
+    """
+    A, B, C = sums
+    q = form.quad
+    g = np.asarray(form.lin, dtype=np.float64)
+    s = math.sqrt(t)
+    u, tau = _trapezoid_grid(n_steps)
+    w0, w1, w2 = tau @ np.square(1.0 - u), tau @ (u * (1.0 - u)), tau @ np.square(u)
+    line = (q * (w0 * np.square(xs).sum(axis=1)[:, None] + 2.0 * w1 * (xs @ ys.T)
+                 + w2 * np.square(ys).sum(axis=1)[None, :])
+            + 0.5 * (xs @ g)[:, None] + 0.5 * (ys @ g)[None, :] + form.const)
+    x_terms = (2.0 * q * s) * (xs @ (A - B).T)
+    # the terms of the path alone ride along with the y terms
+    y_terms = (2.0 * q * s) * (ys @ B.T) + (q * t * C + s * (A @ g))
+    action = line[:, :, None] + x_terms[:, None, :]
+    action += y_terms[None, :, :]
+    action *= -t
+    return np.exp(action, out=action)
+
+
+def _unclipped(V: PotentialSpec) -> bool:
+    return V.form is not None and V.form.floor == -math.inf
+
+
 def _weights(alpha: np.ndarray, x: np.ndarray, y: np.ndarray, t: float,
              V: PotentialSpec, backend: str | None) -> np.ndarray:
+    if _unclipped(V):
+        sums = _path_sums(alpha)
+        return _sums_weights(sums, x[None], y[None], t, V.form, alpha.shape[1] - 1)[0, 0]
     if V.form is not None:
         return _backend.quadratic_weights(alpha, x, y, t, V.form, backend=backend)
     return _generic_weights(alpha, x, y, t, V)
 
 
+def _check_backend(backend: str | None) -> None:
+    """Reject a backend name before any work: unclipped forms never reach the kernel."""
+    if backend not in (None, "compiled", "python"):
+        raise ValueError(f"unknown backend {backend!r}")
+    if backend == "compiled" and not _backend.HAVE_COMPILED:
+        raise RuntimeError("compiled backend requested but the extension is not installed")
+
+
 def _chunk_stats(w: np.ndarray, top_k: int):
-    n = w.size
-    mean = float(w.mean())
-    m2 = float(np.square(w - mean).sum())
+    """Count, mean, centred sum of squares, sum and top-k along the last axis."""
+    n = w.shape[-1]
+    mean = w.mean(axis=-1)
+    m2 = np.square(w - mean[..., None]).sum(axis=-1)
     k = min(top_k, n)
-    top = np.partition(w, n - k)[n - k:]
-    return n, mean, m2, float(w.sum()), top
+    top = np.partition(w, n - k, axis=-1)[..., n - k:]
+    return n, mean, m2, w.sum(axis=-1), top
 
 
-def _merge_stats(a, b):
-    na, ma, sa, ta, topa = a
-    nb, mb, sb, tb, topb = b
+def _merge_moments(a, b):
+    """Chan et al. pairwise merge of (count, mean, centred sum of squares)."""
+    na, ma, sa = a
+    nb, mb, sb = b
     n = na + nb
     delta = mb - ma
     mean = ma + delta * (nb / n)
     m2 = sa + sb + delta * delta * (na * nb / n)
-    return n, mean, m2, ta + tb, np.concatenate([topa, topb])
+    return n, mean, m2
+
+
+def _merge_stats(a, b, top_k: int):
+    n, mean, m2 = _merge_moments(a[:3], b[:3])
+    top = np.concatenate([a[4], b[4]], axis=-1)
+    if top.shape[-1] > top_k:
+        top = np.partition(top, -top_k, axis=-1)[..., -top_k:]
+    return n, mean, m2, a[3] + b[3], top
+
+
+def _std_error(n: int, m2):
+    if n > 1:
+        return np.sqrt(np.maximum(m2, 0.0) / (n - 1)) / math.sqrt(n)
+    return np.zeros(np.shape(m2))
+
+
+def _verdict(stats, top_k: int, heavy_fraction: float):
+    """Standard error, heavy-mass fraction and divergence flag, elementwise.
+
+    A zero total means every weight underflowed: no mass at all, so no
+    evidence of a heavy tail, and the fraction reads 0.
+    """
+    n, mean, m2, total, top = stats
+    std_error = _std_error(n, m2)
+    k = min(top_k, top.shape[-1])
+    top_sum = np.sort(top, axis=-1)[..., top.shape[-1] - k:].sum(axis=-1)
+    fraction = np.divide(top_sum, total, out=np.zeros(np.shape(total)), where=total > 0.0)
+    suspected = (n > top_k) & (fraction > heavy_fraction)
+    suspected |= ~np.isfinite(mean) | ~np.isfinite(std_error)
+    return std_error, fraction, suspected
 
 
 def _finalize(stats, top_k: int, heavy_fraction: float, n_steps: int) -> QEstimate:
-    n, mean, m2, total, top = stats
-    if n > 1:
-        std_error = math.sqrt(max(m2, 0.0) / (n - 1)) / math.sqrt(n)
-    else:
-        std_error = 0.0
-    k = min(top_k, top.size)
-    top_sum = float(np.sort(top)[-k:].sum())
-    fraction = top_sum / total if total > 0.0 else 1.0
-    suspected = bool(n > top_k and fraction > heavy_fraction)
-    if not math.isfinite(mean) or not math.isfinite(std_error):
-        suspected = True
+    std_error, fraction, suspected = _verdict(stats, top_k, heavy_fraction)
     return QEstimate(
-        mean=float(mean),
+        mean=float(stats[1]),
         std_error=float(std_error),
-        n_samples=int(n),
+        n_samples=int(stats[0]),
         n_steps=int(n_steps),
-        divergence_suspected=suspected,
+        divergence_suspected=bool(suspected),
         heavy_mass_fraction=float(fraction),
     )
 
@@ -295,6 +390,7 @@ def estimate_Q(
         raise ValueError("t must be positive")
     if n_samples < 1 or n_steps < 1:
         raise ValueError("n_samples and n_steps must be positive")
+    _check_backend(backend)
     xp = _point(x, V.dim)
     yp = _point(y, V.dim)
 
@@ -313,7 +409,7 @@ def estimate_Q(
     results = _run_ordered(jobs, workers)
     stats = results[0]
     for r in results[1:]:
-        stats = _merge_stats(stats, r)
+        stats = _merge_stats(stats, r, top_k)
     return _finalize(stats, top_k, heavy_fraction, n_steps)
 
 
@@ -423,12 +519,19 @@ def matrix_element(
     workers: int = 1,
     backend: str | None = None,
 ) -> MatrixElementEstimate:
-    """<phi, e^{-tH} psi> by quadrature over supports with per-node Q estimates.
+    """<phi, e^{-tH} psi> by tensor quadrature of Q over the supports.
 
-    Every (x, y) node pair owns an independent random stream keyed by
-    its index pair, so repeated runs with the same seed reuse identical
-    paths node by node.  Calling with truncations of one potential at a
-    fixed seed therefore compares the same paths across levels.
+    For an unclipped quadratic form (`zero`, `harmonic`, `stark`,
+    `inverted_quadratic`) every (x, y) node pair reuses one set of
+    paths, drawn in the keyed chunks that `estimate_Q` uses with
+    key=(), and each path enters only through its trapezoid sums.  The
+    standard error then comes from the per-path totals
+    sum_ij coef_ij w_ij(path), which carry the correlation between
+    nodes that sharing creates.  A clipped form (a truncation) or a
+    callable potential gives every node pair its own stream keyed by the
+    index pair, so calls with truncations of one potential at a fixed
+    seed compare the same paths across levels.  Either way a fixed seed
+    gives bit-identical results for any worker count.
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
@@ -437,6 +540,7 @@ def matrix_element(
     for wf in (phi, psi):
         if not all(math.isfinite(v) for corner in wf.support_box for v in corner):
             raise ValueError("support box must be finite; unbounded supports need a truncation radius")
+    _check_backend(backend)
 
     x_pts, x_wts = _tensor_gauss_legendre(phi.support_box, quadrature.nodes_per_axis)
     y_pts, y_wts = _tensor_gauss_legendre(psi.support_box, quadrature.nodes_per_axis)
@@ -448,43 +552,84 @@ def matrix_element(
 
     n_x = x_pts.shape[0]
     n_y = y_pts.shape[0]
+    if _unclipped(V):
+        value, std_error, divergence_nodes = _shared_path_element(
+            x_pts, y_pts, coef.reshape(-1), V, t, mc, rng, workers)
+    else:
+        def make_job(i: int, j: int):
+            def job():
+                return estimate_Q(
+                    x_pts[i],
+                    y_pts[j],
+                    V,
+                    t,
+                    mc.n_samples,
+                    mc.n_steps,
+                    rng,
+                    top_k=mc.top_k,
+                    heavy_fraction=mc.heavy_fraction,
+                    workers=1,
+                    backend=backend,
+                    key=(i, j),
+                )
+            return job
 
-    def make_job(i: int, j: int):
-        def job():
-            return estimate_Q(
-                x_pts[i],
-                y_pts[j],
-                V,
-                t,
-                mc.n_samples,
-                mc.n_steps,
-                rng,
-                top_k=mc.top_k,
-                heavy_fraction=mc.heavy_fraction,
-                workers=1,
-                backend=backend,
-                key=(i, j),
-            )
-        return job
+        jobs = [make_job(i, j) for i in range(n_x) for j in range(n_y)]
+        results = _run_ordered(jobs, workers)
 
-    jobs = [make_job(i, j) for i in range(n_x) for j in range(n_y)]
-    results = _run_ordered(jobs, workers)
-
-    value = 0.0
-    variance = 0.0
-    divergence_nodes = 0
-    for idx, q in enumerate(results):
-        c = coef[idx // n_y, idx % n_y]
-        value += c * q.mean
-        variance += (c * q.std_error) ** 2
-        divergence_nodes += int(q.divergence_suspected)
+        value = 0.0
+        variance = 0.0
+        divergence_nodes = 0
+        for idx, q in enumerate(results):
+            c = coef[idx // n_y, idx % n_y]
+            value += c * q.mean
+            variance += (c * q.std_error) ** 2
+            divergence_nodes += int(q.divergence_suspected)
+        std_error = math.sqrt(variance)
     return MatrixElementEstimate(
         value=float(value),
-        std_error=float(math.sqrt(variance)),
+        std_error=float(std_error),
         quadrature_nodes=n_x * n_y,
         mc_samples_per_node=mc.n_samples,
         divergence_nodes=divergence_nodes,
     )
+
+
+def _shared_path_element(x_pts: np.ndarray, y_pts: np.ndarray, coef: np.ndarray,
+                         V: PotentialSpec, t: float, mc: McConfig, rng: RngSeed,
+                         workers: int) -> tuple[float, float, int]:
+    """Value, standard error and flagged node count from one set of paths.
+
+    `coef` holds the quadrature coefficient of each node pair, x-major.
+    Weights exist only one (node pairs x paths) block at a time; each
+    block yields per-node stats, for the divergence flags, and the
+    moments of the per-path totals coef . w, for the value and its error.
+    The totals are centred on the block's node means, so paths that all
+    carry the same weights give exactly zero spread.
+    """
+    block = max(1, _BLOCK_ELEMENTS // coef.size)
+
+    def block_stats(sums):
+        w = _sums_weights(sums, x_pts, y_pts, t, V.form, mc.n_steps).reshape(coef.size, -1)
+        nodes = _chunk_stats(w, mc.top_k)
+        spread = coef @ (w - nodes[1][:, None])
+        return nodes, (w.shape[1], float(coef @ nodes[1]), float(spread @ spread))
+
+    def merge(a, b):
+        return _merge_stats(a[0], b[0], mc.top_k), _merge_moments(a[1], b[1])
+
+    def make_job(idx: int, count: int):
+        def job():
+            gen = rng.generator(idx)
+            sums = _path_sums(bridge_values(gen.standard_normal((count, mc.n_steps, V.dim))))
+            return reduce(merge, (block_stats([s[i:i + block] for s in sums])
+                                  for i in range(0, count, block)))
+        return job
+
+    jobs = [make_job(i, c) for i, c in enumerate(_task_sizes(mc.n_samples))]
+    nodes, (n, value, m2) = reduce(merge, _run_ordered(jobs, workers))
+    _, _, suspected = _verdict(nodes, mc.top_k, mc.heavy_fraction)
+    return value, float(_std_error(n, m2)), int(suspected.sum())
 
 
 def _fit_order(schedule, diffs) -> float | None:
@@ -532,6 +677,7 @@ def refine_steps(
         raise ValueError("steps_schedule must be strictly increasing")
     if mode not in ("restricted", "independent"):
         raise ValueError("mode must be 'restricted' or 'independent'")
+    _check_backend(backend)
 
     if mode == "independent":
         estimates = [
@@ -568,8 +714,7 @@ def refine_steps(
             per_level = []
             weights = []
             for n in schedule:
-                sub = np.ascontiguousarray(alpha[:, :: n_max // n])
-                w = _weights(sub, xp, yp, t, V, backend)
+                w = _weights(alpha[:, :: n_max // n], xp, yp, t, V, backend)
                 weights.append(w)
                 per_level.append(_chunk_stats(w, top_k))
             per_diff = [_chunk_stats(weights[l + 1] - weights[l], 1)
@@ -582,18 +727,13 @@ def refine_steps(
     level_stats = list(results[0][0])
     diff_stats = list(results[0][1])
     for levels_part, diffs_part in results[1:]:
-        level_stats = [_merge_stats(a, b) for a, b in zip(level_stats, levels_part)]
-        diff_stats = [_merge_stats(a, b) for a, b in zip(diff_stats, diffs_part)]
+        level_stats = [_merge_stats(a, b, top_k) for a, b in zip(level_stats, levels_part)]
+        diff_stats = [_merge_stats(a, b, 1) for a, b in zip(diff_stats, diffs_part)]
 
     estimates = [_finalize(s, top_k, heavy_fraction, n)
                  for s, n in zip(level_stats, schedule)]
-    diff_means = []
-    diff_errs = []
-    for s in diff_stats:
-        n, mean, m2 = s[0], s[1], s[2]
-        se = math.sqrt(max(m2, 0.0) / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
-        diff_means.append(float(mean))
-        diff_errs.append(float(se))
+    diff_means = [float(s[1]) for s in diff_stats]
+    diff_errs = [float(_std_error(s[0], s[2])) for s in diff_stats]
     return RefinementReport(
         mode=mode,
         schedule=tuple(schedule),

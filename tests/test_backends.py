@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bridgekac import backend
+from bridgekac.feynman_kac import McConfig, QuadratureConfig, bump, estimate_Q, matrix_element, refine_steps
 from bridgekac.potentials import QuadraticForm, harmonic, inverted_quadratic, stark, truncate
 from bridgekac.stochastic import RngSeed, bridge_values
 
@@ -68,6 +69,27 @@ def test_backend_rejects_unknown_name():
     form = QuadraticForm(0.5, (0.0,), 0.0)
     with pytest.raises(ValueError):
         backend.quadratic_weights(alpha, 0.0, 0.0, 1.0, form, backend="fortran")
+
+
+def _entry_points(V, name):
+    return [
+        lambda: estimate_Q(0.1, 0.2, V, 1.0, 16, 4, RngSeed(0), backend=name),
+        lambda: refine_steps(0.1, 0.2, V, 1.0, 16, [2, 4], RngSeed(0), backend=name),
+        lambda: matrix_element(bump(), bump(), V, 1.0, QuadratureConfig(2),
+                               McConfig(n_samples=4, n_steps=2), RngSeed(0), backend=name),
+    ]
+
+
+@pytest.mark.parametrize("V", [harmonic(), truncate(inverted_quadratic(0.5), 1.0)])
+def test_entry_points_validate_backend(V, monkeypatch):
+    # unclipped forms never call the kernel, so the entry point must check
+    for call in _entry_points(V, "fortran"):
+        with pytest.raises(ValueError):
+            call()
+    monkeypatch.setattr(backend, "HAVE_COMPILED", False)
+    for call in _entry_points(V, "compiled"):
+        with pytest.raises(RuntimeError):
+            call()
 
 
 def test_backend_validates_shapes():

@@ -1,8 +1,12 @@
 import math
+import tracemalloc
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
+from bridgekac import feynman_kac
+from bridgekac.backend import quadratic_weights
 from bridgekac.feynman_kac import (
     McConfig,
     QuadratureConfig,
@@ -15,11 +19,24 @@ from bridgekac.feynman_kac import (
     l2_norm,
     matrix_element,
     refine_steps,
+    _path_sums,
+    _sums_weights,
     _tensor_gauss_legendre,
 )
 from bridgekac.oracles import mehler_kernel, stark_q
-from bridgekac.potentials import harmonic, inverted_quadratic, stark, zero
-from bridgekac.stochastic import RngSeed, sample_bridge
+from bridgekac.potentials import QuadraticForm, harmonic, inverted_quadratic, stark, truncate, zero
+from bridgekac.stochastic import RngSeed, sample_bridge, sample_bridge_batch
+
+
+@dataclass(frozen=True)
+class CountingSeed(RngSeed):
+    """RngSeed that logs the key of every generator it opens."""
+
+    opened: list = field(default_factory=list, compare=False)
+
+    def generator(self, *key):
+        self.opened.append(key)
+        return super().generator(*key)
 
 
 def test_free_case_is_exact():
@@ -85,6 +102,38 @@ def test_divergence_flag_for_strongly_inverted_potential():
     est = estimate_Q(0.0, 0.0, inverted_quadratic(1.0), 3.0, 20_000, 64, RngSeed(5))
     assert est.divergence_suspected
     assert est.heavy_mass_fraction > 0.5
+
+
+def test_total_underflow_is_not_flagged_as_divergence():
+    # every weight underflows to 0 (Q is about 7e-322): no mass is no heavy tail
+    est = estimate_Q(40, 40, harmonic(), 1.0, 2000, 64, RngSeed(1))
+    assert est.mean == 0.0
+    assert not est.divergence_suspected
+    assert est.heavy_mass_fraction == 0.0
+
+
+@pytest.mark.parametrize("form, dim", [
+    (zero().form, 1),
+    (harmonic(omega=1.3).form, 1),
+    (stark(-0.8).form, 1),
+    (inverted_quadratic(0.3).form, 1),
+    (QuadraticForm(0.4, (0.7,), -0.3), 1),
+    (harmonic(dim=2).form, 2),
+    (stark((0.5, -1.1), dim=2).form, 2),
+    (QuadraticForm(-0.2, (0.3, -0.6), 0.45), 2),
+])
+def test_sums_weights_match_kernel(form, dim):
+    n_steps, t = 24, 0.9
+    alpha = sample_bridge_batch(dim, n_steps, 128, RngSeed(31).generator())
+    gen = np.random.default_rng(3)
+    xs = gen.uniform(-2.0, 2.0, (3, dim))
+    ys = gen.uniform(-2.0, 2.0, (4, dim))
+    got = _sums_weights(_path_sums(alpha), xs, ys, t, form, n_steps)
+    assert got.shape == (3, 4, 128)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            want = quadratic_weights(alpha, x, y, t, form, backend="python")
+            np.testing.assert_allclose(got[i, j], want, rtol=1e-13, atol=0.0)
 
 
 def test_action_integral_trapezoid():
@@ -188,6 +237,63 @@ def test_matrix_element_is_reproducible():
                        workers=3)
     assert a.value == b.value
     assert a.std_error == b.std_error
+
+
+def test_shared_path_matrix_element_is_worker_and_block_invariant(monkeypatch):
+    # three keyed chunks, so the workers really split the draw
+    phi = bump(width=0.8)
+    psi = bump(center=0.3, width=0.8)
+    cfg = McConfig(n_samples=2 * feynman_kac._CHUNK + 500, n_steps=4)
+    args = (phi, psi, harmonic(), 0.6, QuadratureConfig(3), cfg, RngSeed(12))
+    a = matrix_element(*args)
+    b = matrix_element(*args, workers=3)
+    assert a == b
+    # many small weight blocks per chunk change only the summation order
+    monkeypatch.setattr(feynman_kac, "_BLOCK_ELEMENTS", 9 * 1000)
+    c = matrix_element(*args)
+    assert c.value == pytest.approx(a.value, rel=1e-12)
+    assert c.std_error == pytest.approx(a.std_error, rel=1e-9)
+    assert c.divergence_nodes == a.divergence_nodes
+
+
+def test_shared_path_matrix_element_opens_one_stream_per_chunk():
+    phi = bump(width=1.0)
+    args = (phi, phi, stark(0.7), 0.5, QuadratureConfig(8))
+    rng = CountingSeed(3)
+    matrix_element(*args, McConfig(n_samples=feynman_kac._CHUNK + 1, n_steps=4), rng)
+    assert rng.opened == [(0,), (1,)]
+    # a clipped form keeps one stream per node pair
+    clipped = CountingSeed(3)
+    matrix_element(phi, phi, truncate(stark(0.7), 1.0), 0.5, QuadratureConfig(2),
+                   McConfig(n_samples=10, n_steps=4), clipped)
+    assert clipped.opened == [(i, j, 0) for i in range(2) for j in range(2)]
+
+
+def test_shared_path_std_error_matches_spread_over_seeds():
+    # shared paths correlate the nodes; the error bar must still match the
+    # spread of independent runs (a per-node formula would be ~5x too small)
+    phi = bump(width=1.0)
+    psi = bump(center=0.5, width=1.0)
+    runs = [matrix_element(phi, psi, harmonic(), 0.5, QuadratureConfig(6),
+                           McConfig(n_samples=400, n_steps=16), RngSeed(500 + k))
+            for k in range(30)]
+    spread = float(np.std([r.value for r in runs], ddof=1))
+    reported = float(np.mean([r.std_error for r in runs]))
+    assert 0.6 < spread / reported < 1.5
+
+
+def test_shared_path_matrix_element_memory_is_blocked():
+    # a dense 1024-pair x 20 000-path weight matrix alone would take 164 MB
+    phi = bump(width=1.0)
+    tracemalloc.start()
+    try:
+        me = matrix_element(phi, phi, harmonic(), 0.5, QuadratureConfig(32),
+                            McConfig(n_samples=20_000, n_steps=4), RngSeed(8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert me.quadrature_nodes == 1024
+    assert peak < 40e6
 
 
 def test_matrix_element_counts_divergent_nodes():
