@@ -18,7 +18,8 @@ On potentials: `truncation_study` runs both sides of the semigroup
 matrix element over the bounded-below truncations max(V, -n) with
 common random numbers, so the two trajectories can be compared level by
 level, and `q_truncation_study` does the same for the pin-to-pin weight
-at a single (x, y).
+at a single (x, y).  Both draw their paths once and evaluate V along
+them once; each level is a clip of those values.
 """
 
 from __future__ import annotations
@@ -35,10 +36,11 @@ from .feynman_kac import (
     QuadratureConfig,
     Wavefunction,
     _check_backend,
-    estimate_Q,
-    matrix_element,
+    _estimates,
+    _matrix_elements,
+    matrix_element,  # unused here; perfbench's traced run wraps this module attribute
 )
-from .oracles import OracleConfig, build_grid_operator, decompose, semigroup_matrix_element
+from .oracles import OracleConfig, build_grid_operator, semigroup_matrix_element
 from .potentials import PotentialSpec, truncate
 from .stochastic import RngSeed
 
@@ -274,6 +276,17 @@ def _monotone(values: Sequence[float], slack: float = 0.0) -> bool:
     return all(b >= a - slack * max(1.0, abs(b)) for a, b in zip(values, values[1:]))
 
 
+def _checked_levels(levels: Sequence[float]) -> list[float]:
+    levels = [float(n) for n in levels]
+    if not levels:
+        raise ValueError("levels must be nonempty")
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValueError("levels must be strictly increasing")
+    if levels[0] < 0.0:
+        raise ValueError("truncation levels must be nonnegative")
+    return levels
+
+
 @dataclass(frozen=True)
 class TruncationReport:
     """Both sides of the matrix element over truncation levels."""
@@ -310,32 +323,35 @@ def truncation_study(
 ) -> TruncationReport:
     """Compare grid-oracle and Monte Carlo matrix elements over max(V, -n).
 
-    The Monte Carlo side reuses identical paths at every level (common
-    random numbers), so its trajectory is non-decreasing path by path;
-    the grid side is non-decreasing because lower truncation levels only
-    raise the potential.  Agreement at each level uses
+    The Monte Carlo side draws each quadrature node pair's paths once and
+    clips one evaluation of V along them at every level (common random
+    numbers), so its trajectory is non-decreasing path by path, and each
+    level equals a separate `matrix_element` call on `truncate(V, n)`
+    for finite n; an infinite level keeps the same paths.  The grid side
+    is non-decreasing because lower truncation levels only raise the
+    potential; a level whose grid Hamiltonian equals the previous one
+    reuses its value.  Agreement at each level uses
     max(3 standard errors, agree_rel_tol relative).
     """
-    levels = [float(n) for n in levels]
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("levels must be strictly increasing")
+    levels = _checked_levels(levels)
     _check_backend(backend)  # before the first grid oracle is built
     quadrature = quadrature or QuadratureConfig()
     oracle = oracle or OracleConfig()
 
     left_values = []
-    right_values = []
-    right_errs = []
-    right_div = []
+    previous = None
     for n in levels:
-        Vn = truncate(V, n)
-        op = build_grid_operator(Vn, oracle.domain_half_width, oracle.n_points)
-        left_values.append(semigroup_matrix_element(op, phi, psi, t))
-        me = matrix_element(phi, psi, Vn, t, quadrature, mc, rng,
-                            workers=workers, backend=backend)
-        right_values.append(me.value)
-        right_errs.append(me.std_error)
-        right_div.append(me.divergence_nodes)
+        op = build_grid_operator(truncate(V, n), oracle.domain_half_width, oracle.n_points)
+        # once -n lies below min V on the grid, max(V, -n) gives the same matrix
+        repeat = previous is not None and np.array_equal(op.hamiltonian, previous)
+        previous = op.hamiltonian
+        left_values.append(left_values[-1] if repeat
+                           else semigroup_matrix_element(op, phi, psi, t))
+    elements = _matrix_elements(phi, psi, V, t, quadrature, mc, rng, [-n for n in levels],
+                                workers=workers, backend=backend)
+    right_values = [me.value for me in elements]
+    right_errs = [me.std_error for me in elements]
+    right_div = [me.divergence_nodes for me in elements]
 
     agreements = []
     for lv, rv, se in zip(left_values, right_values, right_errs):
@@ -386,21 +402,18 @@ def q_truncation_study(
 ) -> QTruncationReport:
     """estimate_Q over max(V, -n) with common random numbers across levels.
 
-    Stabilization is judged only between estimates whose heavy-tail flag
-    is clear; a trajectory whose tail mass concentrates never stabilizes,
-    it gets a divergence onset level instead.
+    The paths are drawn once, in the keyed chunks of `estimate_Q`, and V
+    is evaluated along them once; each level clips those values, so it
+    equals `estimate_Q` on `truncate(V, n)` for finite n and the
+    trajectory is non-decreasing path by path.  Stabilization is judged
+    only between estimates whose heavy-tail flag is clear; a trajectory
+    whose tail mass concentrates never stabilizes, it gets a divergence
+    onset level instead.
     """
-    levels = [float(n) for n in levels]
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("levels must be strictly increasing")
-    estimates = [
-        estimate_Q(
-            x, y, truncate(V, n), t, mc.n_samples, mc.n_steps, rng,
-            top_k=mc.top_k, heavy_fraction=mc.heavy_fraction,
-            workers=workers, backend=backend,
-        )
-        for n in levels
-    ]
+    levels = _checked_levels(levels)
+    estimates = _estimates(x, y, V, t, mc.n_samples, mc.n_steps, rng, [-n for n in levels],
+                           top_k=mc.top_k, heavy_fraction=mc.heavy_fraction,
+                           workers=workers, backend=backend)
     values = [e.mean for e in estimates]
     errs = [e.std_error for e in estimates]
     trusted = [not e.divergence_suspected for e in estimates]

@@ -18,7 +18,9 @@ trapezoid action of a path is linear in three of its trapezoid sums,
 A = sum' alpha, B = sum' u alpha and C = sum' |alpha|^2, plus terms that
 depend on x and y alone.  Such potentials are evaluated from those sums,
 which lets `matrix_element` reuse one set of paths at every quadrature
-node pair.
+node pair.  Truncations max(V, -n) of one potential share the other
+way: V is evaluated along a path once and each level clips the values,
+so a truncation study draws and evaluates each path once for all levels.
 
 Estimates carry a heavy-tail heuristic: when the top_k heaviest samples
 hold more than `heavy_fraction` of the total weight, the estimate is
@@ -30,12 +32,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from typing import Callable
 
 import numpy as np
 
+from . import _kernels_py
 from . import backend as _backend
 from .potentials import PotentialSpec, QuadraticForm
 from .stochastic import BridgePath, RngSeed, bridge_values
@@ -200,19 +203,6 @@ def action_integral(path: BridgePath, V: PotentialSpec, x, y, t: float) -> float
     return float(t * (0.5 * v[0] + inner + 0.5 * v[-1]) / path.n_steps)
 
 
-def _generic_weights(alpha: np.ndarray, x: np.ndarray, y: np.ndarray, t: float,
-                     V: PotentialSpec) -> np.ndarray:
-    n_steps = alpha.shape[1] - 1
-    u = np.arange(alpha.shape[1], dtype=np.float64) / n_steps
-    pos = np.outer(1.0 - u, x)[None, :, :] + np.outer(u, y)[None, :, :]
-    pos = pos + math.sqrt(t) * alpha
-    v = np.asarray(V.evaluate(pos), dtype=np.float64)
-    action = v[:, 1:-1].sum(axis=1) if n_steps > 1 else np.zeros(alpha.shape[0])
-    action += 0.5 * (v[:, 0] + v[:, -1])
-    action *= -(t / n_steps)
-    return np.exp(action)
-
-
 def _trapezoid_grid(n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Grid times u_k = k / n_steps and trapezoid weights summing to one."""
     u = np.arange(n_steps + 1, dtype=np.float64) / n_steps
@@ -266,13 +256,35 @@ def _unclipped(V: PotentialSpec) -> bool:
 
 
 def _weights(alpha: np.ndarray, x: np.ndarray, y: np.ndarray, t: float,
-             V: PotentialSpec, backend: str | None) -> np.ndarray:
-    if _unclipped(V):
-        sums = _path_sums(alpha)
-        return _sums_weights(sums, x[None], y[None], t, V.form, alpha.shape[1] - 1)[0, 0]
-    if V.form is not None:
-        return _backend.quadratic_weights(alpha, x, y, t, V.form, backend=backend)
-    return _generic_weights(alpha, x, y, t, V)
+             V: PotentialSpec, backend: str | None, floors=None) -> list[np.ndarray]:
+    """Path weights of max(V, floor) for each floor, from one evaluation of V.
+
+    `floors=None` is the one-level case of V itself, where an unclipped
+    form goes through its path sums.  Otherwise V is evaluated along the
+    paths once (a form unclipped, a callable through `evaluate`) and each
+    floor clips those values, so the weights of every floor equal those
+    of `truncate(V, -floor)` evaluated alone, bit for bit.  The compiled
+    kernel takes one floor per call.
+    """
+    if floors is None:
+        if _unclipped(V):
+            n_steps = alpha.shape[1] - 1
+            return [_sums_weights(_path_sums(alpha), x[None], y[None], t, V.form, n_steps)[0, 0]]
+        floors = (-math.inf,)
+    form = V.form
+    if form is None:
+        v = np.asarray(V.evaluate(_kernels_py.path_positions(alpha, x, y, t)), dtype=np.float64)
+        if not (v.flags.owndata and v.flags.writeable):
+            v = v.copy()  # the clip works in place; a view may alias the caller's data
+        return _kernels_py.floored_weights(v, floors, t)
+    floors = [max(form.floor, f) for f in floors]
+    if (backend or _backend.DEFAULT_BACKEND) == "compiled":
+        return [_backend.quadratic_weights(alpha, x, y, t, replace(form, floor=f), backend=backend)
+                for f in floors]
+    lin = np.asarray(form.lin, dtype=np.float64)
+    v = _kernels_py.form_values(_kernels_py.path_positions(alpha, x, y, t), form.quad, lin,
+                                form.const)
+    return _kernels_py.floored_weights(v, floors, t)
 
 
 def _check_backend(backend: str | None) -> None:
@@ -386,6 +398,20 @@ def estimate_Q(
     potentials this realizes the exact pathwise symmetry
     Q(x, y) = Q(-x, -y).
     """
+    return _estimates(x, y, V, t, n_samples, n_steps, rng, None, top_k=top_k,
+                      heavy_fraction=heavy_fraction, workers=workers, backend=backend,
+                      key=key, mirror_paths=mirror_paths)[0]
+
+
+def _estimates(x, y, V: PotentialSpec, t: float, n_samples: int, n_steps: int,
+               rng: RngSeed, floors, *, top_k: int, heavy_fraction: float, workers: int,
+               backend: str | None, key: tuple[int, ...] = (),
+               mirror_paths: bool = False) -> list[QEstimate]:
+    """Q estimates of max(V, floor) for each floor, from one draw of the paths.
+
+    The keyed chunks are those of `estimate_Q`; `floors=None` estimates
+    V itself (see `_weights`).
+    """
     if t <= 0.0:
         raise ValueError("t must be positive")
     if n_samples < 1 or n_steps < 1:
@@ -401,16 +427,15 @@ def estimate_Q(
             if mirror_paths:
                 np.negative(xi, out=xi)
             alpha = bridge_values(xi)
-            w = _weights(alpha, xp, yp, t, V, backend)
-            return _chunk_stats(w, top_k)
+            return [_chunk_stats(w, top_k) for w in _weights(alpha, xp, yp, t, V, backend, floors)]
         return job
 
+    def merge(a, b):
+        return [_merge_stats(p, q, top_k) for p, q in zip(a, b)]
+
     jobs = [make_job(i, c) for i, c in enumerate(_task_sizes(n_samples))]
-    results = _run_ordered(jobs, workers)
-    stats = results[0]
-    for r in results[1:]:
-        stats = _merge_stats(stats, r, top_k)
-    return _finalize(stats, top_k, heavy_fraction, n_steps)
+    stats = reduce(merge, _run_ordered(jobs, workers))
+    return [_finalize(s, top_k, heavy_fraction, n_steps) for s in stats]
 
 
 @lru_cache(maxsize=32)
@@ -533,6 +558,21 @@ def matrix_element(
     seed compare the same paths across levels.  Either way a fixed seed
     gives bit-identical results for any worker count.
     """
+    return _matrix_elements(phi, psi, V, t, quadrature, mc, rng, None,
+                            workers=workers, backend=backend)[0]
+
+
+def _matrix_elements(phi: Wavefunction, psi: Wavefunction, V: PotentialSpec, t: float,
+                     quadrature: QuadratureConfig, mc: McConfig, rng: RngSeed, floors, *,
+                     workers: int, backend: str | None) -> list[MatrixElementEstimate]:
+    """Matrix elements of max(V, floor) for each floor, from one draw per node pair.
+
+    Node pair (i, j) draws the keyed chunks (i, j, chunk) once for all
+    floors, so every floor's estimate equals that of `matrix_element`
+    on `truncate(V, -floor)` and the floors compare the same paths.
+    `floors=None` estimates V itself, on shared paths if V is an
+    unclipped form.
+    """
     if t <= 0.0:
         raise ValueError("t must be positive")
     if phi.dim != V.dim or psi.dim != V.dim:
@@ -552,47 +592,40 @@ def matrix_element(
 
     n_x = x_pts.shape[0]
     n_y = y_pts.shape[0]
-    if _unclipped(V):
-        value, std_error, divergence_nodes = _shared_path_element(
-            x_pts, y_pts, coef.reshape(-1), V, t, mc, rng, workers)
-    else:
-        def make_job(i: int, j: int):
-            def job():
-                return estimate_Q(
-                    x_pts[i],
-                    y_pts[j],
-                    V,
-                    t,
-                    mc.n_samples,
-                    mc.n_steps,
-                    rng,
-                    top_k=mc.top_k,
-                    heavy_fraction=mc.heavy_fraction,
-                    workers=1,
-                    backend=backend,
-                    key=(i, j),
-                )
-            return job
 
-        jobs = [make_job(i, j) for i in range(n_x) for j in range(n_y)]
-        results = _run_ordered(jobs, workers)
+    def estimate(value, std_error, divergence_nodes):
+        return MatrixElementEstimate(
+            value=float(value),
+            std_error=float(std_error),
+            quadrature_nodes=n_x * n_y,
+            mc_samples_per_node=mc.n_samples,
+            divergence_nodes=divergence_nodes,
+        )
 
+    if floors is None and _unclipped(V):
+        return [estimate(*_shared_path_element(x_pts, y_pts, coef.reshape(-1), V, t, mc, rng,
+                                               workers))]
+
+    def make_job(i: int, j: int):
+        def job():
+            return _estimates(x_pts[i], y_pts[j], V, t, mc.n_samples, mc.n_steps, rng, floors,
+                              top_k=mc.top_k, heavy_fraction=mc.heavy_fraction, workers=1,
+                              backend=backend, key=(i, j))
+        return job
+
+    jobs = [make_job(i, j) for i in range(n_x) for j in range(n_y)]
+    elements = []
+    for level in zip(*_run_ordered(jobs, workers)):
         value = 0.0
         variance = 0.0
         divergence_nodes = 0
-        for idx, q in enumerate(results):
+        for idx, q in enumerate(level):
             c = coef[idx // n_y, idx % n_y]
             value += c * q.mean
             variance += (c * q.std_error) ** 2
             divergence_nodes += int(q.divergence_suspected)
-        std_error = math.sqrt(variance)
-    return MatrixElementEstimate(
-        value=float(value),
-        std_error=float(std_error),
-        quadrature_nodes=n_x * n_y,
-        mc_samples_per_node=mc.n_samples,
-        divergence_nodes=divergence_nodes,
-    )
+        elements.append(estimate(value, math.sqrt(variance), divergence_nodes))
+    return elements
 
 
 def _shared_path_element(x_pts: np.ndarray, y_pts: np.ndarray, coef: np.ndarray,
@@ -714,7 +747,7 @@ def refine_steps(
             per_level = []
             weights = []
             for n in schedule:
-                w = _weights(alpha[:, :: n_max // n], xp, yp, t, V, backend)
+                w = _weights(alpha[:, :: n_max // n], xp, yp, t, V, backend)[0]
                 weights.append(w)
                 per_level.append(_chunk_stats(w, top_k))
             per_diff = [_chunk_stats(weights[l + 1] - weights[l], 1)

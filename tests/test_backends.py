@@ -1,9 +1,11 @@
 import math
+import types
 
 import numpy as np
 import pytest
 
-from bridgekac import backend
+from bridgekac import _kernels_py, backend
+from bridgekac.convergence import q_truncation_study
 from bridgekac.feynman_kac import McConfig, QuadratureConfig, bump, estimate_Q, matrix_element, refine_steps
 from bridgekac.potentials import QuadraticForm, harmonic, inverted_quadratic, stark, truncate
 from bridgekac.stochastic import RngSeed, bridge_values
@@ -134,3 +136,21 @@ def test_out_argument_is_used():
     out = np.empty(8)
     got = backend.quadratic_weights(alpha, 0.0, 0.0, 1.0, form, backend="python", out=out)
     assert got is out
+
+
+def test_compiled_kernel_runs_once_per_level_on_shared_paths(monkeypatch):
+    # a stand-in extension: the numpy kernel, logging the floor of each call
+    floors = []
+
+    def kernel(alpha, x, y, t, quad, lin, const, floor, out):
+        floors.append(floor)
+        return _kernels_py.quadratic_weights(alpha, x, y, t, quad, lin, const, floor, out)
+
+    monkeypatch.setattr(backend, "_compiled", types.SimpleNamespace(quadratic_weights=kernel))
+    monkeypatch.setattr(backend, "HAVE_COMPILED", True)
+    levels = [1.0, 2.0, math.inf]
+    mc = McConfig(n_samples=100, n_steps=8)
+    args = (0.3, -0.2, inverted_quadratic(0.5), 1.0, levels, mc, RngSeed(2))
+    compiled = q_truncation_study(*args, backend="compiled")
+    assert floors == [-1.0, -2.0, -math.inf]
+    assert compiled == q_truncation_study(*args, backend="python")

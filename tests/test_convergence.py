@@ -15,9 +15,10 @@ from bridgekac.convergence import (
     stabilization_level,
     truncation_study,
 )
-from bridgekac.feynman_kac import McConfig, QuadratureConfig, bump
+from bridgekac import feynman_kac, oracles
+from bridgekac.feynman_kac import McConfig, QuadratureConfig, bump, estimate_Q, matrix_element
 from bridgekac.oracles import OracleConfig, build_grid_operator
-from bridgekac.potentials import inverted_quadratic, truncate, zero
+from bridgekac.potentials import custom, inverted_quadratic, truncate, zero
 from bridgekac.stochastic import RngSeed
 
 
@@ -187,10 +188,13 @@ def test_stabilization_level_respects_flags_and_errors():
     assert stabilization_level(levels, noisy) is None
 
 
-def test_truncation_study_bounded_potential_is_flat():
+def test_truncation_study_bounded_potential_is_flat(monkeypatch):
     # levels beyond the range of V leave every truncation inactive
     V = inverted_quadratic(0.05)
     phi = bump(width=1.0)
+    decompositions = []
+    monkeypatch.setattr(oracles, "decompose",
+                        lambda op, _real=oracles.decompose: decompositions.append(op) or _real(op))
     report = truncation_study(
         V, phi, phi, 1.0, [8.0, 16.0, 32.0, 64.0, 128.0],
         McConfig(n_samples=400, n_steps=16),
@@ -202,6 +206,8 @@ def test_truncation_study_bounded_potential_is_flat():
     assert report.left_monotone and report.right_monotone
     assert report.all_agree
     assert report.right_stabilized_at == 64.0
+    # the five grid Hamiltonians are identical, so one eigendecomposition serves
+    assert len(decompositions) == 1
 
 
 def test_truncation_study_validation():
@@ -209,6 +215,9 @@ def test_truncation_study_validation():
     phi = bump()
     with pytest.raises(ValueError):
         truncation_study(V, phi, phi, 1.0, [4.0, 2.0],
+                         McConfig(n_samples=10, n_steps=2), RngSeed(0))
+    with pytest.raises(ValueError):
+        truncation_study(V, phi, phi, 1.0, [],
                          McConfig(n_samples=10, n_steps=2), RngSeed(0))
     with pytest.raises(ValueError):
         truncation_study(V, phi, phi, 1.0, [2.0, 4.0],
@@ -236,3 +245,59 @@ def test_q_truncation_study_flags_divergent_regime():
     assert report.stabilized_at is None
     values = [e.mean for e in report.estimates]
     assert values[-1] > values[0]
+
+
+def test_q_truncation_study_validation():
+    mc = McConfig(n_samples=10, n_steps=2)
+    for levels in ([], [4.0, 2.0], [-1.0, 2.0]):
+        with pytest.raises(ValueError):
+            q_truncation_study(0.0, 0.0, inverted_quadratic(1.0), 1.0, levels, mc, RngSeed(0))
+
+
+def test_truncation_study_infinite_level_keeps_common_paths():
+    # truncate(V, inf) is unclipped; it must still see the paths of the finite levels
+    report = truncation_study(
+        inverted_quadratic(0.05), bump(0, 1), bump(0, 1), 1.0, [1.0, 2.0, math.inf],
+        McConfig(100, 8), RngSeed(1), quadrature=QuadratureConfig(4),
+    )
+    assert report.right_monotone
+    assert report.right_values[2] >= report.right_values[1]
+
+
+_INVERTED_CALLABLE = custom(lambda p: -0.5 * np.square(p).sum(axis=-1), lambda eps: math.inf,
+                            name="inverted-quadratic-callable")
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("V", [inverted_quadratic(0.5), _INVERTED_CALLABLE])
+def test_truncation_studies_equal_per_level_calls(V, workers):
+    levels = [0.25, 0.5, 1.0, 4.0]
+    phi = bump(width=1.0)
+    psi = bump(center=0.5, width=1.0)
+    quadrature = QuadratureConfig(3)
+    mc = McConfig(n_samples=200, n_steps=8)
+    report = truncation_study(V, phi, psi, 1.0, levels, mc, RngSeed(4), quadrature=quadrature,
+                              oracle=OracleConfig(n_points=100), workers=workers)
+    # two keyed chunks, so the workers split the pointwise draw
+    q_mc = McConfig(n_samples=feynman_kac._CHUNK + 50, n_steps=4)
+    q_report = q_truncation_study(0.3, -0.2, V, 1.0, levels, q_mc, RngSeed(4), workers=workers)
+    assert report.right_values[0] < report.right_values[-1]  # the floors bind
+    for k, n in enumerate(levels):
+        me = matrix_element(phi, psi, truncate(V, n), 1.0, quadrature, mc, RngSeed(4))
+        assert report.right_values[k] == me.value
+        assert report.right_std_errors[k] == me.std_error
+        assert report.right_divergence_nodes[k] == me.divergence_nodes
+        q = estimate_Q(0.3, -0.2, truncate(V, n), 1.0, q_mc.n_samples, q_mc.n_steps, RngSeed(4))
+        assert q_report.estimates[k] == q
+
+
+def test_truncation_studies_draw_each_stream_once(counting_seed):
+    levels = [1.0, 2.0, 4.0]
+    mc = McConfig(n_samples=feynman_kac._CHUNK + 1, n_steps=2)
+    rng = counting_seed(3)
+    truncation_study(inverted_quadratic(0.5), bump(), bump(), 1.0, levels, mc, rng,
+                     quadrature=QuadratureConfig(2), oracle=OracleConfig(n_points=50))
+    assert rng.opened == [(i, j, c) for i in range(2) for j in range(2) for c in range(2)]
+    pointwise = counting_seed(3)
+    q_truncation_study(0.0, 0.0, inverted_quadratic(0.5), 1.0, levels, mc, pointwise)
+    assert pointwise.opened == [(0,), (1,)]

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -24,19 +23,10 @@ from bridgekac.feynman_kac import (
     _tensor_gauss_legendre,
 )
 from bridgekac.oracles import mehler_kernel, stark_q
-from bridgekac.potentials import QuadraticForm, harmonic, inverted_quadratic, stark, truncate, zero
+from bridgekac.potentials import (
+    QuadraticForm, custom, harmonic, inverted_quadratic, stark, truncate, zero,
+)
 from bridgekac.stochastic import RngSeed, sample_bridge, sample_bridge_batch
-
-
-@dataclass(frozen=True)
-class CountingSeed(RngSeed):
-    """RngSeed that logs the key of every generator it opens."""
-
-    opened: list = field(default_factory=list, compare=False)
-
-    def generator(self, *key):
-        self.opened.append(key)
-        return super().generator(*key)
 
 
 def test_free_case_is_exact():
@@ -134,6 +124,14 @@ def test_sums_weights_match_kernel(form, dim):
         for j, y in enumerate(ys):
             want = quadratic_weights(alpha, x, y, t, form, backend="python")
             np.testing.assert_allclose(got[i, j], want, rtol=1e-13, atol=0.0)
+
+
+def test_callable_may_return_a_read_only_view():
+    # the weights are clipped and summed in place, never in what evaluate returns
+    V = custom(lambda p: np.broadcast_to(0.0, np.shape(p)[:-1]), lambda eps: 0.0)
+    est = estimate_Q(0.2, 0.1, V, 1.0, 100, 4, RngSeed(0))
+    assert est.mean == 1.0
+    assert est.std_error == 0.0
 
 
 def test_action_integral_trapezoid():
@@ -256,14 +254,14 @@ def test_shared_path_matrix_element_is_worker_and_block_invariant(monkeypatch):
     assert c.divergence_nodes == a.divergence_nodes
 
 
-def test_shared_path_matrix_element_opens_one_stream_per_chunk():
+def test_shared_path_matrix_element_opens_one_stream_per_chunk(counting_seed):
     phi = bump(width=1.0)
     args = (phi, phi, stark(0.7), 0.5, QuadratureConfig(8))
-    rng = CountingSeed(3)
+    rng = counting_seed(3)
     matrix_element(*args, McConfig(n_samples=feynman_kac._CHUNK + 1, n_steps=4), rng)
     assert rng.opened == [(0,), (1,)]
     # a clipped form keeps one stream per node pair
-    clipped = CountingSeed(3)
+    clipped = counting_seed(3)
     matrix_element(phi, phi, truncate(stark(0.7), 1.0), 0.5, QuadratureConfig(2),
                    McConfig(n_samples=10, n_steps=4), clipped)
     assert clipped.opened == [(i, j, 0) for i in range(2) for j in range(2)]
