@@ -18,9 +18,13 @@ trapezoid action of a path is linear in three of its trapezoid sums,
 A = sum' alpha, B = sum' u alpha and C = sum' |alpha|^2, plus terms that
 depend on x and y alone.  Such potentials are evaluated from those sums,
 which lets `matrix_element` reuse one set of paths at every quadrature
-node pair.  Truncations max(V, -n) of one potential share the other
-way: V is evaluated along a path once and each level clips the values,
-so a truncation study draws and evaluates each path once for all levels.
+node pair.  The sums come straight from a chunk's buffer of standard
+normals, which is turned into the bridge in place, one row block at a
+time; no separate bridge array is built, and `refine_steps` gets the
+sums of every grid of its schedule from the same pass.  Truncations
+max(V, -n) of one potential share the other way: V is evaluated along a
+path once and each level clips the values, so a truncation study draws
+and evaluates each path once for all levels.
 
 Estimates carry a heavy-tail heuristic: when the top_k heaviest samples
 hold more than `heavy_fraction` of the total weight, the estimate is
@@ -41,7 +45,7 @@ import numpy as np
 from . import _kernels_py
 from . import backend as _backend
 from .potentials import PotentialSpec, QuadraticForm
-from .stochastic import BridgePath, RngSeed, bridge_values
+from .stochastic import BridgePath, RngSeed, _bridge_in_place, bridge_values
 
 __all__ = [
     "MatrixElementEstimate",
@@ -62,7 +66,8 @@ __all__ = [
 
 _CHUNK = 32768
 # Cap on the (node pairs x paths) weight block that a shared-path matrix
-# element holds at once: 4 MB of float64 per array.
+# element holds at once, and on the block of normals that `_bridge_sums`
+# turns into bridges at once: 4 MB of float64 per array.
 _BLOCK_ELEMENTS = 2**19
 
 
@@ -211,16 +216,40 @@ def _trapezoid_grid(n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     return u, tau
 
 
-def _path_sums(alpha: np.ndarray):
-    """Trapezoid sums A = sum' alpha, B = sum' u alpha, C = sum' |alpha|^2.
+def _bridge_sums(xi: np.ndarray, strides) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Trapezoid sums A = sum' alpha, B = sum' u alpha, C = sum' |alpha|^2 per stride.
 
-    `alpha` has shape (n_paths, n_steps + 1, dim) and may be a strided
-    view; A and B have shape (n_paths, dim), C has shape (n_paths,).
+    `xi` holds standard normals of shape (n_paths, n_steps, dim) and is
+    consumed.  Row block by row block it becomes the bridge at nodes
+    1..n_steps, bit for bit `bridge_values(xi)[:, 1:]` (node 0 is zero
+    and adds to no sum), and then its squares; no array of the size of
+    `xi` is made.  A stride s, which must divide n_steps, restricts the
+    path to the nodes that are multiples of s: a grid of n_steps / s
+    steps.  Returns (A, B, C) for each stride in order, with A and B of
+    shape (n_paths, dim) and C of shape (n_paths,).
     """
-    u, tau = _trapezoid_grid(alpha.shape[1] - 1)
-    at = alpha.transpose(0, 2, 1)
-    ab = at @ np.stack([tau, tau * u], axis=1)
-    return ab[..., 0], ab[..., 1], (np.square(at) @ tau).sum(axis=1)
+    n_paths, n_steps, dim = xi.shape
+    ab_cols = np.zeros((n_steps, len(strides), 2))
+    c_cols = np.zeros((n_steps, len(strides)))
+    for level, s in enumerate(strides):
+        u, tau = _trapezoid_grid(n_steps // s)
+        ab_cols[s - 1::s, level, 0] = tau[1:]
+        ab_cols[s - 1::s, level, 1] = (tau * u)[1:]
+        c_cols[s - 1::s, level] = tau[1:]
+    # rows follow the flattened (node, coordinate) axis of a path
+    ab_cols = np.kron(ab_cols.reshape(n_steps, -1), np.eye(dim))
+    c_cols = np.repeat(c_cols, dim, axis=0)
+    ab = np.empty((n_paths, len(strides), 2, dim))
+    c = np.empty((n_paths, len(strides)))
+    rows = max(1, _BLOCK_ELEMENTS // (n_steps * dim))
+    for i in range(0, n_paths, rows):
+        block = xi[i:i + rows]
+        _bridge_in_place(block)
+        flat = block.reshape(len(block), -1)
+        np.matmul(flat, ab_cols, out=ab[i:i + rows].reshape(len(block), -1))
+        np.square(flat, out=flat)
+        np.matmul(flat, c_cols, out=c[i:i + rows])
+    return [(ab[:, level, 0], ab[:, level, 1], c[:, level]) for level in range(len(strides))]
 
 
 def _sums_weights(sums, xs: np.ndarray, ys: np.ndarray, t: float,
@@ -259,17 +288,14 @@ def _weights(alpha: np.ndarray, x: np.ndarray, y: np.ndarray, t: float,
              V: PotentialSpec, backend: str | None, floors=None) -> list[np.ndarray]:
     """Path weights of max(V, floor) for each floor, from one evaluation of V.
 
-    `floors=None` is the one-level case of V itself, where an unclipped
-    form goes through its path sums.  Otherwise V is evaluated along the
-    paths once (a form unclipped, a callable through `evaluate`) and each
-    floor clips those values, so the weights of every floor equal those
-    of `truncate(V, -floor)` evaluated alone, bit for bit.  The compiled
-    kernel takes one floor per call.
+    `floors=None` is the one-level case of V itself.  V is evaluated
+    along the paths once (a form unclipped, a callable through
+    `evaluate`) and each floor clips those values, so the weights of
+    every floor equal those of `truncate(V, -floor)` evaluated alone, bit
+    for bit.  The compiled kernel takes one floor per call.  Unclipped
+    forms estimated alone never come here: they go through `_bridge_sums`.
     """
     if floors is None:
-        if _unclipped(V):
-            n_steps = alpha.shape[1] - 1
-            return [_sums_weights(_path_sums(alpha), x[None], y[None], t, V.form, n_steps)[0, 0]]
         floors = (-math.inf,)
     form = V.form
     if form is None:
@@ -426,8 +452,12 @@ def _estimates(x, y, V: PotentialSpec, t: float, n_samples: int, n_steps: int,
             xi = gen.standard_normal((count, n_steps, V.dim))
             if mirror_paths:
                 np.negative(xi, out=xi)
-            alpha = bridge_values(xi)
-            return [_chunk_stats(w, top_k) for w in _weights(alpha, xp, yp, t, V, backend, floors)]
+            if floors is None and _unclipped(V):
+                sums = _bridge_sums(xi, (1,))[0]
+                weights = [_sums_weights(sums, xp[None], yp[None], t, V.form, n_steps)[0, 0]]
+            else:
+                weights = _weights(bridge_values(xi), xp, yp, t, V, backend, floors)
+            return [_chunk_stats(w, top_k) for w in weights]
         return job
 
     def merge(a, b):
@@ -654,7 +684,7 @@ def _shared_path_element(x_pts: np.ndarray, y_pts: np.ndarray, coef: np.ndarray,
     def make_job(idx: int, count: int):
         def job():
             gen = rng.generator(idx)
-            sums = _path_sums(bridge_values(gen.standard_normal((count, mc.n_steps, V.dim))))
+            sums = _bridge_sums(gen.standard_normal((count, mc.n_steps, V.dim)), (1,))[0]
             return reduce(merge, (block_stats([s[i:i + block] for s in sums])
                                   for i in range(0, count, block)))
         return job
@@ -698,12 +728,18 @@ def refine_steps(
     mode "restricted" draws the finest paths once and restricts them to
     the coarser grids (every entry must divide the last), so successive
     differences are coupled path by path and their standard errors come
-    from the per-path differences.  mode "independent" gives each
-    resolution a fresh stream derived from the same seed; differences
-    are then compared through independent-error bars.  Both modes are
-    deterministic for a fixed seed.
+    from the per-path differences.  For an unclipped quadratic form the
+    trapezoid sums of every grid come from one pass over each chunk's
+    normals (see `_bridge_sums`); other potentials are evaluated along
+    the restricted views of one bridge array per chunk.  mode
+    "independent" gives each resolution a fresh stream derived from the
+    same seed; differences are then compared through independent-error
+    bars.  Both modes are deterministic for a fixed seed, and both take
+    only positive step counts.
     """
     schedule = [int(n) for n in steps_schedule]
+    if any(n < 1 for n in schedule):
+        raise ValueError("steps_schedule entries must be positive")
     if len(schedule) < 2:
         raise ValueError("steps_schedule needs at least two entries")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
@@ -742,14 +778,16 @@ def refine_steps(
 
     def make_job(idx: int, count: int):
         def job():
-            gen = rng.generator(*key, idx)
-            alpha = bridge_values(gen.standard_normal((count, n_max, V.dim)))
-            per_level = []
-            weights = []
-            for n in schedule:
-                w = _weights(alpha[:, :: n_max // n], xp, yp, t, V, backend)[0]
-                weights.append(w)
-                per_level.append(_chunk_stats(w, top_k))
+            xi = rng.generator(*key, idx).standard_normal((count, n_max, V.dim))
+            if _unclipped(V):
+                all_sums = _bridge_sums(xi, [n_max // n for n in schedule])
+                weights = [_sums_weights(sums, xp[None], yp[None], t, V.form, n)[0, 0]
+                           for sums, n in zip(all_sums, schedule)]
+            else:
+                alpha = bridge_values(xi)
+                weights = [_weights(alpha[:, :: n_max // n], xp, yp, t, V, backend)[0]
+                           for n in schedule]
+            per_level = [_chunk_stats(w, top_k) for w in weights]
             per_diff = [_chunk_stats(weights[l + 1] - weights[l], 1)
                         for l in range(n_levels - 1)]
             return per_level, per_diff

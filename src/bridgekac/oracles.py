@@ -93,7 +93,11 @@ class SpectralDecomposition:
 
 
 def build_grid_operator(V: PotentialSpec, L: float, n_points: int) -> GridOperator:
-    """Assemble the stencil matrix with V sampled at the grid nodes."""
+    """Assemble the stencil matrix with V sampled at the grid nodes.
+
+    A value of V that is not finite would turn the whole spectrum into
+    NaN, so the first grid point where V is NaN or infinite raises.
+    """
     if V.dim != 1:
         raise ValueError("the grid oracle supports dim=1 only")
     if L <= 0.0:
@@ -103,6 +107,11 @@ def build_grid_operator(V: PotentialSpec, L: float, n_points: int) -> GridOperat
     h = 2.0 * L / (n_points + 1)
     x = -L + h * np.arange(1, n_points + 1)
     v = np.asarray(V.evaluate(x[:, None]), dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"potential is not finite on the grid: V({float(x[i])!r}) = "
+                         f"{float(v[i])!r} at grid point {i}")
     H = np.zeros((n_points, n_points))
     idx = np.arange(n_points)
     H[idx, idx] = 1.0 / (h * h) + v

@@ -121,13 +121,21 @@ def bridge_values(normals: np.ndarray) -> np.ndarray:
     n_steps = normals.shape[-2]
     if n_steps < 1:
         raise ValueError("n_steps must be a positive integer")
-    b = np.cumsum(normals, axis=-2)
-    b *= np.sqrt(1.0 / n_steps)
-    u = np.arange(1, n_steps + 1, dtype=np.float64) / n_steps
     out = np.zeros(normals.shape[:-2] + (n_steps + 1, normals.shape[-1]))
-    out[..., 1:, :] = b - u[:, None] * b[..., -1:, :]
+    out[..., 1:, :] = normals
+    _bridge_in_place(out[..., 1:, :])
     out[..., -1, :] = 0.0
     return out
+
+
+def _bridge_in_place(b: np.ndarray) -> None:
+    """Turn standard normals of shape (..., n_steps, dim) into the bridge at
+    grid nodes 1..n_steps, in place; node 0 is zero and not stored."""
+    n_steps = b.shape[-2]
+    np.cumsum(b, axis=-2, out=b)
+    b *= np.sqrt(1.0 / n_steps)
+    u = np.arange(1, n_steps + 1, dtype=np.float64) / n_steps
+    b -= u[:, None] * b[..., -1:, :]
 
 
 def _as_generator(rng) -> np.random.Generator:

@@ -18,7 +18,7 @@ from bridgekac.feynman_kac import (
     l2_norm,
     matrix_element,
     refine_steps,
-    _path_sums,
+    _bridge_sums,
     _sums_weights,
     _tensor_gauss_legendre,
 )
@@ -26,7 +26,7 @@ from bridgekac.oracles import mehler_kernel, stark_q
 from bridgekac.potentials import (
     QuadraticForm, custom, harmonic, inverted_quadratic, stark, truncate, zero,
 )
-from bridgekac.stochastic import RngSeed, sample_bridge, sample_bridge_batch
+from bridgekac.stochastic import RngSeed, bridge_values, sample_bridge
 
 
 def test_free_case_is_exact():
@@ -114,16 +114,63 @@ def test_total_underflow_is_not_flagged_as_divergence():
 ])
 def test_sums_weights_match_kernel(form, dim):
     n_steps, t = 24, 0.9
-    alpha = sample_bridge_batch(dim, n_steps, 128, RngSeed(31).generator())
+    xi = RngSeed(31).generator().standard_normal((128, n_steps, dim))
+    alpha = bridge_values(xi)
     gen = np.random.default_rng(3)
     xs = gen.uniform(-2.0, 2.0, (3, dim))
     ys = gen.uniform(-2.0, 2.0, (4, dim))
-    got = _sums_weights(_path_sums(alpha), xs, ys, t, form, n_steps)
+    got = _sums_weights(_bridge_sums(xi, (1,))[0], xs, ys, t, form, n_steps)
     assert got.shape == (3, 4, 128)
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
             want = quadratic_weights(alpha, x, y, t, form, backend="python")
             np.testing.assert_allclose(got[i, j], want, rtol=1e-13, atol=0.0)
+
+
+def _trapezoid_sums(alpha):
+    """A, B and C of paths `alpha` (n_paths, n_steps + 1, dim), each paired
+    with its sum of absolute terms, which bounds its rounding error."""
+    n_steps = alpha.shape[1] - 1
+    u = np.arange(n_steps + 1) / n_steps
+    tau = np.full(n_steps + 1, 1.0 / n_steps)
+    tau[[0, -1]] *= 0.5
+    sq = np.square(alpha).sum(axis=2) @ tau
+    return [(np.einsum("pkd,k->pd", alpha, w), np.einsum("pkd,k->pd", np.abs(alpha), w))
+            for w in (tau, tau * u)] + [(sq, sq)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n_steps, strides, n_paths", [
+    (1, (1,), 50),
+    (7, (7, 1), 50),
+    (256, (16, 8, 4, 2, 1), 100),
+    (4096, (4096, 64, 1), 60),  # several row blocks per chunk at dim 3
+])
+def test_bridge_sums_match_trapezoid_sums_of_the_bridge(dim, n_steps, strides, n_paths):
+    xi = RngSeed(41).generator().standard_normal((n_paths, n_steps, dim))
+    alpha = bridge_values(xi)
+    levels = _bridge_sums(xi, strides)
+    assert len(levels) == len(strides)
+    for got, s in zip(levels, strides):
+        assert got[0].shape == got[1].shape == (n_paths, dim)
+        assert got[2].shape == (n_paths,)
+        for g, (want, scale) in zip(got, _trapezoid_sums(alpha[:, ::s])):
+            # relative to the sum of absolute terms: A and B cancel; a
+            # one-step level has alpha = 0 at both nodes and must give 0
+            assert np.all(np.abs(g - want) <= 1e-13 * scale)
+    # the consumed buffer held the bridge at nodes 1..n, bit for bit, then its squares
+    assert np.array_equal(xi, np.square(alpha[:, 1:]))
+
+
+def test_bridge_sums_of_mirrored_paths():
+    # mirror_paths negates the normals: A and B change sign, C is unchanged
+    xi = RngSeed(43).generator().standard_normal((300, 64, 2))
+    plain = _bridge_sums(xi.copy(), (4, 1))
+    mirrored = _bridge_sums(np.negative(xi), (4, 1))
+    for (a, b, c), (ma, mb, mc) in zip(plain, mirrored):
+        assert np.array_equal(ma, -a)
+        assert np.array_equal(mb, -b)
+        assert np.array_equal(mc, c)
 
 
 def test_callable_may_return_a_read_only_view():
@@ -322,6 +369,25 @@ def test_refine_steps_validation():
                      mode="restricted")
     with pytest.raises(ValueError):
         refine_steps(0.0, 0.0, zero(), 1.0, 100, [8, 16], RngSeed(0), mode="magic")
+    # a step count below 1 would be a reversed or zero stride in restricted mode
+    for mode in ("restricted", "independent"):
+        for schedule in ([-2, 4], [0, 4]):
+            with pytest.raises(ValueError):
+                refine_steps(0.0, 0.0, harmonic(), 1.0, 200, schedule, RngSeed(1), mode=mode)
+
+
+def test_refine_steps_memory_stays_near_the_normals_buffer():
+    # the finest grid's normals are 8192 x 256 doubles; the bridge is built
+    # inside them and every level is summed from them, one row block at a time
+    buffer = 8192 * 256 * 8
+    tracemalloc.start()
+    try:
+        rep = refine_steps(0.3, -0.2, harmonic(), 1.0, 8192, (16, 32, 64, 128, 256), RngSeed(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rep.estimates) == 5
+    assert peak < 1.5 * buffer
 
 
 def test_refine_steps_free_case_differences_vanish():

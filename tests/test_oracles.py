@@ -14,7 +14,7 @@ from bridgekac.oracles import (
     stark_kernel,
     stark_q,
 )
-from bridgekac.potentials import harmonic, stark, zero
+from bridgekac.potentials import custom, harmonic, stark, zero
 
 
 @pytest.fixture(scope="module")
@@ -146,3 +146,12 @@ def test_build_grid_operator_validation():
         build_grid_operator(zero(), 1.0, 2)
     with pytest.raises(ValueError):
         build_grid_operator(zero(dim=2), 1.0, 100)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_grid_operator_rejects_a_potential_not_finite_on_the_grid(bad):
+    # one NaN or infinite node value would make every eigenvalue, and so every
+    # matrix element, NaN
+    V = custom(lambda p: np.where(abs(p[..., 0]) < 0.3, bad, 0.0), lambda eps: 0.0)
+    with pytest.raises(ValueError, match="not finite"):
+        build_grid_operator(V, 2.0, 50)
