@@ -1,36 +1,76 @@
-"""Dispatch between the compiled weight kernel and its numpy twin.
+"""The numpy path-weight kernel.
 
-The compiled module is optional: installations without a C toolchain
-fall back to the numpy implementation transparently.  Within one
-installation results are bit-reproducible; across the two backends they
-agree to a relative 1e-12 (summation order differs).
+Given a batch of bridge paths, it evaluates a potential along the
+interpolated pin-to-pin paths and returns the exponential weights
+exp(-trapezoid action), bit-deterministically.
+
+The kernel is split so that one evaluation of a potential along the
+paths serves several floors: `floored_weights` clips the same values at
+each floor in turn, and the weights of every floor equal those of a
+separate one-floor call bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from . import _kernels_py
 from .potentials import QuadraticForm
 
-try:
-    from . import _kernels as _compiled
-except ImportError:
-    _compiled = None
-
-HAVE_COMPILED = _compiled is not None
-DEFAULT_BACKEND = "compiled" if HAVE_COMPILED else "python"
+# Fixed: benchmark records store both, and runs whose values differ are not compared.
+HAVE_COMPILED = False
+DEFAULT_BACKEND = "python"
 
 __all__ = [
-    "DEFAULT_BACKEND",
-    "HAVE_COMPILED",
-    "available_backends",
+    "floored_weights",
+    "form_values",
+    "path_positions",
     "quadratic_weights",
 ]
 
 
-def available_backends() -> tuple[str, ...]:
-    return ("compiled", "python") if HAVE_COMPILED else ("python",)
+def path_positions(alpha: np.ndarray, x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
+    """Positions (1-u) x + u y + sqrt(t) alpha(u) of every path node.
+
+    `alpha` has shape (n_paths, n_steps + 1, dim) and may be a strided
+    view; so has the result, which is a new array.
+    """
+    n_steps = alpha.shape[1] - 1
+    u = np.arange(alpha.shape[1], dtype=np.float64) / n_steps
+    base = np.outer(1.0 - u, x) + np.outer(u, y)
+    return base[None, :, :] + np.sqrt(t) * alpha
+
+
+def form_values(pos: np.ndarray, form: QuadraticForm) -> np.ndarray:
+    """Unclipped q |z|^2 + g . z + c of `form` at positions of shape (..., dim)."""
+    v = form.quad * np.square(pos).sum(axis=-1)
+    v += pos @ np.asarray(form.lin, dtype=np.float64)
+    v += form.const
+    return v
+
+
+def floored_weights(v: np.ndarray, floors, t: float) -> list[np.ndarray]:
+    """Weights exp(-t * trapezoid(max(v, floor))) for each floor, in order.
+
+    `v` holds potential values of shape (n_paths, n_steps + 1).  It is
+    consumed: the last floor is clipped in place.  The ends are halved
+    before the sum, so every floor is summed in the same order.
+    """
+    n_steps = v.shape[1] - 1
+    spare = np.empty_like(v) if len(floors) > 1 else None
+    weights = []
+    for k, floor in enumerate(floors):
+        if k < len(floors) - 1:
+            work = np.maximum(v, floor, out=spare)
+        else:
+            work = v if floor == -math.inf else np.maximum(v, floor, out=v)
+        work[:, 0] *= 0.5
+        work[:, -1] *= 0.5
+        action = work.sum(axis=1)
+        action *= -(t / n_steps)
+        weights.append(np.exp(action, out=action))
+    return weights
 
 
 def quadratic_weights(
@@ -39,23 +79,15 @@ def quadratic_weights(
     y,
     t: float,
     form: QuadraticForm,
-    backend: str | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Path weights exp(-trapezoid action) for a clipped quadratic potential.
 
     `alpha` has shape (n_paths, n_steps + 1, dim); `x` and `y` are the
-    path endpoints.  `backend` is "compiled", "python", or None for the
-    installation default.
+    path endpoints, broadcast to `dim`.  The potential is
+    max(q |z|^2 + g . z + c, floor) of `form`.
     """
-    if backend is None:
-        backend = DEFAULT_BACKEND
-    if backend not in ("compiled", "python"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "compiled" and not HAVE_COMPILED:
-        raise RuntimeError("compiled backend requested but the extension is not installed")
-
-    alpha = np.ascontiguousarray(alpha, dtype=np.float64)
+    alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.ndim != 3:
         raise ValueError("alpha must have shape (n_paths, n_steps + 1, dim)")
     n_paths, n_nodes, dim = alpha.shape
@@ -63,20 +95,12 @@ def quadratic_weights(
         raise ValueError("paths need at least two grid nodes")
     if t <= 0.0:
         raise ValueError("t must be positive")
-    # np.array: broadcast views are read-only, memoryviews need writable
-    xv = np.array(np.broadcast_to(np.asarray(x, dtype=np.float64), (dim,)))
-    yv = np.array(np.broadcast_to(np.asarray(y, dtype=np.float64), (dim,)))
-    lin = np.array(np.asarray(form.lin, dtype=np.float64))
-    if lin.shape != (dim,):
+    if np.shape(form.lin) != (dim,):
         raise ValueError("form.lin must match the path dimension")
+    xv = np.broadcast_to(np.asarray(x, dtype=np.float64), (dim,))
+    yv = np.broadcast_to(np.asarray(y, dtype=np.float64), (dim,))
     if out is None:
         out = np.empty(n_paths)
-
-    if backend == "compiled":
-        _compiled.quadratic_weights(
-            alpha, xv, yv, float(t), form.quad, lin, form.const, form.floor, out
-        )
-        return out
-    return _kernels_py.quadratic_weights(
-        alpha, xv, yv, float(t), form.quad, lin, form.const, form.floor, out
-    )
+    v = form_values(path_positions(alpha, xv, yv, float(t)), form)
+    out[:] = floored_weights(v, [form.floor], float(t))[0]
+    return out

@@ -141,7 +141,6 @@ def verify_bound_sweep(
     rng: RngSeed,
     *,
     workers: int = 1,
-    backend: str | None = None,
 ) -> SweepReport:
     """Check mean - 3 std_error <= envelope over a grid of (x, y) points.
 
@@ -163,7 +162,7 @@ def verify_bound_sweep(
         q = estimate_Q(
             px, py, V, t, mc.n_samples, mc.n_steps, rng,
             top_k=mc.top_k, heavy_fraction=mc.heavy_fraction,
-            workers=workers, backend=backend, key=(idx,),
+            workers=workers, key=(idx,),
         )
         bound = theorem21_bound(px, py, params)
         jensen = jensen_chain_bound(px, py, V, t, eps)
@@ -180,7 +179,7 @@ def verify_bound_sweep(
             q = estimate_Q(
                 px, py, V, t, 2 * mc.n_samples, mc.n_steps, rng,
                 top_k=mc.top_k, heavy_fraction=mc.heavy_fraction,
-                workers=workers, backend=backend, key=(idx, 1),
+                workers=workers, key=(idx, 1),
             )
             passed = verdict(q)
             rechecked = True

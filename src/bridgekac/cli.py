@@ -21,7 +21,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import backend as _backend
 from .bounds import verify_bound_sweep
 from .convergence import (
     cutoff_contraction_check,
@@ -250,7 +249,6 @@ _KEY_SPECS: dict[str, _KeySpec] = {
     "seed": _KeySpec(_coerce_seed, 0),
     "workers": _KeySpec(_coerce_pos_int, 1),
     "output_path": _KeySpec(_coerce_str, _default_output),
-    "backend": _KeySpec(_choice(frozenset({"auto", "python", "compiled"})), "auto"),
     "potential": _KeySpec(
         _choice(frozenset({"zero", "harmonic", "stark", "inverted-quadratic"})), _REQUIRED
     ),
@@ -293,7 +291,7 @@ _KEY_SPECS: dict[str, _KeySpec] = {
     "demo.cutoff": _KeySpec(_coerce_pos_float, 2.0),
 }
 
-_COMMON = frozenset({"t", "seed", "workers", "output_path", "backend"})
+_COMMON = frozenset({"t", "seed", "workers", "output_path"})
 _POTENTIAL = frozenset(
     {"potential", "potential.omega", "potential.F", "potential.c", "potential.truncation"}
 )
@@ -452,17 +450,6 @@ def validate_config(raw: dict, experiment: str | None = None):
     return ExperimentConfig(experiment=exp, params=params), errors
 
 
-def _resolve_backend(name: str) -> str | None:
-    if name == "auto":
-        return None
-    if name == "compiled" and not _backend.HAVE_COMPILED:
-        raise RuntimeError(
-            "compiled backend unavailable in this installation; "
-            "rebuild with a C toolchain or set backend = \"python\""
-        )
-    return name
-
-
 def _build_potential(p: dict):
     name = p["potential"]
     if name == "zero":
@@ -517,7 +504,7 @@ def _run_q_estimate(p: dict):
     est = estimate_Q(
         p["point.x"], p["point.y"], V, p["t"], p["mc.n_samples"], p["mc.n_steps"],
         RngSeed(p["seed"]), top_k=p["mc.top_k"], heavy_fraction=p["mc.heavy_fraction"],
-        workers=p["workers"], backend=_resolve_backend(p["backend"]),
+        workers=p["workers"],
     )
     header = ["x", "y", "t", "n_steps", "n_samples", "q_mean", "q_stderr",
               "divergence_suspected", "heavy_mass_fraction"]
@@ -539,8 +526,7 @@ def _run_matrix_element(p: dict):
     psi = _build_wavefunction(p, "psi")
     me = matrix_element(
         phi, psi, V, p["t"], QuadratureConfig(p["quadrature.nodes_per_axis"]),
-        _mc_config(p), RngSeed(p["seed"]),
-        workers=p["workers"], backend=_resolve_backend(p["backend"]),
+        _mc_config(p), RngSeed(p["seed"]), workers=p["workers"],
     )
     header = ["t", "value", "stderr", "quadrature_nodes", "mc_samples_per_node",
               "divergence_nodes"]
@@ -560,7 +546,7 @@ def _run_bound_sweep(p: dict):
     grid = [(float(a), float(b)) for a in axis for b in axis]
     report = verify_bound_sweep(
         V, p["t"], p["bound.delta"], grid, _mc_config(p), RngSeed(p["seed"]),
-        workers=p["workers"], backend=_resolve_backend(p["backend"]),
+        workers=p["workers"],
     )
     header = ["x", "y", "q_mean", "q_stderr", "jensen_bound", "bound", "pass"]
     rows = [[pt.x, pt.y, pt.q_mean, pt.q_std_error, pt.jensen_bound, pt.bound,
@@ -579,7 +565,6 @@ def _run_truncation_study(p: dict):
         report = q_truncation_study(
             p["point.x"], p["point.y"], V, p["t"], p["levels"], _mc_config(p),
             RngSeed(p["seed"]), workers=p["workers"],
-            backend=_resolve_backend(p["backend"]),
         )
         header = ["level", "q_mean", "q_stderr", "divergence_suspected",
                   "increment", "stabilized"]
@@ -603,7 +588,7 @@ def _run_truncation_study(p: dict):
         V, phi, psi, p["t"], p["levels"], _mc_config(p), RngSeed(p["seed"]),
         quadrature=QuadratureConfig(p["quadrature.nodes_per_axis"]),
         oracle=OracleConfig(p["oracle.L"], p["oracle.n_points"], p["oracle.tolerance"]),
-        workers=p["workers"], backend=_resolve_backend(p["backend"]),
+        workers=p["workers"],
     )
     header = ["level", "left_value", "right_value", "right_stderr",
               "abs_difference", "agree", "right_divergent"]
@@ -722,7 +707,6 @@ def _run_refine_steps(p: dict):
         p["point.x"], p["point.y"], V, p["t"], p["mc.n_samples"], p["schedule"],
         RngSeed(p["seed"]), mode=p["refine.mode"], top_k=p["mc.top_k"],
         heavy_fraction=p["mc.heavy_fraction"], workers=p["workers"],
-        backend=_resolve_backend(p["backend"]),
     )
     header = ["n_steps", "q_mean", "q_stderr", "diff_mean", "diff_stderr",
               "sigma_ratio"]

@@ -35,7 +35,6 @@ from .feynman_kac import (
     QEstimate,
     QuadratureConfig,
     Wavefunction,
-    _check_backend,
     _estimates,
     _matrix_elements,
     matrix_element,  # unused here; perfbench's traced run wraps this module attribute
@@ -318,7 +317,6 @@ def truncation_study(
     quadrature: QuadratureConfig | None = None,
     oracle: OracleConfig | None = None,
     workers: int = 1,
-    backend: str | None = None,
     agree_rel_tol: float = 0.01,
 ) -> TruncationReport:
     """Compare grid-oracle and Monte Carlo matrix elements over max(V, -n).
@@ -334,7 +332,6 @@ def truncation_study(
     max(3 standard errors, agree_rel_tol relative).
     """
     levels = _checked_levels(levels)
-    _check_backend(backend)  # before the first grid oracle is built
     quadrature = quadrature or QuadratureConfig()
     oracle = oracle or OracleConfig()
 
@@ -348,7 +345,7 @@ def truncation_study(
         left_values.append(left_values[-1] if repeat
                            else semigroup_matrix_element(op, phi, psi, t))
     elements = _matrix_elements(phi, psi, V, t, quadrature, mc, rng, [-n for n in levels],
-                                workers=workers, backend=backend)
+                                workers=workers)
     right_values = [me.value for me in elements]
     right_errs = [me.std_error for me in elements]
     right_div = [me.divergence_nodes for me in elements]
@@ -398,7 +395,6 @@ def q_truncation_study(
     rng: RngSeed,
     *,
     workers: int = 1,
-    backend: str | None = None,
 ) -> QTruncationReport:
     """estimate_Q over max(V, -n) with common random numbers across levels.
 
@@ -413,7 +409,7 @@ def q_truncation_study(
     levels = _checked_levels(levels)
     estimates = _estimates(x, y, V, t, mc.n_samples, mc.n_steps, rng, [-n for n in levels],
                            top_k=mc.top_k, heavy_fraction=mc.heavy_fraction,
-                           workers=workers, backend=backend)
+                           workers=workers)
     values = [e.mean for e in estimates]
     errs = [e.std_error for e in estimates]
     trusted = [not e.divergence_suspected for e in estimates]

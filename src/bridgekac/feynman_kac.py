@@ -35,14 +35,14 @@ expectation; the flag marks estimates that behave like one.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Callable
 
 import numpy as np
 
-from . import _kernels_py
 from . import backend as _backend
 from .potentials import PotentialSpec, QuadraticForm
 from .stochastic import BridgePath, RngSeed, _bridge_in_place, bridge_values
@@ -285,40 +285,27 @@ def _unclipped(V: PotentialSpec) -> bool:
 
 
 def _weights(alpha: np.ndarray, x: np.ndarray, y: np.ndarray, t: float,
-             V: PotentialSpec, backend: str | None, floors=None) -> list[np.ndarray]:
+             V: PotentialSpec, floors=None) -> list[np.ndarray]:
     """Path weights of max(V, floor) for each floor, from one evaluation of V.
 
     `floors=None` is the one-level case of V itself.  V is evaluated
     along the paths once (a form unclipped, a callable through
     `evaluate`) and each floor clips those values, so the weights of
     every floor equal those of `truncate(V, -floor)` evaluated alone, bit
-    for bit.  The compiled kernel takes one floor per call.  Unclipped
-    forms estimated alone never come here: they go through `_bridge_sums`.
+    for bit.  Unclipped forms estimated alone never come here: they go
+    through `_bridge_sums`.
     """
     if floors is None:
         floors = (-math.inf,)
+    pos = _backend.path_positions(alpha, x, y, t)
     form = V.form
     if form is None:
-        v = np.asarray(V.evaluate(_kernels_py.path_positions(alpha, x, y, t)), dtype=np.float64)
+        v = np.asarray(V.evaluate(pos), dtype=np.float64)
         if not (v.flags.owndata and v.flags.writeable):
             v = v.copy()  # the clip works in place; a view may alias the caller's data
-        return _kernels_py.floored_weights(v, floors, t)
-    floors = [max(form.floor, f) for f in floors]
-    if (backend or _backend.DEFAULT_BACKEND) == "compiled":
-        return [_backend.quadratic_weights(alpha, x, y, t, replace(form, floor=f), backend=backend)
-                for f in floors]
-    lin = np.asarray(form.lin, dtype=np.float64)
-    v = _kernels_py.form_values(_kernels_py.path_positions(alpha, x, y, t), form.quad, lin,
-                                form.const)
-    return _kernels_py.floored_weights(v, floors, t)
-
-
-def _check_backend(backend: str | None) -> None:
-    """Reject a backend name before any work: unclipped forms never reach the kernel."""
-    if backend not in (None, "compiled", "python"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "compiled" and not _backend.HAVE_COMPILED:
-        raise RuntimeError("compiled backend requested but the extension is not installed")
+        return _backend.floored_weights(v, floors, t)
+    return _backend.floored_weights(_backend.form_values(pos, form),
+                                    [max(form.floor, f) for f in floors], t)
 
 
 def _chunk_stats(w: np.ndarray, top_k: int):
@@ -412,7 +399,6 @@ def estimate_Q(
     top_k: int = 10,
     heavy_fraction: float = 0.5,
     workers: int = 1,
-    backend: str | None = None,
     key: tuple[int, ...] = (),
     mirror_paths: bool = False,
 ) -> QEstimate:
@@ -425,14 +411,13 @@ def estimate_Q(
     Q(x, y) = Q(-x, -y).
     """
     return _estimates(x, y, V, t, n_samples, n_steps, rng, None, top_k=top_k,
-                      heavy_fraction=heavy_fraction, workers=workers, backend=backend,
-                      key=key, mirror_paths=mirror_paths)[0]
+                      heavy_fraction=heavy_fraction, workers=workers, key=key,
+                      mirror_paths=mirror_paths)[0]
 
 
 def _estimates(x, y, V: PotentialSpec, t: float, n_samples: int, n_steps: int,
                rng: RngSeed, floors, *, top_k: int, heavy_fraction: float, workers: int,
-               backend: str | None, key: tuple[int, ...] = (),
-               mirror_paths: bool = False) -> list[QEstimate]:
+               key: tuple[int, ...] = (), mirror_paths: bool = False) -> list[QEstimate]:
     """Q estimates of max(V, floor) for each floor, from one draw of the paths.
 
     The keyed chunks are those of `estimate_Q`; `floors=None` estimates
@@ -442,7 +427,6 @@ def _estimates(x, y, V: PotentialSpec, t: float, n_samples: int, n_steps: int,
         raise ValueError("t must be positive")
     if n_samples < 1 or n_steps < 1:
         raise ValueError("n_samples and n_steps must be positive")
-    _check_backend(backend)
     xp = _point(x, V.dim)
     yp = _point(y, V.dim)
 
@@ -456,7 +440,7 @@ def _estimates(x, y, V: PotentialSpec, t: float, n_samples: int, n_steps: int,
                 sums = _bridge_sums(xi, (1,))[0]
                 weights = [_sums_weights(sums, xp[None], yp[None], t, V.form, n_steps)[0, 0]]
             else:
-                weights = _weights(bridge_values(xi), xp, yp, t, V, backend, floors)
+                weights = _weights(bridge_values(xi), xp, yp, t, V, floors)
             return [_chunk_stats(w, top_k) for w in weights]
         return job
 
@@ -572,7 +556,6 @@ def matrix_element(
     rng: RngSeed,
     *,
     workers: int = 1,
-    backend: str | None = None,
 ) -> MatrixElementEstimate:
     """<phi, e^{-tH} psi> by tensor quadrature of Q over the supports.
 
@@ -588,13 +571,12 @@ def matrix_element(
     seed compare the same paths across levels.  Either way a fixed seed
     gives bit-identical results for any worker count.
     """
-    return _matrix_elements(phi, psi, V, t, quadrature, mc, rng, None,
-                            workers=workers, backend=backend)[0]
+    return _matrix_elements(phi, psi, V, t, quadrature, mc, rng, None, workers=workers)[0]
 
 
 def _matrix_elements(phi: Wavefunction, psi: Wavefunction, V: PotentialSpec, t: float,
                      quadrature: QuadratureConfig, mc: McConfig, rng: RngSeed, floors, *,
-                     workers: int, backend: str | None) -> list[MatrixElementEstimate]:
+                     workers: int) -> list[MatrixElementEstimate]:
     """Matrix elements of max(V, floor) for each floor, from one draw per node pair.
 
     Node pair (i, j) draws the keyed chunks (i, j, chunk) once for all
@@ -610,7 +592,6 @@ def _matrix_elements(phi: Wavefunction, psi: Wavefunction, V: PotentialSpec, t: 
     for wf in (phi, psi):
         if not all(math.isfinite(v) for corner in wf.support_box for v in corner):
             raise ValueError("support box must be finite; unbounded supports need a truncation radius")
-    _check_backend(backend)
 
     x_pts, x_wts = _tensor_gauss_legendre(phi.support_box, quadrature.nodes_per_axis)
     y_pts, y_wts = _tensor_gauss_legendre(psi.support_box, quadrature.nodes_per_axis)
@@ -640,7 +621,7 @@ def _matrix_elements(phi: Wavefunction, psi: Wavefunction, V: PotentialSpec, t: 
         def job():
             return _estimates(x_pts[i], y_pts[j], V, t, mc.n_samples, mc.n_steps, rng, floors,
                               top_k=mc.top_k, heavy_fraction=mc.heavy_fraction, workers=1,
-                              backend=backend, key=(i, j))
+                              key=(i, j))
         return job
 
     jobs = [make_job(i, j) for i in range(n_x) for j in range(n_y)]
@@ -720,7 +701,6 @@ def refine_steps(
     top_k: int = 10,
     heavy_fraction: float = 0.5,
     workers: int = 1,
-    backend: str | None = None,
     key: tuple[int, ...] = (),
 ) -> RefinementReport:
     """Rerun the Q estimate over a schedule of grid resolutions.
@@ -735,9 +715,12 @@ def refine_steps(
     "independent" gives each resolution a fresh stream derived from the
     same seed; differences are then compared through independent-error
     bars.  Both modes are deterministic for a fixed seed, and both take
-    only positive step counts.
+    only positive integer step counts.
     """
-    schedule = [int(n) for n in steps_schedule]
+    schedule = list(steps_schedule)
+    if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) for n in schedule):
+        raise ValueError("steps_schedule entries must be integers")
+    schedule = [int(n) for n in schedule]
     if any(n < 1 for n in schedule):
         raise ValueError("steps_schedule entries must be positive")
     if len(schedule) < 2:
@@ -746,14 +729,13 @@ def refine_steps(
         raise ValueError("steps_schedule must be strictly increasing")
     if mode not in ("restricted", "independent"):
         raise ValueError("mode must be 'restricted' or 'independent'")
-    _check_backend(backend)
 
     if mode == "independent":
         estimates = [
             estimate_Q(
                 x, y, V, t, n_samples, n, rng,
                 top_k=top_k, heavy_fraction=heavy_fraction,
-                workers=workers, backend=backend, key=(*key, idx),
+                workers=workers, key=(*key, idx),
             )
             for idx, n in enumerate(schedule)
         ]
@@ -785,7 +767,7 @@ def refine_steps(
                            for sums, n in zip(all_sums, schedule)]
             else:
                 alpha = bridge_values(xi)
-                weights = [_weights(alpha[:, :: n_max // n], xp, yp, t, V, backend)[0]
+                weights = [_weights(alpha[:, :: n_max // n], xp, yp, t, V)[0]
                            for n in schedule]
             per_level = [_chunk_stats(w, top_k) for w in weights]
             per_diff = [_chunk_stats(weights[l + 1] - weights[l], 1)

@@ -6,7 +6,7 @@ catalog entry and spot-checked numerically by `certify`; an infinite
 C_eps states honestly that no finite constant exists at that eps.
 
 Catalog entries also carry an exact clipped-quadratic description
-(`QuadraticForm`) that the sampling backends use as a fast path; custom
+(`QuadraticForm`) that the weight kernel uses as a fast path; custom
 potentials omit it and are evaluated through their vectorized callable.
 """
 

@@ -53,7 +53,6 @@ def test_validate_minimal_config_resolves_defaults():
     assert p["t"] == 1.0
     assert p["seed"] == 0
     assert p["workers"] == 1
-    assert p["backend"] == "auto"
     assert p["output_path"] == "q-estimate.csv"
     assert p["mc.n_samples"] == 20000
     assert p["mc.n_steps"] == 64
@@ -67,12 +66,13 @@ def test_validate_requires_potential():
 
 
 def test_validate_aggregates_every_error():
-    raw = {"potential": "stark", "t": -1.0, "no.such.key": 3}
+    raw = {"potential": "stark", "t": -1.0, "no.such.key": 3, "backend": "python"}
     cfg, errors = validate_config(raw, experiment="q-estimate")
     assert cfg is None
-    assert len(errors) == 3
+    assert len(errors) == 4
     joined = "\n".join(errors)
     assert "no.such.key: not recognized" in joined
+    assert "backend: not recognized for experiment 'q-estimate'" in joined
     assert "t: " in joined
     assert "potential.F: required" in joined
 

@@ -219,9 +219,6 @@ def test_truncation_study_validation():
     with pytest.raises(ValueError):
         truncation_study(V, phi, phi, 1.0, [],
                          McConfig(n_samples=10, n_steps=2), RngSeed(0))
-    with pytest.raises(ValueError):
-        truncation_study(V, phi, phi, 1.0, [2.0, 4.0],
-                         McConfig(n_samples=10, n_steps=2), RngSeed(0), backend="fortran")
 
 
 def test_q_truncation_study_monotone_under_common_random_numbers():

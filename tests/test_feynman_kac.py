@@ -123,7 +123,7 @@ def test_sums_weights_match_kernel(form, dim):
     assert got.shape == (3, 4, 128)
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
-            want = quadratic_weights(alpha, x, y, t, form, backend="python")
+            want = quadratic_weights(alpha, x, y, t, form)
             np.testing.assert_allclose(got[i, j], want, rtol=1e-13, atol=0.0)
 
 
@@ -369,11 +369,14 @@ def test_refine_steps_validation():
                      mode="restricted")
     with pytest.raises(ValueError):
         refine_steps(0.0, 0.0, zero(), 1.0, 100, [8, 16], RngSeed(0), mode="magic")
-    # a step count below 1 would be a reversed or zero stride in restricted mode
+    # a step count below 1 would be a reversed or zero stride in restricted mode,
+    # and a fractional one must not be truncated to a different grid
     for mode in ("restricted", "independent"):
-        for schedule in ([-2, 4], [0, 4]):
+        for schedule in ([-2, 4], [0, 4], [2.5, 5]):
             with pytest.raises(ValueError):
                 refine_steps(0.0, 0.0, harmonic(), 1.0, 200, schedule, RngSeed(1), mode=mode)
+        rep = refine_steps(0.0, 0.0, harmonic(), 1.0, 200, np.array([2, 4]), RngSeed(1), mode=mode)
+        assert rep.schedule == (2, 4)
 
 
 def test_refine_steps_memory_stays_near_the_normals_buffer():

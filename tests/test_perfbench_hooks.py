@@ -1,13 +1,15 @@
-"""The traced benchmark wraps library attributes by name; keep those names alive.
+"""The benchmark reads library names and constants; keep them alive.
 
 `perfbench/workloads.instrument` replaces module attributes such as
 `feynman_kac.bridge_values` and `backend.quadratic_weights` with spanned
-wrappers.  A refactor that drops one of them breaks only traced benchmark
-runs, so this test runs the instrumentation once and undoes it.
+wrappers, and `perfbench/run.environment` records `backend.HAVE_COMPILED`
+and `backend.DEFAULT_BACKEND`, which `compare.py` holds fixed against the
+baseline.  A refactor that drops or changes one of them breaks only
+benchmark runs, so these tests exercise both hooks.
 """
 
+import json
 import os
-import sys
 
 import pytest
 
@@ -20,6 +22,15 @@ def perfbench_modules(monkeypatch):
     import harness
     import workloads
     return harness, workloads
+
+
+def test_recorded_environment_matches_the_baseline(perfbench_modules):
+    import run
+    env = run.environment(1)
+    with open(os.path.join(PERFBENCH, "baseline.json"), encoding="utf-8") as fh:
+        baseline = json.load(fh)["env"]
+    assert env["have_compiled"] == baseline["have_compiled"]
+    assert env["default_backend"] == baseline["default_backend"]
 
 
 def test_instrument_wraps_live_attributes_and_restore_undoes_it(perfbench_modules):
