@@ -193,8 +193,9 @@ def test_truncation_study_bounded_potential_is_flat(monkeypatch):
     V = inverted_quadratic(0.05)
     phi = bump(width=1.0)
     decompositions = []
+    real = oracles.decompose
     monkeypatch.setattr(oracles, "decompose",
-                        lambda op, _real=oracles.decompose: decompositions.append(op) or _real(op))
+                        lambda op, upper=None: decompositions.append(op) or real(op, upper))
     report = truncation_study(
         V, phi, phi, 1.0, [8.0, 16.0, 32.0, 64.0, 128.0],
         McConfig(n_samples=400, n_steps=16),

@@ -58,3 +58,29 @@ def test_instrument_wraps_live_attributes_and_restore_undoes_it(perfbench_module
     assert originals
     for module, attr, original in originals:
         assert getattr(module, attr) is original, f"{module.__name__}.{attr} not restored"
+
+
+def test_traced_truncation_study_decomposes_each_distinct_level_once(perfbench_modules):
+    # the benchmark's oracles.decompose span must keep counting the grid solves:
+    # one per distinct level Hamiltonian, called through the module attribute
+    harness, workloads = perfbench_modules
+    from bridgekac import convergence, feynman_kac, oracles, potentials, stochastic
+
+    phi = feynman_kac.bump(0.0, 1.0)
+    tracer = harness.Tracer()
+    workloads.instrument(tracer)
+    try:
+        tracer.op = 0
+        tracer.active = True
+        # on [-8, 8] the potential stays above -32, so levels 64 and 128 coincide
+        convergence.truncation_study(
+            potentials.inverted_quadratic(0.5), phi, phi, 1.0, [1.0, 2.0, 64.0, 128.0],
+            feynman_kac.McConfig(n_samples=200, n_steps=8), stochastic.RngSeed(1),
+            quadrature=feynman_kac.QuadratureConfig(4),
+            oracle=oracles.OracleConfig(domain_half_width=8.0, n_points=300))
+    finally:
+        tracer.active = False
+        tracer.restore()
+    names = [span.name for span in tracer.spans]
+    assert names.count("oracles.decompose") == 3
+    assert names.count("oracles.semigroup_matrix_element") == 3
