@@ -93,8 +93,8 @@ def quadratic_weights(
     n_paths, n_nodes, dim = alpha.shape
     if n_nodes < 2:
         raise ValueError("paths need at least two grid nodes")
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
     if np.shape(form.lin) != (dim,):
         raise ValueError("form.lin must match the path dimension")
     xv = np.broadcast_to(np.asarray(x, dtype=np.float64), (dim,))

@@ -53,8 +53,8 @@ class BoundParameters:
     c_eps: float
 
     def __post_init__(self) -> None:
-        if self.t <= 0.0:
-            raise ValueError("t must be positive")
+        if not 0.0 < self.t < math.inf:
+            raise ValueError("t must be positive and finite")
         if not 0.0 < self.delta0 < 1.0:
             raise ValueError("delta0 must lie in (0, 1)")
         if self.c_eps < 0.0:
@@ -66,8 +66,8 @@ class BoundParameters:
 
     @classmethod
     def for_potential(cls, V: PotentialSpec, t: float, delta0: float) -> "BoundParameters":
-        if t <= 0.0:
-            raise ValueError("t must be positive")
+        if not 0.0 < t < math.inf:
+            raise ValueError("t must be positive and finite")
         if not 0.0 < delta0 < 1.0:
             raise ValueError("delta0 must lie in (0, 1)")
         eps = delta0 / (t * t)
@@ -94,8 +94,8 @@ def jensen_chain_bound(x, y, V: PotentialSpec, t: float, eps: float):
     exp(C_eps t + 2 eps t (|x|^2 + |y|^2)) times the closed-form moment
     E exp(2 eps t^2 alpha(1/2)^2) with alpha(1/2) of variance 1/4.
     """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     moment = gaussian_exp_moment(2.0 * eps * (t * t), 0.25)

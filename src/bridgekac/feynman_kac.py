@@ -13,18 +13,22 @@ supports, where K_t is the free heat kernel.
 
 Units are hbar = m = 1 with kinetic part -(1/2) Laplacian.
 
-For an unclipped quadratic potential V(z) = q |z|^2 + g . z + c the
-trapezoid action of a path is linear in three of its trapezoid sums,
-A = sum' alpha, B = sum' u alpha and C = sum' |alpha|^2, plus terms that
-depend on x and y alone.  Such potentials are evaluated from those sums,
-which lets `matrix_element` reuse one set of paths at every quadrature
-node pair.  The sums come straight from a chunk's buffer of standard
-normals, which is turned into the bridge in place, one row block at a
-time; no separate bridge array is built, and `refine_steps` gets the
-sums of every grid of its schedule from the same pass.  Truncations
-max(V, -n) of one potential share the other way: V is evaluated along a
-path once and each level clips the values, so a truncation study draws
-and evaluates each path once for all levels.
+Every estimator streams its paths.  A keyed chunk of paths is drawn one
+row block at a time into a reused buffer of standard normals, turned
+into the bridge in place and reduced to per-path numbers before the next
+block is drawn, so memory does not grow with the chunk, nor with the
+time grid until one path alone outgrows a block; the blocks are drawn
+bit for bit as the chunk would be drawn at once.  For an unclipped
+quadratic potential V(z) = q |z|^2 + g . z + c the trapezoid action of a
+path is linear in three of its trapezoid sums, A = sum' alpha,
+B = sum' u alpha and C = sum' |alpha|^2, plus terms that depend on x and
+y alone.  Such potentials are evaluated from those sums, which lets
+`matrix_element` reuse one set of paths at every quadrature node pair,
+and `refine_steps` gets the sums of every grid of its schedule from the
+same pass.  Other potentials are evaluated along each block of bridges.
+Truncations max(V, -n) of one potential share the other way: V is
+evaluated along a path once and each level clips the values, so a
+truncation study draws and evaluates each path once for all levels.
 
 Estimates carry a heavy-tail heuristic: when the top_k heaviest samples
 hold more than `heavy_fraction` of the total weight, the estimate is
@@ -45,7 +49,8 @@ import numpy as np
 
 from . import backend as _backend
 from .potentials import PotentialSpec, QuadraticForm
-from .stochastic import BridgePath, RngSeed, _bridge_in_place, bridge_values
+# bridge_values is not called here: the benchmark's traced run wraps this name
+from .stochastic import BridgePath, RngSeed, _bridge_in_place, bridge_values  # noqa: F401
 
 __all__ = [
     "MatrixElementEstimate",
@@ -66,8 +71,8 @@ __all__ = [
 
 _CHUNK = 32768
 # Cap on the (node pairs x paths) weight block that a shared-path matrix
-# element holds at once, and on the block of normals that `_bridge_sums`
-# turns into bridges at once: 4 MB of float64 per array.
+# element holds at once, and on the block of normals that `_bridge_blocks`
+# draws and turns into bridges at once: 4 MB of float64 per array.
 _BLOCK_ELEMENTS = 2**19
 
 
@@ -81,12 +86,28 @@ class McConfig:
     heavy_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.n_samples < 1 or self.n_steps < 1:
-            raise ValueError("n_samples and n_steps must be positive")
-        if self.top_k < 1:
-            raise ValueError("top_k must be positive")
-        if not 0.0 < self.heavy_fraction < 1.0:
-            raise ValueError("heavy_fraction must lie in (0, 1)")
+        _check_sampling(self.n_samples, self.n_steps, self.top_k, self.heavy_fraction)
+
+
+def _check_sampling(n_samples, n_steps, top_k, heavy_fraction, workers=1) -> None:
+    """Reject sampling parameters that no estimate can run with."""
+    for name, value in (("n_samples", n_samples), ("n_steps", n_steps), ("top_k", top_k),
+                        ("workers", workers)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer")
+    if n_samples < 1 or n_steps < 1:
+        raise ValueError("n_samples and n_steps must be positive")
+    if top_k < 1:
+        raise ValueError("top_k must be positive")
+    if not 0.0 < heavy_fraction < 1.0:
+        raise ValueError("heavy_fraction must lie in (0, 1)")
+    if workers < 1:
+        raise ValueError("workers must be positive")
+
+
+def _check_time(t) -> None:
+    if not 0.0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -177,8 +198,7 @@ def _point(value, dim: int) -> np.ndarray:
 
 def free_kernel(x, y, t: float) -> float:
     """Heat kernel (2 pi t)^(-dim/2) exp(-|x - y|^2 / (2 t))."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    _check_time(t)
     xv = np.atleast_1d(np.asarray(x, dtype=np.float64))
     yv = np.atleast_1d(np.asarray(y, dtype=np.float64))
     if xv.shape != yv.shape:
@@ -197,8 +217,7 @@ def action_integral(path: BridgePath, V: PotentialSpec, x, y, t: float) -> float
     """
     if path.dim != V.dim:
         raise ValueError("path and potential dimensions differ")
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    _check_time(t)
     xp = _point(x, V.dim)
     yp = _point(y, V.dim)
     u = path.times
@@ -216,19 +235,50 @@ def _trapezoid_grid(n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     return u, tau
 
 
-def _bridge_sums(xi: np.ndarray, strides) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _bridge_blocks(gen: np.random.Generator, n_paths: int, n_steps: int, dim: int,
+                   mirror_paths: bool = False, ends: bool = False):
+    """The bridges of a chunk of `n_paths` paths drawn from `gen`, one row block at a time.
+
+    The chunk's standard normals are drawn block after block into one
+    reused buffer of at most `_BLOCK_ELEMENTS` elements (one path, if a
+    path is larger); drawn in C order they are bit for bit the one-shot
+    draw `gen.standard_normal((n_paths, n_steps, dim))`.  `mirror_paths`
+    negates them.  Each block is turned into the bridge in place and
+    yielded: nodes 1..n_steps (node 0 is zero and not stored), or with
+    `ends` nodes 0..n_steps in a second reused buffer, bit for bit the
+    rows of `bridge_values` of the chunk's normals.  The next block
+    overwrites it.
+    """
+    rows = min(n_paths, max(1, _BLOCK_ELEMENTS // (n_steps * dim)))
+    normals = np.empty((rows, n_steps, dim))
+    nodes = np.zeros((rows, n_steps + 1, dim)) if ends else None
+    for start in range(0, n_paths, rows):
+        block = normals[:min(rows, n_paths - start)]
+        gen.standard_normal(out=block)
+        if mirror_paths:
+            np.negative(block, out=block)
+        _bridge_in_place(block)
+        if ends:
+            bridge = nodes[:len(block)]
+            bridge[:, 1:] = block
+            bridge[:, -1] = 0.0
+            yield bridge
+        else:
+            yield block
+
+
+def _bridge_sums(gen: np.random.Generator, n_paths: int, n_steps: int, dim: int, strides,
+                 mirror_paths: bool = False) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Trapezoid sums A = sum' alpha, B = sum' u alpha, C = sum' |alpha|^2 per stride.
 
-    `xi` holds standard normals of shape (n_paths, n_steps, dim) and is
-    consumed.  Row block by row block it becomes the bridge at nodes
-    1..n_steps, bit for bit `bridge_values(xi)[:, 1:]` (node 0 is zero
-    and adds to no sum), and then its squares; no array of the size of
-    `xi` is made.  A stride s, which must divide n_steps, restricts the
-    path to the nodes that are multiples of s: a grid of n_steps / s
-    steps.  Returns (A, B, C) for each stride in order, with A and B of
-    shape (n_paths, dim) and C of shape (n_paths,).
+    The paths are those of `_bridge_blocks(gen, n_paths, n_steps, dim,
+    mirror_paths)`.  Each block of bridges gives its rows of A and B by
+    one matrix product, is squared in place and gives C by another.  A
+    stride s, which must divide n_steps, restricts the path to the nodes
+    that are multiples of s: a grid of n_steps / s steps.  Returns
+    (A, B, C) for each stride in order, with A and B of shape
+    (n_paths, dim) and C of shape (n_paths,).
     """
-    n_paths, n_steps, dim = xi.shape
     ab_cols = np.zeros((n_steps, len(strides), 2))
     c_cols = np.zeros((n_steps, len(strides)))
     for level, s in enumerate(strides):
@@ -241,14 +291,14 @@ def _bridge_sums(xi: np.ndarray, strides) -> list[tuple[np.ndarray, np.ndarray, 
     c_cols = np.repeat(c_cols, dim, axis=0)
     ab = np.empty((n_paths, len(strides), 2, dim))
     c = np.empty((n_paths, len(strides)))
-    rows = max(1, _BLOCK_ELEMENTS // (n_steps * dim))
-    for i in range(0, n_paths, rows):
-        block = xi[i:i + rows]
-        _bridge_in_place(block)
+    start = 0
+    for block in _bridge_blocks(gen, n_paths, n_steps, dim, mirror_paths):
+        stop = start + len(block)
         flat = block.reshape(len(block), -1)
-        np.matmul(flat, ab_cols, out=ab[i:i + rows].reshape(len(block), -1))
+        np.matmul(flat, ab_cols, out=ab[start:stop].reshape(len(block), -1))
         np.square(flat, out=flat)
-        np.matmul(flat, c_cols, out=c[i:i + rows])
+        np.matmul(flat, c_cols, out=c[start:stop])
+        start = stop
     return [(ab[:, level, 0], ab[:, level, 1], c[:, level]) for level in range(len(strides))]
 
 
@@ -306,6 +356,27 @@ def _weights(alpha: np.ndarray, x: np.ndarray, y: np.ndarray, t: float,
         return _backend.floored_weights(v, floors, t)
     return _backend.floored_weights(_backend.form_values(pos, form),
                                     [max(form.floor, f) for f in floors], t)
+
+
+def _chunk_weights(gen: np.random.Generator, n_paths: int, n_steps: int, x: np.ndarray,
+                   y: np.ndarray, t: float, V: PotentialSpec, strides=(1,), floors=None,
+                   mirror_paths: bool = False) -> list[np.ndarray]:
+    """Weights of a chunk of paths drawn from `gen`, per stride and then per floor.
+
+    A stride s restricts the paths to the nodes that are multiples of s,
+    a grid of n_steps / s steps.  An unclipped form estimated alone is
+    weighed from the trapezoid sums of `_bridge_sums`; anything else is
+    evaluated along each block of `_bridge_blocks` by `_weights`.  Either
+    way the chunk is streamed block by block, and each weight vector,
+    of shape (n_paths,), is bit for bit that of the whole chunk at once.
+    """
+    if floors is None and _unclipped(V):
+        levels = _bridge_sums(gen, n_paths, n_steps, V.dim, strides, mirror_paths)
+        return [_sums_weights(sums, x[None], y[None], t, V.form, n_steps // s)[0, 0]
+                for sums, s in zip(levels, strides)]
+    parts = [[w for s in strides for w in _weights(bridge[:, ::s], x, y, t, V, floors)]
+             for bridge in _bridge_blocks(gen, n_paths, n_steps, V.dim, mirror_paths, ends=True)]
+    return [ws[0] if len(ws) == 1 else np.concatenate(ws) for ws in zip(*parts)]
 
 
 def _chunk_stats(w: np.ndarray, top_k: int):
@@ -423,24 +494,15 @@ def _estimates(x, y, V: PotentialSpec, t: float, n_samples: int, n_steps: int,
     The keyed chunks are those of `estimate_Q`; `floors=None` estimates
     V itself (see `_weights`).
     """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    if n_samples < 1 or n_steps < 1:
-        raise ValueError("n_samples and n_steps must be positive")
+    _check_time(t)
+    _check_sampling(n_samples, n_steps, top_k, heavy_fraction, workers)
     xp = _point(x, V.dim)
     yp = _point(y, V.dim)
 
     def make_job(idx: int, count: int):
         def job():
-            gen = rng.generator(*key, idx)
-            xi = gen.standard_normal((count, n_steps, V.dim))
-            if mirror_paths:
-                np.negative(xi, out=xi)
-            if floors is None and _unclipped(V):
-                sums = _bridge_sums(xi, (1,))[0]
-                weights = [_sums_weights(sums, xp[None], yp[None], t, V.form, n_steps)[0, 0]]
-            else:
-                weights = _weights(bridge_values(xi), xp, yp, t, V, floors)
+            weights = _chunk_weights(rng.generator(*key, idx), count, n_steps, xp, yp, t, V,
+                                     floors=floors, mirror_paths=mirror_paths)
             return [_chunk_stats(w, top_k) for w in weights]
         return job
 
@@ -585,8 +647,7 @@ def _matrix_elements(phi: Wavefunction, psi: Wavefunction, V: PotentialSpec, t: 
     `floors=None` estimates V itself, on shared paths if V is an
     unclipped form.
     """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    _check_time(t)
     if phi.dim != V.dim or psi.dim != V.dim:
         raise ValueError("wavefunction and potential dimensions differ")
     for wf in (phi, psi):
@@ -664,8 +725,7 @@ def _shared_path_element(x_pts: np.ndarray, y_pts: np.ndarray, coef: np.ndarray,
 
     def make_job(idx: int, count: int):
         def job():
-            gen = rng.generator(idx)
-            sums = _bridge_sums(gen.standard_normal((count, mc.n_steps, V.dim)), (1,))[0]
+            sums = _bridge_sums(rng.generator(idx), count, mc.n_steps, V.dim, (1,))[0]
             return reduce(merge, (block_stats([s[i:i + block] for s in sums])
                                   for i in range(0, count, block)))
         return job
@@ -711,7 +771,7 @@ def refine_steps(
     from the per-path differences.  For an unclipped quadratic form the
     trapezoid sums of every grid come from one pass over each chunk's
     normals (see `_bridge_sums`); other potentials are evaluated along
-    the restricted views of one bridge array per chunk.  mode
+    the restricted views of each block of bridges.  mode
     "independent" gives each resolution a fresh stream derived from the
     same seed; differences are then compared through independent-error
     bars.  Both modes are deterministic for a fixed seed, and both take
@@ -729,6 +789,8 @@ def refine_steps(
         raise ValueError("steps_schedule must be strictly increasing")
     if mode not in ("restricted", "independent"):
         raise ValueError("mode must be 'restricted' or 'independent'")
+    _check_time(t)
+    _check_sampling(n_samples, schedule[-1], top_k, heavy_fraction, workers)
 
     if mode == "independent":
         estimates = [
@@ -760,15 +822,8 @@ def refine_steps(
 
     def make_job(idx: int, count: int):
         def job():
-            xi = rng.generator(*key, idx).standard_normal((count, n_max, V.dim))
-            if _unclipped(V):
-                all_sums = _bridge_sums(xi, [n_max // n for n in schedule])
-                weights = [_sums_weights(sums, xp[None], yp[None], t, V.form, n)[0, 0]
-                           for sums, n in zip(all_sums, schedule)]
-            else:
-                alpha = bridge_values(xi)
-                weights = [_weights(alpha[:, :: n_max // n], xp, yp, t, V)[0]
-                           for n in schedule]
+            weights = _chunk_weights(rng.generator(*key, idx), count, n_max, xp, yp, t, V,
+                                     [n_max // n for n in schedule])
             per_level = [_chunk_stats(w, top_k) for w in weights]
             per_diff = [_chunk_stats(weights[l + 1] - weights[l], 1)
                         for l in range(n_levels - 1)]

@@ -51,8 +51,9 @@ def test_backend_validates_shapes():
         backend.quadratic_weights(np.zeros((4, 5)), 0.0, 0.0, 1.0, form)
     with pytest.raises(ValueError):
         backend.quadratic_weights(np.zeros((4, 1, 1)), 0.0, 0.0, 1.0, form)
-    with pytest.raises(ValueError):
-        backend.quadratic_weights(np.zeros((4, 5, 1)), 0.0, 0.0, -1.0, form)
+    for t in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            backend.quadratic_weights(np.zeros((4, 5, 1)), 0.0, 0.0, t, form)
     with pytest.raises(ValueError):
         backend.quadratic_weights(
             np.zeros((4, 5, 2)), 0.0, 0.0, 1.0, QuadraticForm(0.5, (0.0,), 0.0)

@@ -27,6 +27,16 @@ def test_bound_parameters_validation():
         BoundParameters(t=1.0, delta0=0.5, c_eps=-1.0)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_bounds_reject_a_time_that_is_not_finite(t):
+    with pytest.raises(ValueError):
+        BoundParameters(t=t, delta0=0.5, c_eps=0.0)
+    with pytest.raises(ValueError):
+        BoundParameters.for_potential(harmonic(), t, 0.5)
+    with pytest.raises(ValueError):
+        jensen_chain_bound(0.0, 0.0, harmonic(), t, 0.1)
+
+
 def test_for_potential_reads_certificate_at_matched_eps():
     p = BoundParameters.for_potential(stark(1.0), t=2.0, delta0=0.5)
     # eps = delta0 / t^2 = 1/8, C_eps = F^2 / (4 eps) = 2

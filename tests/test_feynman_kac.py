@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -18,9 +19,13 @@ from bridgekac.feynman_kac import (
     l2_norm,
     matrix_element,
     refine_steps,
+    _bridge_blocks,
     _bridge_sums,
+    _chunk_weights,
+    _estimates,
     _sums_weights,
     _tensor_gauss_legendre,
+    _weights,
 )
 from bridgekac.oracles import mehler_kernel, stark_q
 from bridgekac.potentials import (
@@ -88,6 +93,47 @@ def test_estimate_validation():
         estimate_Q(math.inf, 0.0, zero(), 1.0, 100, 8, RngSeed(0))
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_time_must_be_positive_and_finite(counting_seed, t):
+    with pytest.raises(ValueError):
+        free_kernel(0.0, 0.0, t)
+    with pytest.raises(ValueError):
+        action_integral(sample_bridge(1, 4, RngSeed(0)), harmonic(), 0.0, 0.0, t)
+    phi = bump()
+    rng = counting_seed(1)
+    calls = [
+        lambda: estimate_Q(0.0, 0.0, harmonic(), t, 100, 8, rng),
+        lambda: _estimates(0.0, 0.0, harmonic(), t, 100, 8, rng, [-1.0], top_k=10,
+                           heavy_fraction=0.5, workers=1),
+        lambda: matrix_element(phi, phi, harmonic(), t, QuadratureConfig(2), McConfig(10, 4), rng),
+        lambda: refine_steps(0.0, 0.0, harmonic(), t, 100, [4, 8], rng),
+        lambda: refine_steps(0.0, 0.0, truncate(harmonic(), 1.0), t, 100, [4, 8], rng),
+        lambda: refine_steps(0.0, 0.0, harmonic(), t, 100, [4, 8], rng, mode="independent"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+    assert rng.opened == []
+
+
+@pytest.mark.parametrize("bad", [
+    {"top_k": 0}, {"top_k": 2.5}, {"heavy_fraction": 1.5}, {"heavy_fraction": math.nan},
+    {"workers": 0}, {"workers": -3}, {"workers": True},
+    {"n_samples": 2.5}, {"n_samples": True}, {"n_steps": 100.7}, {"n_steps": True},
+])
+def test_sampling_arguments_are_rejected_before_any_draw(counting_seed, bad):
+    args = {"n_samples": 200, "n_steps": 8, **bad}
+    n_samples, n_steps = args.pop("n_samples"), args.pop("n_steps")
+    rng = counting_seed(1)
+    with pytest.raises(ValueError):
+        estimate_Q(0.0, 0.0, harmonic(), 1.0, n_samples, n_steps, rng, **args)
+    if "n_steps" not in bad:  # refine_steps takes a schedule instead
+        for mode in ("restricted", "independent"):
+            with pytest.raises(ValueError):
+                refine_steps(0.0, 0.0, harmonic(), 1.0, n_samples, [4, 8], rng, mode=mode, **args)
+    assert rng.opened == []
+
+
 def test_divergence_flag_for_strongly_inverted_potential():
     est = estimate_Q(0.0, 0.0, inverted_quadratic(1.0), 3.0, 20_000, 64, RngSeed(5))
     assert est.divergence_suspected
@@ -119,7 +165,8 @@ def test_sums_weights_match_kernel(form, dim):
     gen = np.random.default_rng(3)
     xs = gen.uniform(-2.0, 2.0, (3, dim))
     ys = gen.uniform(-2.0, 2.0, (4, dim))
-    got = _sums_weights(_bridge_sums(xi, (1,))[0], xs, ys, t, form, n_steps)
+    sums = _bridge_sums(RngSeed(31).generator(), 128, n_steps, dim, (1,))[0]
+    got = _sums_weights(sums, xs, ys, t, form, n_steps)
     assert got.shape == (3, 4, 128)
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
@@ -147,9 +194,8 @@ def _trapezoid_sums(alpha):
     (4096, (4096, 64, 1), 60),  # several row blocks per chunk at dim 3
 ])
 def test_bridge_sums_match_trapezoid_sums_of_the_bridge(dim, n_steps, strides, n_paths):
-    xi = RngSeed(41).generator().standard_normal((n_paths, n_steps, dim))
-    alpha = bridge_values(xi)
-    levels = _bridge_sums(xi, strides)
+    alpha = bridge_values(RngSeed(41).generator().standard_normal((n_paths, n_steps, dim)))
+    levels = _bridge_sums(RngSeed(41).generator(), n_paths, n_steps, dim, strides)
     assert len(levels) == len(strides)
     for got, s in zip(levels, strides):
         assert got[0].shape == got[1].shape == (n_paths, dim)
@@ -158,15 +204,22 @@ def test_bridge_sums_match_trapezoid_sums_of_the_bridge(dim, n_steps, strides, n
             # relative to the sum of absolute terms: A and B cancel; a
             # one-step level has alpha = 0 at both nodes and must give 0
             assert np.all(np.abs(g - want) <= 1e-13 * scale)
-    # the consumed buffer held the bridge at nodes 1..n, bit for bit, then its squares
-    assert np.array_equal(xi, np.square(alpha[:, 1:]))
+
+
+@pytest.mark.parametrize("ends", [False, True])
+def test_bridge_blocks_are_the_rows_of_the_one_shot_bridge(monkeypatch, ends):
+    # 13 rows per block: 100 paths are seven full blocks and a ragged one of 9
+    monkeypatch.setattr(feynman_kac, "_BLOCK_ELEMENTS", 13 * 16 * 2)
+    alpha = bridge_values(RngSeed(47).generator().standard_normal((100, 16, 2)))
+    blocks = [b.copy() for b in _bridge_blocks(RngSeed(47).generator(), 100, 16, 2, ends=ends)]
+    assert [len(b) for b in blocks] == [13] * 7 + [9]
+    assert np.array_equal(np.concatenate(blocks), alpha if ends else alpha[:, 1:])
 
 
 def test_bridge_sums_of_mirrored_paths():
     # mirror_paths negates the normals: A and B change sign, C is unchanged
-    xi = RngSeed(43).generator().standard_normal((300, 64, 2))
-    plain = _bridge_sums(xi.copy(), (4, 1))
-    mirrored = _bridge_sums(np.negative(xi), (4, 1))
+    plain = _bridge_sums(RngSeed(43).generator(), 300, 64, 2, (4, 1))
+    mirrored = _bridge_sums(RngSeed(43).generator(), 300, 64, 2, (4, 1), mirror_paths=True)
     for (a, b, c), (ma, mb, mc) in zip(plain, mirrored):
         assert np.array_equal(ma, -a)
         assert np.array_equal(mb, -b)
@@ -179,6 +232,89 @@ def test_callable_may_return_a_read_only_view():
     est = estimate_Q(0.2, 0.1, V, 1.0, 100, 4, RngSeed(0))
     assert est.mean == 1.0
     assert est.std_error == 0.0
+
+
+def _callable_harmonic(points):
+    return 0.5 * np.square(points).sum(axis=-1)
+
+
+def _read_only_harmonic(points):
+    return np.broadcast_to(0.5 * np.square(points).sum(axis=-1), np.shape(points)[:-1])
+
+
+_STREAMED = {
+    "callable": (custom(_callable_harmonic, lambda eps: 0.0), (1,), None, False),
+    "read-only view": (custom(_read_only_harmonic, lambda eps: 0.0), (1,), None, False),
+    "three floors": (truncate(inverted_quadratic(0.5), 2.0), (1,), (-1.0, -4.0, -math.inf),
+                     False),
+    "mirrored": (truncate(stark(0.8), 0.5), (1,), None, True),
+    "dim 2": (custom(_callable_harmonic, lambda eps: 0.0, dim=2), (1,), (-0.3, -math.inf),
+              False),
+    "strides": (custom(_callable_harmonic, lambda eps: 0.0), (1, 2, 4), None, False),
+}
+
+
+@pytest.mark.parametrize("case", list(_STREAMED))
+def test_streamed_weights_equal_one_shot_weights(monkeypatch, case):
+    V, strides, floors, mirror = _STREAMED[case]
+    n_paths, n_steps, t = 100, 16, 0.8
+    # 13 rows per block: seven full blocks and a ragged one of 9
+    monkeypatch.setattr(feynman_kac, "_BLOCK_ELEMENTS", 13 * n_steps * V.dim)
+    x, y = np.full(V.dim, 0.4), np.full(V.dim, -0.3)
+    got = _chunk_weights(RngSeed(3).generator(5), n_paths, n_steps, x, y, t, V, strides, floors,
+                         mirror_paths=mirror)
+    xi = RngSeed(3).generator(5).standard_normal((n_paths, n_steps, V.dim))
+    alpha = bridge_values(np.negative(xi) if mirror else xi)
+    want = [w for s in strides for w in _weights(alpha[:, ::s], x, y, t, V, floors)]
+    assert len(got) == len(want) == len(strides) * (1 if floors is None else len(floors))
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def _flat(v):
+    if dataclasses.is_dataclass(v):
+        v = dataclasses.astuple(v)
+    if isinstance(v, tuple):
+        return [x for item in v for x in _flat(item)]
+    return [v]
+
+
+@pytest.mark.parametrize("V, exact", [
+    (custom(_callable_harmonic, lambda eps: 0.0), True),
+    (truncate(stark(0.8), 0.5), True),
+    # the sums of an unclipped form come from one matrix product per block,
+    # whose rounding may follow the block's row count
+    (harmonic(), False),
+], ids=["callable", "truncation", "harmonic"])
+def test_results_do_not_depend_on_the_block_size(monkeypatch, V, exact):
+    def run():
+        return (estimate_Q(0.4, -0.3, V, 0.8, 1000, 32, RngSeed(4)),
+                refine_steps(0.4, -0.3, V, 0.8, 1000, (8, 16, 32), RngSeed(4)),
+                matrix_element(bump(width=0.8), bump(0.2, 0.8), V, 0.8, QuadratureConfig(2),
+                               McConfig(300, 16), RngSeed(4)))
+
+    whole = run()
+    monkeypatch.setattr(feynman_kac, "_BLOCK_ELEMENTS", 37 * 32)
+    blocked = run()
+    if exact:
+        assert blocked == whole
+    assert _flat(blocked) == pytest.approx(_flat(whole), rel=1e-12)
+
+
+@pytest.mark.parametrize("V", [custom(_callable_harmonic, lambda eps: 0.0),
+                               truncate(inverted_quadratic(0.5), 2.0), harmonic()],
+                         ids=["callable", "truncation", "harmonic"])
+def test_estimate_memory_does_not_grow_with_n_steps(V):
+    # the whole chunk's normals alone would be 2048 x 4096 doubles, 67 MB
+    for n_steps in (1024, 4096):
+        tracemalloc.start()
+        try:
+            est = estimate_Q(0.3, -0.2, V, 0.5, 2048, n_steps, RngSeed(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.n_steps == n_steps
+        assert peak < 32e6
 
 
 def test_action_integral_trapezoid():
@@ -201,6 +337,10 @@ def test_mc_config_validation():
         McConfig(n_steps=0)
     with pytest.raises(ValueError):
         McConfig(heavy_fraction=0.0)
+    with pytest.raises(ValueError):
+        McConfig(n_samples=2.5)
+    with pytest.raises(ValueError):
+        McConfig(n_steps=True)
     with pytest.raises(ValueError):
         QuadratureConfig(nodes_per_axis=0)
 
@@ -380,9 +520,11 @@ def test_refine_steps_validation():
 
 
 def test_refine_steps_memory_stays_near_the_normals_buffer():
-    # the finest grid's normals are 8192 x 256 doubles; the bridge is built
-    # inside them and every level is summed from them, one row block at a time
+    # the finest grid's normals, 8192 x 256 doubles, are never held at once:
+    # each 4 MB block of them is drawn, made the bridge in place and summed
+    # for every level before the next is drawn
     buffer = 8192 * 256 * 8
+    block = feynman_kac._BLOCK_ELEMENTS * 8
     tracemalloc.start()
     try:
         rep = refine_steps(0.3, -0.2, harmonic(), 1.0, 8192, (16, 32, 64, 128, 256), RngSeed(1))
@@ -390,7 +532,7 @@ def test_refine_steps_memory_stays_near_the_normals_buffer():
     finally:
         tracemalloc.stop()
     assert len(rep.estimates) == 5
-    assert peak < 1.5 * buffer
+    assert peak < 3 * block < buffer
 
 
 def test_refine_steps_free_case_differences_vanish():
