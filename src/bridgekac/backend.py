@@ -36,16 +36,34 @@ def path_positions(alpha: np.ndarray, x: np.ndarray, y: np.ndarray, t: float) ->
     `alpha` has shape (n_paths, n_steps + 1, dim) and may be a strided
     view; so has the result, which is a new array.
     """
-    n_steps = alpha.shape[1] - 1
-    u = np.arange(alpha.shape[1], dtype=np.float64) / n_steps
-    base = np.outer(1.0 - u, x) + np.outer(u, y)
-    return base[None, :, :] + np.sqrt(t) * alpha
+    return _line_positions(alpha.shape[1] - 1, x, y)[None, :, :] + np.sqrt(t) * alpha
+
+
+def _line_positions(n_steps: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Straight-line positions (1-u) x + u y at the nodes u = k / n_steps,
+    of shape (n_steps + 1, dim)."""
+    u = np.arange(n_steps + 1, dtype=np.float64) / n_steps
+    return np.outer(1.0 - u, x) + np.outer(u, y)
 
 
 def form_values(pos: np.ndarray, form: QuadraticForm) -> np.ndarray:
-    """Unclipped q |z|^2 + g . z + c of `form` at positions of shape (..., dim)."""
+    """Unclipped q |z|^2 + g . z + c of `form` at positions of shape (..., dim).
+
+    In one dimension |z|^2 and g . z are single products, formed without
+    a reduction over the coordinate axis or a matrix product; the values
+    are the same bit for bit.
+    """
+    g = np.asarray(form.lin, dtype=np.float64)
+    if pos.shape[-1] == 1:
+        z = pos[..., 0]
+        v = form.quad * np.square(z)
+        v += z * g[0]
+        # the matrix product's sum starts at +0.0 and so never gives -0.0;
+        # a constant of -0.0 made +0.0 leaves every zero with that sign
+        v += form.const + 0.0
+        return v
     v = form.quad * np.square(pos).sum(axis=-1)
-    v += pos @ np.asarray(form.lin, dtype=np.float64)
+    v += pos @ g
     v += form.const
     return v
 

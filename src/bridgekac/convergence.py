@@ -35,6 +35,7 @@ from .feynman_kac import (
     QEstimate,
     QuadratureConfig,
     Wavefunction,
+    _check_workers,
     _estimates,
     _matrix_elements,
     matrix_element,  # unused here; perfbench's traced run wraps this module attribute
@@ -332,6 +333,7 @@ def truncation_study(
     max(3 standard errors, agree_rel_tol relative).
     """
     levels = _checked_levels(levels)
+    _check_workers(workers)
     quadrature = quadrature or QuadratureConfig()
     oracle = oracle or OracleConfig()
 

@@ -18,7 +18,14 @@ row block at a time into a reused buffer of standard normals, turned
 into the bridge in place and reduced to per-path numbers before the next
 block is drawn, so memory does not grow with the chunk, nor with the
 time grid until one path alone outgrows a block; the blocks are drawn
-bit for bit as the chunk would be drawn at once.  For an unclipped
+bit for bit as the chunk would be drawn at once.  A block holds at most
+2^17 numbers (1 MB), so that it and the buffers reused beside it fit in
+a core's L2 cache (2 MB per core on the host measured, where op times
+were 6-7 % lower than with 4 MB blocks).  Every per-path intermediate of
+an estimate, the trapezoid sums, positions and potential values, exists
+for one block only, and only the chunk's weights span all its paths; a
+shared-path matrix element joins a chunk's sums, because its weight
+blocks follow a cap of their own.  For an unclipped
 quadratic potential V(z) = q |z|^2 + g . z + c the trapezoid action of a
 path is linear in three of its trapezoid sums, A = sum' alpha,
 B = sum' u alpha and C = sum' |alpha|^2, plus terms that depend on x and
@@ -70,10 +77,17 @@ __all__ = [
 ]
 
 _CHUNK = 32768
+# Cap on the row block of normals that `_bridge_blocks` draws and turns
+# into bridges at once: 1 MB of float64.  The block and its detrend work
+# buffer (or a callable's positions buffer) then fit together in one
+# core's 2 MB L2 on the 2-core x86-64 host measured, where a 4 MB block
+# alone did not: q-point and refine-long ops (one BLAS thread) took
+# 6-7 % less time at 2**17 than at 2**19; 2**16 was within the noise of
+# 2**17 and 2**15 slower.
+_BLOCK_ELEMENTS = 2**17
 # Cap on the (node pairs x paths) weight block that a shared-path matrix
-# element holds at once, and on the block of normals that `_bridge_blocks`
-# draws and turns into bridges at once: 4 MB of float64 per array.
-_BLOCK_ELEMENTS = 2**19
+# element holds at once: 4 MB of float64.
+_WEIGHT_BLOCK_ELEMENTS = 2**19
 
 
 @dataclass(frozen=True)
@@ -91,16 +105,24 @@ class McConfig:
 
 def _check_sampling(n_samples, n_steps, top_k, heavy_fraction, workers=1) -> None:
     """Reject sampling parameters that no estimate can run with."""
-    for name, value in (("n_samples", n_samples), ("n_steps", n_steps), ("top_k", top_k),
-                        ("workers", workers)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer")
+    for name, value in (("n_samples", n_samples), ("n_steps", n_steps), ("top_k", top_k)):
+        _check_integer(name, value)
     if n_samples < 1 or n_steps < 1:
         raise ValueError("n_samples and n_steps must be positive")
     if top_k < 1:
         raise ValueError("top_k must be positive")
     if not 0.0 < heavy_fraction < 1.0:
         raise ValueError("heavy_fraction must lie in (0, 1)")
+    _check_workers(workers)
+
+
+def _check_integer(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer")
+
+
+def _check_workers(workers) -> None:
+    _check_integer("workers", workers)
     if workers < 1:
         raise ValueError("workers must be positive")
 
@@ -235,49 +257,71 @@ def _trapezoid_grid(n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     return u, tau
 
 
+def _block_rows(n_paths: int, n_steps: int, dim: int) -> int:
+    """Paths per row block: at most `_BLOCK_ELEMENTS` normals, one path if a path is larger."""
+    return min(n_paths, max(1, _BLOCK_ELEMENTS // (n_steps * dim)))
+
+
 def _bridge_blocks(gen: np.random.Generator, n_paths: int, n_steps: int, dim: int,
-                   mirror_paths: bool = False, ends: bool = False):
+                   mirror_paths: bool = False, work: np.ndarray | None = None):
     """The bridges of a chunk of `n_paths` paths drawn from `gen`, one row block at a time.
 
     The chunk's standard normals are drawn block after block into one
-    reused buffer of at most `_BLOCK_ELEMENTS` elements (one path, if a
-    path is larger); drawn in C order they are bit for bit the one-shot
-    draw `gen.standard_normal((n_paths, n_steps, dim))`.  `mirror_paths`
-    negates them.  Each block is turned into the bridge in place and
-    yielded: nodes 1..n_steps (node 0 is zero and not stored), or with
-    `ends` nodes 0..n_steps in a second reused buffer, bit for bit the
-    rows of `bridge_values` of the chunk's normals.  The next block
-    overwrites it.
+    reused buffer of `_block_rows` paths; drawn in C order they are bit
+    for bit the one-shot draw `gen.standard_normal((n_paths, n_steps,
+    dim))`.  `mirror_paths` negates them.  Each block is turned into the
+    bridge in place, its detrend formed in `work` (a reused buffer of the
+    full block's shape, allocated here if None), and yielded: nodes
+    1..n_steps, bit for bit the rows of `bridge_values(normals)[:, 1:]`
+    (node 0 is zero and not stored).  The next block overwrites it.
     """
-    rows = min(n_paths, max(1, _BLOCK_ELEMENTS // (n_steps * dim)))
+    rows = _block_rows(n_paths, n_steps, dim)
     normals = np.empty((rows, n_steps, dim))
-    nodes = np.zeros((rows, n_steps + 1, dim)) if ends else None
+    if work is None:
+        work = np.empty_like(normals)
     for start in range(0, n_paths, rows):
         block = normals[:min(rows, n_paths - start)]
         gen.standard_normal(out=block)
         if mirror_paths:
             np.negative(block, out=block)
-        _bridge_in_place(block)
-        if ends:
-            bridge = nodes[:len(block)]
-            bridge[:, 1:] = block
-            bridge[:, -1] = 0.0
-            yield bridge
-        else:
-            yield block
+        _bridge_in_place(block, work[:len(block)])
+        yield block
+
+
+def _position_blocks(gen: np.random.Generator, n_paths: int, n_steps: int, x: np.ndarray,
+                     y: np.ndarray, t: float, mirror_paths: bool = False):
+    """Positions (1-u) x + u y + sqrt(t) alpha(u) of the bridges of `_bridge_blocks`.
+
+    Each row block is yielded as nodes 0..n_steps of shape (rows,
+    n_steps + 1, dim) in one reused buffer, which also serves as the
+    detrend work buffer; the values are bit for bit those of
+    `backend.path_positions` on the rows of `bridge_values`.  The next
+    block overwrites it.
+    """
+    dim = x.size
+    pos = np.empty((_block_rows(n_paths, n_steps, dim), n_steps + 1, dim))
+    base = _backend._line_positions(n_steps, x, y)
+    s = np.sqrt(t)
+    for block in _bridge_blocks(gen, n_paths, n_steps, dim, mirror_paths, work=pos[:, 1:]):
+        p = pos[:len(block)]
+        # the order of path_positions: sqrt(t) alpha first, then the line
+        p[:, 0] = base[0] + s * 0.0
+        np.multiply(block, s, out=p[:, 1:])
+        p[:, 1:] += base[1:]
+        yield p
 
 
 def _bridge_sums(gen: np.random.Generator, n_paths: int, n_steps: int, dim: int, strides,
-                 mirror_paths: bool = False) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+                 mirror_paths: bool = False):
     """Trapezoid sums A = sum' alpha, B = sum' u alpha, C = sum' |alpha|^2 per stride.
 
     The paths are those of `_bridge_blocks(gen, n_paths, n_steps, dim,
-    mirror_paths)`.  Each block of bridges gives its rows of A and B by
-    one matrix product, is squared in place and gives C by another.  A
-    stride s, which must divide n_steps, restricts the path to the nodes
-    that are multiples of s: a grid of n_steps / s steps.  Returns
-    (A, B, C) for each stride in order, with A and B of shape
-    (n_paths, dim) and C of shape (n_paths,).
+    mirror_paths)`.  Each block of bridges gives A and B by one matrix
+    product, is squared in place and gives C by another.  A stride s,
+    which must divide n_steps, restricts the path to the nodes that are
+    multiples of s: a grid of n_steps / s steps.  Yields, block after
+    block, a list of (A, B, C) for each stride in order, with A and B of
+    shape (rows, dim) and C of shape (rows,).
     """
     ab_cols = np.zeros((n_steps, len(strides), 2))
     c_cols = np.zeros((n_steps, len(strides)))
@@ -289,38 +333,41 @@ def _bridge_sums(gen: np.random.Generator, n_paths: int, n_steps: int, dim: int,
     # rows follow the flattened (node, coordinate) axis of a path
     ab_cols = np.kron(ab_cols.reshape(n_steps, -1), np.eye(dim))
     c_cols = np.repeat(c_cols, dim, axis=0)
-    ab = np.empty((n_paths, len(strides), 2, dim))
-    c = np.empty((n_paths, len(strides)))
-    start = 0
     for block in _bridge_blocks(gen, n_paths, n_steps, dim, mirror_paths):
-        stop = start + len(block)
         flat = block.reshape(len(block), -1)
-        np.matmul(flat, ab_cols, out=ab[start:stop].reshape(len(block), -1))
+        ab = (flat @ ab_cols).reshape(len(block), len(strides), 2, dim)
         np.square(flat, out=flat)
-        np.matmul(flat, c_cols, out=c[start:stop])
-        start = stop
-    return [(ab[:, level, 0], ab[:, level, 1], c[:, level]) for level in range(len(strides))]
+        c = flat @ c_cols
+        yield [(ab[:, level, 0], ab[:, level, 1], c[:, level]) for level in range(len(strides))]
+
+
+def _line_action(xs: np.ndarray, ys: np.ndarray, form: QuadraticForm,
+                 n_steps: int) -> np.ndarray:
+    """Trapezoid action D(x, y), per unit time, of an unclipped form along
+    the straight lines from `xs` (n_x, dim) to `ys` (n_y, dim); shape (n_x, n_y)."""
+    q = form.quad
+    g = np.asarray(form.lin, dtype=np.float64)
+    u, tau = _trapezoid_grid(n_steps)
+    w0, w1, w2 = tau @ np.square(1.0 - u), tau @ (u * (1.0 - u)), tau @ np.square(u)
+    return (q * (w0 * np.square(xs).sum(axis=1)[:, None] + 2.0 * w1 * (xs @ ys.T)
+                 + w2 * np.square(ys).sum(axis=1)[None, :])
+            + 0.5 * (xs @ g)[:, None] + 0.5 * (ys @ g)[None, :] + form.const)
 
 
 def _sums_weights(sums, xs: np.ndarray, ys: np.ndarray, t: float,
-                  form: QuadraticForm, n_steps: int) -> np.ndarray:
+                  form: QuadraticForm, line: np.ndarray) -> np.ndarray:
     """exp(-trapezoid action) of an unclipped form from per-path sums.
 
-    `xs` and `ys` hold endpoints of shape (n_x, dim) and (n_y, dim); the
-    result has shape (n_x, n_y, n_paths).  Along (1-u) x + u y +
-    sqrt(t) alpha the action is t times
-    D(x, y) + 2 q sqrt(t) (x . (A - B) + y . B) + q t C + sqrt(t) g . A,
-    where D is the trapezoid action of the straight line.
+    `xs` and `ys` hold endpoints of shape (n_x, dim) and (n_y, dim) and
+    `line` their `_line_action` on the paths' grid; the result has shape
+    (n_x, n_y, n_paths).  Along (1-u) x + u y + sqrt(t) alpha the action
+    is t times D(x, y) + 2 q sqrt(t) (x . (A - B) + y . B) + q t C +
+    sqrt(t) g . A.
     """
     A, B, C = sums
     q = form.quad
     g = np.asarray(form.lin, dtype=np.float64)
     s = math.sqrt(t)
-    u, tau = _trapezoid_grid(n_steps)
-    w0, w1, w2 = tau @ np.square(1.0 - u), tau @ (u * (1.0 - u)), tau @ np.square(u)
-    line = (q * (w0 * np.square(xs).sum(axis=1)[:, None] + 2.0 * w1 * (xs @ ys.T)
-                 + w2 * np.square(ys).sum(axis=1)[None, :])
-            + 0.5 * (xs @ g)[:, None] + 0.5 * (ys @ g)[None, :] + form.const)
     x_terms = (2.0 * q * s) * (xs @ (A - B).T)
     # the terms of the path alone ride along with the y terms
     y_terms = (2.0 * q * s) * (ys @ B.T) + (q * t * C + s * (A @ g))
@@ -334,20 +381,19 @@ def _unclipped(V: PotentialSpec) -> bool:
     return V.form is not None and V.form.floor == -math.inf
 
 
-def _weights(alpha: np.ndarray, x: np.ndarray, y: np.ndarray, t: float,
-             V: PotentialSpec, floors=None) -> list[np.ndarray]:
+def _weights(pos: np.ndarray, t: float, V: PotentialSpec, floors=None) -> list[np.ndarray]:
     """Path weights of max(V, floor) for each floor, from one evaluation of V.
 
-    `floors=None` is the one-level case of V itself.  V is evaluated
-    along the paths once (a form unclipped, a callable through
-    `evaluate`) and each floor clips those values, so the weights of
-    every floor equal those of `truncate(V, -floor)` evaluated alone, bit
-    for bit.  Unclipped forms estimated alone never come here: they go
-    through `_bridge_sums`.
+    `pos` holds path positions of shape (n_paths, n_steps + 1, dim), as
+    from `backend.path_positions`.  `floors=None` is the one-level case
+    of V itself.  V is evaluated along the paths once (a form unclipped,
+    a callable through `evaluate`) and each floor clips those values, so
+    the weights of every floor equal those of `truncate(V, -floor)`
+    evaluated alone, bit for bit.  Unclipped forms estimated alone never
+    come here: they go through `_bridge_sums`.
     """
     if floors is None:
         floors = (-math.inf,)
-    pos = _backend.path_positions(alpha, x, y, t)
     form = V.form
     if form is None:
         v = np.asarray(V.evaluate(pos), dtype=np.float64)
@@ -360,33 +406,51 @@ def _weights(alpha: np.ndarray, x: np.ndarray, y: np.ndarray, t: float,
 
 def _chunk_weights(gen: np.random.Generator, n_paths: int, n_steps: int, x: np.ndarray,
                    y: np.ndarray, t: float, V: PotentialSpec, strides=(1,), floors=None,
-                   mirror_paths: bool = False) -> list[np.ndarray]:
-    """Weights of a chunk of paths drawn from `gen`, per stride and then per floor.
+                   mirror_paths: bool = False) -> np.ndarray:
+    """Weights of a chunk of paths drawn from `gen`, one row per stride and then per floor.
 
     A stride s restricts the paths to the nodes that are multiples of s,
     a grid of n_steps / s steps.  An unclipped form estimated alone is
     weighed from the trapezoid sums of `_bridge_sums`; anything else is
-    evaluated along each block of `_bridge_blocks` by `_weights`.  Either
-    way the chunk is streamed block by block, and each weight vector,
-    of shape (n_paths,), is bit for bit that of the whole chunk at once.
+    evaluated along each block of `_position_blocks` by `_weights`.
+    Either way the chunk is streamed block by block and each block's
+    weights are written into the result, of shape (rows, n_paths).  For
+    a callable or a clipped form it is bit for bit the weights of the
+    whole chunk at once.
     """
+    n_floors = 1 if floors is None else len(floors)
+    weights = np.empty((len(strides) * n_floors, n_paths))
+    start = 0
     if floors is None and _unclipped(V):
-        levels = _bridge_sums(gen, n_paths, n_steps, V.dim, strides, mirror_paths)
-        return [_sums_weights(sums, x[None], y[None], t, V.form, n_steps // s)[0, 0]
-                for sums, s in zip(levels, strides)]
-    parts = [[w for s in strides for w in _weights(bridge[:, ::s], x, y, t, V, floors)]
-             for bridge in _bridge_blocks(gen, n_paths, n_steps, V.dim, mirror_paths, ends=True)]
-    return [ws[0] if len(ws) == 1 else np.concatenate(ws) for ws in zip(*parts)]
+        xs, ys = x[None], y[None]
+        lines = [_line_action(xs, ys, V.form, n_steps // s) for s in strides]
+        for levels in _bridge_sums(gen, n_paths, n_steps, V.dim, strides, mirror_paths):
+            stop = start + len(levels[0][2])
+            for row, (sums, line) in enumerate(zip(levels, lines)):
+                weights[row, start:stop] = _sums_weights(sums, xs, ys, t, V.form, line)[0, 0]
+            start = stop
+        return weights
+    for pos in _position_blocks(gen, n_paths, n_steps, x, y, t, mirror_paths):
+        stop = start + len(pos)
+        weights[:, start:stop] = [w for s in strides for w in _weights(pos[:, ::s], t, V, floors)]
+        start = stop
+    return weights
 
 
 def _chunk_stats(w: np.ndarray, top_k: int):
-    """Count, mean, centred sum of squares, sum and top-k along the last axis."""
+    """Count, mean, centred sum of squares, sum and top-k along the last axis.
+
+    One scratch array of w's shape holds the centred squares and then the
+    partitioned copy of w.
+    """
     n = w.shape[-1]
     mean = w.mean(axis=-1)
-    m2 = np.square(w - mean[..., None]).sum(axis=-1)
+    work = w - mean[..., None]
+    m2 = np.square(work, out=work).sum(axis=-1)
     k = min(top_k, n)
-    top = np.partition(w, n - k, axis=-1)[..., n - k:]
-    return n, mean, m2, w.sum(axis=-1), top
+    np.copyto(work, w)
+    work.partition(n - k, axis=-1)
+    return n, mean, m2, w.sum(axis=-1), work[..., n - k:].copy()
 
 
 def _merge_moments(a, b):
@@ -430,16 +494,21 @@ def _verdict(stats, top_k: int, heavy_fraction: float):
     return std_error, fraction, suspected
 
 
-def _finalize(stats, top_k: int, heavy_fraction: float, n_steps: int) -> QEstimate:
+def _finalize(stats, top_k: int, heavy_fraction: float, steps) -> list[QEstimate]:
+    """One estimate per row of stats merged over (rows, paths) weights;
+    `steps` gives each row's step count."""
     std_error, fraction, suspected = _verdict(stats, top_k, heavy_fraction)
-    return QEstimate(
-        mean=float(stats[1]),
-        std_error=float(std_error),
-        n_samples=int(stats[0]),
-        n_steps=int(n_steps),
-        divergence_suspected=bool(suspected),
-        heavy_mass_fraction=float(fraction),
-    )
+    return [
+        QEstimate(
+            mean=float(mean),
+            std_error=float(err),
+            n_samples=int(stats[0]),
+            n_steps=int(n),
+            divergence_suspected=bool(flag),
+            heavy_mass_fraction=float(frac),
+        )
+        for mean, err, flag, frac, n in zip(stats[1], std_error, suspected, fraction, steps)
+    ]
 
 
 def _task_sizes(n_samples: int) -> list[int]:
@@ -503,15 +572,12 @@ def _estimates(x, y, V: PotentialSpec, t: float, n_samples: int, n_steps: int,
         def job():
             weights = _chunk_weights(rng.generator(*key, idx), count, n_steps, xp, yp, t, V,
                                      floors=floors, mirror_paths=mirror_paths)
-            return [_chunk_stats(w, top_k) for w in weights]
+            return _chunk_stats(weights, top_k)
         return job
 
-    def merge(a, b):
-        return [_merge_stats(p, q, top_k) for p, q in zip(a, b)]
-
     jobs = [make_job(i, c) for i, c in enumerate(_task_sizes(n_samples))]
-    stats = reduce(merge, _run_ordered(jobs, workers))
-    return [_finalize(s, top_k, heavy_fraction, n_steps) for s in stats]
+    stats = reduce(lambda a, b: _merge_stats(a, b, top_k), _run_ordered(jobs, workers))
+    return _finalize(stats, top_k, heavy_fraction, [n_steps] * len(stats[1]))
 
 
 @lru_cache(maxsize=32)
@@ -648,6 +714,7 @@ def _matrix_elements(phi: Wavefunction, psi: Wavefunction, V: PotentialSpec, t: 
     unclipped form.
     """
     _check_time(t)
+    _check_workers(workers)
     if phi.dim != V.dim or psi.dim != V.dim:
         raise ValueError("wavefunction and potential dimensions differ")
     for wf in (phi, psi):
@@ -712,10 +779,11 @@ def _shared_path_element(x_pts: np.ndarray, y_pts: np.ndarray, coef: np.ndarray,
     The totals are centred on the block's node means, so paths that all
     carry the same weights give exactly zero spread.
     """
-    block = max(1, _BLOCK_ELEMENTS // coef.size)
+    block = max(1, _WEIGHT_BLOCK_ELEMENTS // coef.size)
+    line = _line_action(x_pts, y_pts, V.form, mc.n_steps)
 
     def block_stats(sums):
-        w = _sums_weights(sums, x_pts, y_pts, t, V.form, mc.n_steps).reshape(coef.size, -1)
+        w = _sums_weights(sums, x_pts, y_pts, t, V.form, line).reshape(coef.size, -1)
         nodes = _chunk_stats(w, mc.top_k)
         spread = coef @ (w - nodes[1][:, None])
         return nodes, (w.shape[1], float(coef @ nodes[1]), float(spread @ spread))
@@ -725,7 +793,10 @@ def _shared_path_element(x_pts: np.ndarray, y_pts: np.ndarray, coef: np.ndarray,
 
     def make_job(idx: int, count: int):
         def job():
-            sums = _bridge_sums(rng.generator(idx), count, mc.n_steps, V.dim, (1,))[0]
+            blocks = [levels[0] for levels in
+                      _bridge_sums(rng.generator(idx), count, mc.n_steps, V.dim, (1,))]
+            # weight blocks follow their own cap, so they are cut from the chunk's sums
+            sums = [np.concatenate(parts) for parts in zip(*blocks)]
             return reduce(merge, (block_stats([s[i:i + block] for s in sums])
                                   for i in range(0, count, block)))
         return job
@@ -818,30 +889,26 @@ def refine_steps(
         raise ValueError("restricted mode needs every entry to divide the largest")
     xp = _point(x, V.dim)
     yp = _point(y, V.dim)
-    n_levels = len(schedule)
 
     def make_job(idx: int, count: int):
         def job():
             weights = _chunk_weights(rng.generator(*key, idx), count, n_max, xp, yp, t, V,
                                      [n_max // n for n in schedule])
-            per_level = [_chunk_stats(w, top_k) for w in weights]
-            per_diff = [_chunk_stats(weights[l + 1] - weights[l], 1)
-                        for l in range(n_levels - 1)]
-            return per_level, per_diff
+            level_stats = _chunk_stats(weights, top_k)
+            # successive differences in place, from the finest level down
+            for level in range(len(schedule) - 1, 0, -1):
+                weights[level] -= weights[level - 1]
+            return level_stats, _chunk_stats(weights[1:], 1)
         return job
 
-    jobs = [make_job(i, c) for i, c in enumerate(_task_sizes(n_samples))]
-    results = _run_ordered(jobs, workers)
-    level_stats = list(results[0][0])
-    diff_stats = list(results[0][1])
-    for levels_part, diffs_part in results[1:]:
-        level_stats = [_merge_stats(a, b, top_k) for a, b in zip(level_stats, levels_part)]
-        diff_stats = [_merge_stats(a, b, 1) for a, b in zip(diff_stats, diffs_part)]
+    def merge(a, b):
+        return _merge_stats(a[0], b[0], top_k), _merge_stats(a[1], b[1], 1)
 
-    estimates = [_finalize(s, top_k, heavy_fraction, n)
-                 for s, n in zip(level_stats, schedule)]
-    diff_means = [float(s[1]) for s in diff_stats]
-    diff_errs = [float(_std_error(s[0], s[2])) for s in diff_stats]
+    jobs = [make_job(i, c) for i, c in enumerate(_task_sizes(n_samples))]
+    level_stats, diff_stats = reduce(merge, _run_ordered(jobs, workers))
+    estimates = _finalize(level_stats, top_k, heavy_fraction, schedule)
+    diff_means = [float(m) for m in diff_stats[1]]
+    diff_errs = [float(e) for e in _std_error(diff_stats[0], diff_stats[2])]
     return RefinementReport(
         mode=mode,
         schedule=tuple(schedule),

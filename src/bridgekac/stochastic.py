@@ -128,14 +128,18 @@ def bridge_values(normals: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bridge_in_place(b: np.ndarray) -> None:
+def _bridge_in_place(b: np.ndarray, work: np.ndarray | None = None) -> None:
     """Turn standard normals of shape (..., n_steps, dim) into the bridge at
-    grid nodes 1..n_steps, in place; node 0 is zero and not stored."""
+    grid nodes 1..n_steps, in place; node 0 is zero and not stored.
+
+    The detrend term u b(1) is formed in `work`, an array of b's shape
+    that must not overlap it, or in a new array if `work` is None.
+    """
     n_steps = b.shape[-2]
     np.cumsum(b, axis=-2, out=b)
     b *= np.sqrt(1.0 / n_steps)
     u = np.arange(1, n_steps + 1, dtype=np.float64) / n_steps
-    b -= u[:, None] * b[..., -1:, :]
+    b -= np.multiply(u[:, None], b[..., -1:, :], out=work)
 
 
 def _as_generator(rng) -> np.random.Generator:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -89,3 +90,22 @@ def test_out_argument_is_used():
     got = backend.quadratic_weights(alpha, 0.0, 0.0, 1.0, form, out=out)
     assert got is out
 
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_form_values_equal_the_sum_and_matmul_formula_bit_for_bit(dim):
+    def reference(pos, form):
+        v = form.quad * np.square(pos).sum(axis=-1)
+        v += pos @ np.asarray(form.lin, dtype=np.float64)
+        v += form.const
+        return v
+
+    pos = np.random.default_rng(dim).standard_normal((40, 17, dim))
+    pos[:, 0] = 0.0
+    pos[:, 1] = -0.0
+    for quad, lin, const in itertools.product((0.5, -0.3), (0.7, -1.2, -0.0), (0.4, 0.0, -0.0)):
+        form = QuadraticForm(quad, (lin,) * dim, const)
+        # whole position arrays, and the strided views of a restricted grid
+        for p in (pos, pos[:, ::2]):
+            got, want = backend.form_values(p, form), reference(p, form)
+            # compared as integers, so even the sign of a zero must agree
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -222,6 +222,17 @@ def test_truncation_study_validation():
                          McConfig(n_samples=10, n_steps=2), RngSeed(0))
 
 
+@pytest.mark.parametrize("workers", [0, -3, 2.5, True])
+def test_truncation_study_rejects_bad_workers_before_any_draw(counting_seed, workers):
+    phi = bump()
+    rng = counting_seed(1)
+    with pytest.raises(ValueError, match="workers"):
+        truncation_study(inverted_quadratic(0.5), phi, phi, 1.0, [1.0, 2.0],
+                         McConfig(n_samples=10, n_steps=4), rng,
+                         quadrature=QuadratureConfig(2), workers=workers)
+    assert rng.opened == []
+
+
 def test_q_truncation_study_monotone_under_common_random_numbers():
     report = q_truncation_study(
         0.5, 0.5, inverted_quadratic(1.0), 0.5, [0.5, 1.0, 2.0, 4.0, 8.0],

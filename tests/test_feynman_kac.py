@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bridgekac import feynman_kac
-from bridgekac.backend import quadratic_weights
+from bridgekac.backend import path_positions, quadratic_weights
 from bridgekac.feynman_kac import (
     McConfig,
     QuadratureConfig,
@@ -23,6 +23,9 @@ from bridgekac.feynman_kac import (
     _bridge_sums,
     _chunk_weights,
     _estimates,
+    _line_action,
+    _matrix_elements,
+    _position_blocks,
     _sums_weights,
     _tensor_gauss_legendre,
     _weights,
@@ -134,6 +137,21 @@ def test_sampling_arguments_are_rejected_before_any_draw(counting_seed, bad):
     assert rng.opened == []
 
 
+@pytest.mark.parametrize("workers", [0, -3, 2.5, True])
+def test_matrix_element_rejects_bad_workers_before_any_draw(counting_seed, workers):
+    phi = bump()
+    quadrature, mc = QuadratureConfig(2), McConfig(10, 4)
+    rng = counting_seed(1)
+    # shared paths, one stream per node pair, and several floors at once
+    for V, floors in ((harmonic(), None), (truncate(harmonic(), 1.0), None),
+                      (harmonic(), [-1.0, -2.0])):
+        with pytest.raises(ValueError, match="workers"):
+            _matrix_elements(phi, phi, V, 1.0, quadrature, mc, rng, floors, workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        matrix_element(phi, phi, harmonic(), 1.0, quadrature, mc, rng, workers=workers)
+    assert rng.opened == []
+
+
 def test_divergence_flag_for_strongly_inverted_potential():
     est = estimate_Q(0.0, 0.0, inverted_quadratic(1.0), 3.0, 20_000, 64, RngSeed(5))
     assert est.divergence_suspected
@@ -146,6 +164,13 @@ def test_total_underflow_is_not_flagged_as_divergence():
     assert est.mean == 0.0
     assert not est.divergence_suspected
     assert est.heavy_mass_fraction == 0.0
+
+
+def _joined_sums(*args, **kwargs):
+    """The sums that `_bridge_sums` yields block by block, joined over the
+    chunk: (A, B, C) of every path, per stride."""
+    blocks = list(_bridge_sums(*args, **kwargs))
+    return [[np.concatenate(parts) for parts in zip(*level)] for level in zip(*blocks)]
 
 
 @pytest.mark.parametrize("form, dim", [
@@ -165,8 +190,8 @@ def test_sums_weights_match_kernel(form, dim):
     gen = np.random.default_rng(3)
     xs = gen.uniform(-2.0, 2.0, (3, dim))
     ys = gen.uniform(-2.0, 2.0, (4, dim))
-    sums = _bridge_sums(RngSeed(31).generator(), 128, n_steps, dim, (1,))[0]
-    got = _sums_weights(sums, xs, ys, t, form, n_steps)
+    sums = _joined_sums(RngSeed(31).generator(), 128, n_steps, dim, (1,))[0]
+    got = _sums_weights(sums, xs, ys, t, form, _line_action(xs, ys, form, n_steps))
     assert got.shape == (3, 4, 128)
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
@@ -195,7 +220,7 @@ def _trapezoid_sums(alpha):
 ])
 def test_bridge_sums_match_trapezoid_sums_of_the_bridge(dim, n_steps, strides, n_paths):
     alpha = bridge_values(RngSeed(41).generator().standard_normal((n_paths, n_steps, dim)))
-    levels = _bridge_sums(RngSeed(41).generator(), n_paths, n_steps, dim, strides)
+    levels = _joined_sums(RngSeed(41).generator(), n_paths, n_steps, dim, strides)
     assert len(levels) == len(strides)
     for got, s in zip(levels, strides):
         assert got[0].shape == got[1].shape == (n_paths, dim)
@@ -211,15 +236,21 @@ def test_bridge_blocks_are_the_rows_of_the_one_shot_bridge(monkeypatch, ends):
     # 13 rows per block: 100 paths are seven full blocks and a ragged one of 9
     monkeypatch.setattr(feynman_kac, "_BLOCK_ELEMENTS", 13 * 16 * 2)
     alpha = bridge_values(RngSeed(47).generator().standard_normal((100, 16, 2)))
-    blocks = [b.copy() for b in _bridge_blocks(RngSeed(47).generator(), 100, 16, 2, ends=ends)]
+    if ends:
+        # nodes 0..n: the positions of pin-to-pin paths from 0 to 0 at t = 1
+        blocks = _position_blocks(RngSeed(47).generator(), 100, 16, np.zeros(2), np.zeros(2),
+                                  1.0)
+    else:
+        blocks = _bridge_blocks(RngSeed(47).generator(), 100, 16, 2)
+    blocks = [b.copy() for b in blocks]
     assert [len(b) for b in blocks] == [13] * 7 + [9]
     assert np.array_equal(np.concatenate(blocks), alpha if ends else alpha[:, 1:])
 
 
 def test_bridge_sums_of_mirrored_paths():
     # mirror_paths negates the normals: A and B change sign, C is unchanged
-    plain = _bridge_sums(RngSeed(43).generator(), 300, 64, 2, (4, 1))
-    mirrored = _bridge_sums(RngSeed(43).generator(), 300, 64, 2, (4, 1), mirror_paths=True)
+    plain = _joined_sums(RngSeed(43).generator(), 300, 64, 2, (4, 1))
+    mirrored = _joined_sums(RngSeed(43).generator(), 300, 64, 2, (4, 1), mirror_paths=True)
     for (a, b, c), (ma, mb, mc) in zip(plain, mirrored):
         assert np.array_equal(ma, -a)
         assert np.array_equal(mb, -b)
@@ -265,10 +296,25 @@ def test_streamed_weights_equal_one_shot_weights(monkeypatch, case):
                          mirror_paths=mirror)
     xi = RngSeed(3).generator(5).standard_normal((n_paths, n_steps, V.dim))
     alpha = bridge_values(np.negative(xi) if mirror else xi)
-    want = [w for s in strides for w in _weights(alpha[:, ::s], x, y, t, V, floors)]
+    want = [w for s in strides
+            for w in _weights(path_positions(alpha[:, ::s], x, y, t), t, V, floors)]
     assert len(got) == len(want) == len(strides) * (1 if floors is None else len(floors))
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+def test_callable_estimate_memory_stays_within_a_few_blocks():
+    # one chunk's normals, 32 768 x 128 doubles, would take 33.5 MB; its bridges,
+    # positions and potential values would each take as much again
+    V = custom(_callable_harmonic, lambda eps: 0.0)
+    tracemalloc.start()
+    try:
+        est = estimate_Q(0.3, -0.2, V, 1.0, 32768, 128, RngSeed(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.n_samples == 32768
+    assert peak < 8e6
 
 
 def _flat(v):
@@ -433,8 +479,9 @@ def test_shared_path_matrix_element_is_worker_and_block_invariant(monkeypatch):
     a = matrix_element(*args)
     b = matrix_element(*args, workers=3)
     assert a == b
-    # many small weight blocks per chunk change only the summation order
+    # many small bridge and weight blocks per chunk change only the summation order
     monkeypatch.setattr(feynman_kac, "_BLOCK_ELEMENTS", 9 * 1000)
+    monkeypatch.setattr(feynman_kac, "_WEIGHT_BLOCK_ELEMENTS", 9 * 1000)
     c = matrix_element(*args)
     assert c.value == pytest.approx(a.value, rel=1e-12)
     assert c.std_error == pytest.approx(a.std_error, rel=1e-9)
@@ -521,7 +568,7 @@ def test_refine_steps_validation():
 
 def test_refine_steps_memory_stays_near_the_normals_buffer():
     # the finest grid's normals, 8192 x 256 doubles, are never held at once:
-    # each 4 MB block of them is drawn, made the bridge in place and summed
+    # each 1 MB block of them is drawn, made the bridge in place and summed
     # for every level before the next is drawn
     buffer = 8192 * 256 * 8
     block = feynman_kac._BLOCK_ELEMENTS * 8
