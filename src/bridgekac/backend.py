@@ -47,23 +47,9 @@ def _line_positions(n_steps: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def form_values(pos: np.ndarray, form: QuadraticForm) -> np.ndarray:
-    """Unclipped q |z|^2 + g . z + c of `form` at positions of shape (..., dim).
-
-    In one dimension |z|^2 and g . z are single products, formed without
-    a reduction over the coordinate axis or a matrix product; the values
-    are the same bit for bit.
-    """
-    g = np.asarray(form.lin, dtype=np.float64)
-    if pos.shape[-1] == 1:
-        z = pos[..., 0]
-        v = form.quad * np.square(z)
-        v += z * g[0]
-        # the matrix product's sum starts at +0.0 and so never gives -0.0;
-        # a constant of -0.0 made +0.0 leaves every zero with that sign
-        v += form.const + 0.0
-        return v
+    """Unclipped q |z|^2 + g . z + c of `form` at positions of shape (..., dim)."""
     v = form.quad * np.square(pos).sum(axis=-1)
-    v += pos @ g
+    v += pos @ np.asarray(form.lin, dtype=np.float64)
     v += form.const
     return v
 

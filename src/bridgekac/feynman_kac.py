@@ -341,6 +341,15 @@ def _bridge_sums(gen: np.random.Generator, n_paths: int, n_steps: int, dim: int,
         yield [(ab[:, level, 0], ab[:, level, 1], c[:, level]) for level in range(len(strides))]
 
 
+def _chunk_sums(gen: np.random.Generator, n_paths: int, n_steps: int, dim: int, strides,
+                mirror_paths: bool = False):
+    """The sums of `_bridge_sums` joined over the chunk: a list of (A, B, C)
+    for each stride, with A and B of shape (n_paths, dim) and C of shape
+    (n_paths,)."""
+    blocks = list(_bridge_sums(gen, n_paths, n_steps, dim, strides, mirror_paths))
+    return [[np.concatenate(parts) for parts in zip(*level)] for level in zip(*blocks)]
+
+
 def _line_action(xs: np.ndarray, ys: np.ndarray, form: QuadraticForm,
                  n_steps: int) -> np.ndarray:
     """Trapezoid action D(x, y), per unit time, of an unclipped form along
@@ -417,6 +426,11 @@ def _chunk_weights(gen: np.random.Generator, n_paths: int, n_steps: int, x: np.n
     weights are written into the result, of shape (rows, n_paths).  For
     a callable or a clipped form it is bit for bit the weights of the
     whole chunk at once.
+
+    A callable may write to the positions it is given.  The last stride
+    is evaluated on the positions buffer itself, which the next block
+    rewrites; every earlier stride gets a copy of its view, so no stride
+    sees what a callable left in another's positions.
     """
     n_floors = 1 if floors is None else len(floors)
     weights = np.empty((len(strides) * n_floors, n_paths))
@@ -430,9 +444,12 @@ def _chunk_weights(gen: np.random.Generator, n_paths: int, n_steps: int, x: np.n
                 weights[row, start:stop] = _sums_weights(sums, xs, ys, t, V.form, line)[0, 0]
             start = stop
         return weights
+    last = len(strides) - 1
     for pos in _position_blocks(gen, n_paths, n_steps, x, y, t, mirror_paths):
         stop = start + len(pos)
-        weights[:, start:stop] = [w for s in strides for w in _weights(pos[:, ::s], t, V, floors)]
+        views = (pos[:, ::s].copy() if V.form is None and level < last else pos[:, ::s]
+                 for level, s in enumerate(strides))
+        weights[:, start:stop] = [w for view in views for w in _weights(view, t, V, floors)]
         start = stop
     return weights
 
@@ -793,10 +810,8 @@ def _shared_path_element(x_pts: np.ndarray, y_pts: np.ndarray, coef: np.ndarray,
 
     def make_job(idx: int, count: int):
         def job():
-            blocks = [levels[0] for levels in
-                      _bridge_sums(rng.generator(idx), count, mc.n_steps, V.dim, (1,))]
             # weight blocks follow their own cap, so they are cut from the chunk's sums
-            sums = [np.concatenate(parts) for parts in zip(*blocks)]
+            sums = _chunk_sums(rng.generator(idx), count, mc.n_steps, V.dim, (1,))[0]
             return reduce(merge, (block_stats([s[i:i + block] for s in sums])
                                   for i in range(0, count, block)))
         return job

@@ -20,7 +20,7 @@ from bridgekac.feynman_kac import (
     matrix_element,
     refine_steps,
     _bridge_blocks,
-    _bridge_sums,
+    _chunk_sums,
     _chunk_weights,
     _estimates,
     _line_action,
@@ -166,13 +166,6 @@ def test_total_underflow_is_not_flagged_as_divergence():
     assert est.heavy_mass_fraction == 0.0
 
 
-def _joined_sums(*args, **kwargs):
-    """The sums that `_bridge_sums` yields block by block, joined over the
-    chunk: (A, B, C) of every path, per stride."""
-    blocks = list(_bridge_sums(*args, **kwargs))
-    return [[np.concatenate(parts) for parts in zip(*level)] for level in zip(*blocks)]
-
-
 @pytest.mark.parametrize("form, dim", [
     (zero().form, 1),
     (harmonic(omega=1.3).form, 1),
@@ -190,7 +183,7 @@ def test_sums_weights_match_kernel(form, dim):
     gen = np.random.default_rng(3)
     xs = gen.uniform(-2.0, 2.0, (3, dim))
     ys = gen.uniform(-2.0, 2.0, (4, dim))
-    sums = _joined_sums(RngSeed(31).generator(), 128, n_steps, dim, (1,))[0]
+    sums = _chunk_sums(RngSeed(31).generator(), 128, n_steps, dim, (1,))[0]
     got = _sums_weights(sums, xs, ys, t, form, _line_action(xs, ys, form, n_steps))
     assert got.shape == (3, 4, 128)
     for i, x in enumerate(xs):
@@ -220,7 +213,7 @@ def _trapezoid_sums(alpha):
 ])
 def test_bridge_sums_match_trapezoid_sums_of_the_bridge(dim, n_steps, strides, n_paths):
     alpha = bridge_values(RngSeed(41).generator().standard_normal((n_paths, n_steps, dim)))
-    levels = _joined_sums(RngSeed(41).generator(), n_paths, n_steps, dim, strides)
+    levels = _chunk_sums(RngSeed(41).generator(), n_paths, n_steps, dim, strides)
     assert len(levels) == len(strides)
     for got, s in zip(levels, strides):
         assert got[0].shape == got[1].shape == (n_paths, dim)
@@ -249,8 +242,8 @@ def test_bridge_blocks_are_the_rows_of_the_one_shot_bridge(monkeypatch, ends):
 
 def test_bridge_sums_of_mirrored_paths():
     # mirror_paths negates the normals: A and B change sign, C is unchanged
-    plain = _joined_sums(RngSeed(43).generator(), 300, 64, 2, (4, 1))
-    mirrored = _joined_sums(RngSeed(43).generator(), 300, 64, 2, (4, 1), mirror_paths=True)
+    plain = _chunk_sums(RngSeed(43).generator(), 300, 64, 2, (4, 1))
+    mirrored = _chunk_sums(RngSeed(43).generator(), 300, 64, 2, (4, 1), mirror_paths=True)
     for (a, b, c), (ma, mb, mc) in zip(plain, mirrored):
         assert np.array_equal(ma, -a)
         assert np.array_equal(mb, -b)
@@ -269,6 +262,11 @@ def _callable_harmonic(points):
     return 0.5 * np.square(points).sum(axis=-1)
 
 
+def _writing_harmonic(points):
+    # squares the positions it is given in place
+    return 0.5 * np.square(points, out=points).sum(axis=-1)
+
+
 def _read_only_harmonic(points):
     return np.broadcast_to(0.5 * np.square(points).sum(axis=-1), np.shape(points)[:-1])
 
@@ -282,6 +280,9 @@ _STREAMED = {
     "dim 2": (custom(_callable_harmonic, lambda eps: 0.0, dim=2), (1,), (-0.3, -math.inf),
               False),
     "strides": (custom(_callable_harmonic, lambda eps: 0.0), (1, 2, 4), None, False),
+    "writing callable": (custom(_writing_harmonic, lambda eps: 0.0), (4, 2, 1), None, False),
+    "writing truncation": (truncate(custom(_writing_harmonic, lambda eps: 0.0), 1.0), (4, 2, 1),
+                           None, False),
 }
 
 
