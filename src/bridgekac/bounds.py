@@ -155,6 +155,8 @@ def verify_bound_sweep(
     params = BoundParameters.for_potential(V, t, delta0)
     eps = params.eps
     pts = [(float(p[0]), float(p[1])) for p in grid]
+    if not pts:
+        raise ValueError("grid must hold at least one point")
 
     points = []
     n_passed = 0

@@ -192,43 +192,29 @@ def _coerce_tail_mass(v):
     return val, None
 
 
-def _coerce_levels(v):
-    if not isinstance(v, list) or not v:
-        return None, "expected a JSON list of truncation levels"
-    out = []
-    for item in v:
-        if not _is_number(item) or item <= 0:
-            return None, "levels must be positive numbers"
-        out.append(float(item))
-    if any(b <= a for a, b in zip(out, out[1:])):
-        return None, "levels must be strictly increasing"
-    return out, None
+def _increasing_list(listed: str, noun: str, min_len: int, kind: str):
+    """Coercer of a JSON list of at least `min_len` positive numbers, or
+    positive integers if `kind` is "integers", in strictly increasing order."""
+    cast = int if kind == "integers" else float
+
+    def coerce(v):
+        if not isinstance(v, list) or len(v) < min_len:
+            return None, f"expected a JSON list {listed}"
+        out = []
+        for item in v:
+            if not _is_number(item) or (cast is int and not isinstance(item, int)) or item <= 0:
+                return None, f"{noun} must be positive {kind}"
+            out.append(cast(item))
+        if any(b <= a for a, b in zip(out, out[1:])):
+            return None, f"{noun} must be strictly increasing"
+        return out, None
+
+    return coerce
 
 
-def _coerce_schedule(v):
-    if not isinstance(v, list) or len(v) < 2:
-        return None, "expected a JSON list with at least two step counts"
-    out = []
-    for item in v:
-        if isinstance(item, bool) or not isinstance(item, int) or item < 1:
-            return None, "step counts must be positive integers"
-        out.append(int(item))
-    if any(b <= a for a, b in zip(out, out[1:])):
-        return None, "step counts must be strictly increasing"
-    return out, None
-
-
-def _coerce_demo_levels(v):
-    if not isinstance(v, list) or not v:
-        return None, "expected a JSON list of spike levels"
-    out = []
-    for item in v:
-        if isinstance(item, bool) or not isinstance(item, int) or item < 1:
-            return None, "spike levels must be positive integers"
-        out.append(int(item))
-    if any(b <= a for a, b in zip(out, out[1:])):
-        return None, "spike levels must be strictly increasing"
-    return out, None
+_coerce_levels = _increasing_list("of truncation levels", "levels", 1, "numbers")
+_coerce_schedule = _increasing_list("with at least two step counts", "step counts", 2, "integers")
+_coerce_demo_levels = _increasing_list("of spike levels", "spike levels", 1, "integers")
 
 
 _REQUIRED = object()

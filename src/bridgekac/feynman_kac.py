@@ -24,8 +24,8 @@ a core's L2 cache (2 MB per core on the host measured, where op times
 were 6-7 % lower than with 4 MB blocks).  Every per-path intermediate of
 an estimate, the trapezoid sums, positions and potential values, exists
 for one block only, and only the chunk's weights span all its paths; a
-shared-path matrix element joins a chunk's sums, because its weight
-blocks follow a cap of their own.  For an unclipped
+shared-path matrix element cuts each block's sums into (node pairs x
+paths) weight blocks under the same cap.  For an unclipped
 quadratic potential V(z) = q |z|^2 + g . z + c the trapezoid action of a
 path is linear in three of its trapezoid sums, A = sum' alpha,
 B = sum' u alpha and C = sum' |alpha|^2, plus terms that depend on x and
@@ -49,7 +49,7 @@ import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from typing import Callable
 
 import numpy as np
@@ -85,9 +85,6 @@ _CHUNK = 32768
 # 6-7 % less time at 2**17 than at 2**19; 2**16 was within the noise of
 # 2**17 and 2**15 slower.
 _BLOCK_ELEMENTS = 2**17
-# Cap on the (node pairs x paths) weight block that a shared-path matrix
-# element holds at once: 4 MB of float64.
-_WEIGHT_BLOCK_ELEMENTS = 2**19
 
 
 @dataclass(frozen=True)
@@ -139,6 +136,7 @@ class QuadratureConfig:
     nodes_per_axis: int = 32
 
     def __post_init__(self) -> None:
+        _check_integer("nodes_per_axis", self.nodes_per_axis)
         if self.nodes_per_axis < 1:
             raise ValueError("nodes_per_axis must be positive")
 
@@ -263,17 +261,17 @@ def _block_rows(n_paths: int, n_steps: int, dim: int) -> int:
 
 
 def _bridge_blocks(gen: np.random.Generator, n_paths: int, n_steps: int, dim: int,
-                   mirror_paths: bool = False, work: np.ndarray | None = None):
+                   work: np.ndarray | None = None):
     """The bridges of a chunk of `n_paths` paths drawn from `gen`, one row block at a time.
 
     The chunk's standard normals are drawn block after block into one
     reused buffer of `_block_rows` paths; drawn in C order they are bit
     for bit the one-shot draw `gen.standard_normal((n_paths, n_steps,
-    dim))`.  `mirror_paths` negates them.  Each block is turned into the
-    bridge in place, its detrend formed in `work` (a reused buffer of the
-    full block's shape, allocated here if None), and yielded: nodes
-    1..n_steps, bit for bit the rows of `bridge_values(normals)[:, 1:]`
-    (node 0 is zero and not stored).  The next block overwrites it.
+    dim))`.  Each block is turned into the bridge in place, its detrend
+    formed in `work` (a reused buffer of the full block's shape,
+    allocated here if None), and yielded: nodes 1..n_steps, bit for bit
+    the rows of `bridge_values(normals)[:, 1:]` (node 0 is zero and not
+    stored).  The next block overwrites it.
     """
     rows = _block_rows(n_paths, n_steps, dim)
     normals = np.empty((rows, n_steps, dim))
@@ -282,14 +280,12 @@ def _bridge_blocks(gen: np.random.Generator, n_paths: int, n_steps: int, dim: in
     for start in range(0, n_paths, rows):
         block = normals[:min(rows, n_paths - start)]
         gen.standard_normal(out=block)
-        if mirror_paths:
-            np.negative(block, out=block)
         _bridge_in_place(block, work[:len(block)])
         yield block
 
 
 def _position_blocks(gen: np.random.Generator, n_paths: int, n_steps: int, x: np.ndarray,
-                     y: np.ndarray, t: float, mirror_paths: bool = False):
+                     y: np.ndarray, t: float):
     """Positions (1-u) x + u y + sqrt(t) alpha(u) of the bridges of `_bridge_blocks`.
 
     Each row block is yielded as nodes 0..n_steps of shape (rows,
@@ -302,7 +298,7 @@ def _position_blocks(gen: np.random.Generator, n_paths: int, n_steps: int, x: np
     pos = np.empty((_block_rows(n_paths, n_steps, dim), n_steps + 1, dim))
     base = _backend._line_positions(n_steps, x, y)
     s = np.sqrt(t)
-    for block in _bridge_blocks(gen, n_paths, n_steps, dim, mirror_paths, work=pos[:, 1:]):
+    for block in _bridge_blocks(gen, n_paths, n_steps, dim, work=pos[:, 1:]):
         p = pos[:len(block)]
         # the order of path_positions: sqrt(t) alpha first, then the line
         p[:, 0] = base[0] + s * 0.0
@@ -311,17 +307,16 @@ def _position_blocks(gen: np.random.Generator, n_paths: int, n_steps: int, x: np
         yield p
 
 
-def _bridge_sums(gen: np.random.Generator, n_paths: int, n_steps: int, dim: int, strides,
-                 mirror_paths: bool = False):
+def _bridge_sums(gen: np.random.Generator, n_paths: int, n_steps: int, dim: int, strides):
     """Trapezoid sums A = sum' alpha, B = sum' u alpha, C = sum' |alpha|^2 per stride.
 
-    The paths are those of `_bridge_blocks(gen, n_paths, n_steps, dim,
-    mirror_paths)`.  Each block of bridges gives A and B by one matrix
-    product, is squared in place and gives C by another.  A stride s,
-    which must divide n_steps, restricts the path to the nodes that are
-    multiples of s: a grid of n_steps / s steps.  Yields, block after
-    block, a list of (A, B, C) for each stride in order, with A and B of
-    shape (rows, dim) and C of shape (rows,).
+    The paths are those of `_bridge_blocks(gen, n_paths, n_steps, dim)`.
+    Each block of bridges gives A and B by one matrix product, is squared
+    in place and gives C by another.  A stride s, which must divide
+    n_steps, restricts the path to the nodes that are multiples of s: a
+    grid of n_steps / s steps.  Yields, block after block, a list of
+    (A, B, C) for each stride in order, with A and B of shape (rows, dim)
+    and C of shape (rows,).
     """
     ab_cols = np.zeros((n_steps, len(strides), 2))
     c_cols = np.zeros((n_steps, len(strides)))
@@ -333,21 +328,12 @@ def _bridge_sums(gen: np.random.Generator, n_paths: int, n_steps: int, dim: int,
     # rows follow the flattened (node, coordinate) axis of a path
     ab_cols = np.kron(ab_cols.reshape(n_steps, -1), np.eye(dim))
     c_cols = np.repeat(c_cols, dim, axis=0)
-    for block in _bridge_blocks(gen, n_paths, n_steps, dim, mirror_paths):
+    for block in _bridge_blocks(gen, n_paths, n_steps, dim):
         flat = block.reshape(len(block), -1)
         ab = (flat @ ab_cols).reshape(len(block), len(strides), 2, dim)
         np.square(flat, out=flat)
         c = flat @ c_cols
         yield [(ab[:, level, 0], ab[:, level, 1], c[:, level]) for level in range(len(strides))]
-
-
-def _chunk_sums(gen: np.random.Generator, n_paths: int, n_steps: int, dim: int, strides,
-                mirror_paths: bool = False):
-    """The sums of `_bridge_sums` joined over the chunk: a list of (A, B, C)
-    for each stride, with A and B of shape (n_paths, dim) and C of shape
-    (n_paths,)."""
-    blocks = list(_bridge_sums(gen, n_paths, n_steps, dim, strides, mirror_paths))
-    return [[np.concatenate(parts) for parts in zip(*level)] for level in zip(*blocks)]
 
 
 def _line_action(xs: np.ndarray, ys: np.ndarray, form: QuadraticForm,
@@ -414,8 +400,8 @@ def _weights(pos: np.ndarray, t: float, V: PotentialSpec, floors=None) -> list[n
 
 
 def _chunk_weights(gen: np.random.Generator, n_paths: int, n_steps: int, x: np.ndarray,
-                   y: np.ndarray, t: float, V: PotentialSpec, strides=(1,), floors=None,
-                   mirror_paths: bool = False) -> np.ndarray:
+                   y: np.ndarray, t: float, V: PotentialSpec, strides=(1,),
+                   floors=None) -> np.ndarray:
     """Weights of a chunk of paths drawn from `gen`, one row per stride and then per floor.
 
     A stride s restricts the paths to the nodes that are multiples of s,
@@ -438,14 +424,14 @@ def _chunk_weights(gen: np.random.Generator, n_paths: int, n_steps: int, x: np.n
     if floors is None and _unclipped(V):
         xs, ys = x[None], y[None]
         lines = [_line_action(xs, ys, V.form, n_steps // s) for s in strides]
-        for levels in _bridge_sums(gen, n_paths, n_steps, V.dim, strides, mirror_paths):
+        for levels in _bridge_sums(gen, n_paths, n_steps, V.dim, strides):
             stop = start + len(levels[0][2])
             for row, (sums, line) in enumerate(zip(levels, lines)):
                 weights[row, start:stop] = _sums_weights(sums, xs, ys, t, V.form, line)[0, 0]
             start = stop
         return weights
     last = len(strides) - 1
-    for pos in _position_blocks(gen, n_paths, n_steps, x, y, t, mirror_paths):
+    for pos in _position_blocks(gen, n_paths, n_steps, x, y, t):
         stop = start + len(pos)
         views = (pos[:, ::s].copy() if V.form is None and level < last else pos[:, ::s]
                  for level, s in enumerate(strides))
@@ -528,13 +514,6 @@ def _finalize(stats, top_k: int, heavy_fraction: float, steps) -> list[QEstimate
     ]
 
 
-def _task_sizes(n_samples: int) -> list[int]:
-    sizes = [_CHUNK] * (n_samples // _CHUNK)
-    if n_samples % _CHUNK:
-        sizes.append(n_samples % _CHUNK)
-    return sizes
-
-
 def _run_ordered(jobs, workers: int):
     """Run callables and return results in submission order."""
     if workers <= 1 or len(jobs) <= 1:
@@ -542,6 +521,22 @@ def _run_ordered(jobs, workers: int):
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(job) for job in jobs]
         return [f.result() for f in futures]
+
+
+def _over_chunks(rng: RngSeed, key: tuple[int, ...], n_samples: int, workers: int,
+                 chunk, merge):
+    """Reduce `n_samples` paths in keyed chunks and merge the results in chunk order.
+
+    Chunk i holds `_CHUNK` paths (the last one the rest) drawn from stream
+    (*key, i), and `chunk(gen, count)` reduces it.  The chunks run on
+    `workers` threads but merge in a fixed order, so a fixed seed gives
+    bit-identical results for any worker count.
+    """
+    def job(i: int):
+        return chunk(rng.generator(*key, i), min(_CHUNK, n_samples - i * _CHUNK))
+
+    jobs = [partial(job, i) for i in range(-(-n_samples // _CHUNK))]
+    return reduce(merge, _run_ordered(jobs, workers))
 
 
 def estimate_Q(
@@ -557,24 +552,20 @@ def estimate_Q(
     heavy_fraction: float = 0.5,
     workers: int = 1,
     key: tuple[int, ...] = (),
-    mirror_paths: bool = False,
 ) -> QEstimate:
     """Monte Carlo mean of exp(-action) over independent bridges.
 
     Sample streams are keyed by (seed, stream_id, *key, chunk index), so
     results are bit-reproducible for a fixed seed independently of the
-    worker count.  `mirror_paths` negates every path; for even
-    potentials this realizes the exact pathwise symmetry
-    Q(x, y) = Q(-x, -y).
+    worker count.
     """
     return _estimates(x, y, V, t, n_samples, n_steps, rng, None, top_k=top_k,
-                      heavy_fraction=heavy_fraction, workers=workers, key=key,
-                      mirror_paths=mirror_paths)[0]
+                      heavy_fraction=heavy_fraction, workers=workers, key=key)[0]
 
 
 def _estimates(x, y, V: PotentialSpec, t: float, n_samples: int, n_steps: int,
                rng: RngSeed, floors, *, top_k: int, heavy_fraction: float, workers: int,
-               key: tuple[int, ...] = (), mirror_paths: bool = False) -> list[QEstimate]:
+               key: tuple[int, ...] = ()) -> list[QEstimate]:
     """Q estimates of max(V, floor) for each floor, from one draw of the paths.
 
     The keyed chunks are those of `estimate_Q`; `floors=None` estimates
@@ -585,15 +576,12 @@ def _estimates(x, y, V: PotentialSpec, t: float, n_samples: int, n_steps: int,
     xp = _point(x, V.dim)
     yp = _point(y, V.dim)
 
-    def make_job(idx: int, count: int):
-        def job():
-            weights = _chunk_weights(rng.generator(*key, idx), count, n_steps, xp, yp, t, V,
-                                     floors=floors, mirror_paths=mirror_paths)
-            return _chunk_stats(weights, top_k)
-        return job
+    def chunk(gen: np.random.Generator, count: int):
+        return _chunk_stats(_chunk_weights(gen, count, n_steps, xp, yp, t, V, floors=floors),
+                            top_k)
 
-    jobs = [make_job(i, c) for i, c in enumerate(_task_sizes(n_samples))]
-    stats = reduce(lambda a, b: _merge_stats(a, b, top_k), _run_ordered(jobs, workers))
+    stats = _over_chunks(rng, key, n_samples, workers, chunk,
+                         lambda a, b: _merge_stats(a, b, top_k))
     return _finalize(stats, top_k, heavy_fraction, [n_steps] * len(stats[1]))
 
 
@@ -713,8 +701,14 @@ def matrix_element(
     nodes that sharing creates.  A clipped form (a truncation) or a
     callable potential gives every node pair its own stream keyed by the
     index pair, so calls with truncations of one potential at a fixed
-    seed compare the same paths across levels.  Either way a fixed seed
-    gives bit-identical results for any worker count.
+    seed compare the same paths across levels.  They do not share paths
+    because it does not pay: such a potential is evaluated along each
+    path at every node pair anyway, and the correlated error bar of
+    shared paths is several times the per-node one (about 5x for the
+    harmonic form at 6 x 6 nodes, about 3x for a truncated inverted
+    quadratic at 8 x 8), so the cost of a given error would grow.
+    Either way a fixed seed gives bit-identical results for any worker
+    count.
     """
     return _matrix_elements(phi, psi, V, t, quadrature, mc, rng, None, workers=workers)[0]
 
@@ -790,13 +784,14 @@ def _shared_path_element(x_pts: np.ndarray, y_pts: np.ndarray, coef: np.ndarray,
     """Value, standard error and flagged node count from one set of paths.
 
     `coef` holds the quadrature coefficient of each node pair, x-major.
-    Weights exist only one (node pairs x paths) block at a time; each
-    block yields per-node stats, for the divergence flags, and the
+    Weights exist only one (node pairs x paths) block of at most
+    `_BLOCK_ELEMENTS` numbers at a time, cut from a block of bridge sums;
+    each yields per-node stats, for the divergence flags, and the
     moments of the per-path totals coef . w, for the value and its error.
     The totals are centred on the block's node means, so paths that all
     carry the same weights give exactly zero spread.
     """
-    block = max(1, _WEIGHT_BLOCK_ELEMENTS // coef.size)
+    rows = max(1, _BLOCK_ELEMENTS // coef.size)
     line = _line_action(x_pts, y_pts, V.form, mc.n_steps)
 
     def block_stats(sums):
@@ -808,16 +803,12 @@ def _shared_path_element(x_pts: np.ndarray, y_pts: np.ndarray, coef: np.ndarray,
     def merge(a, b):
         return _merge_stats(a[0], b[0], mc.top_k), _merge_moments(a[1], b[1])
 
-    def make_job(idx: int, count: int):
-        def job():
-            # weight blocks follow their own cap, so they are cut from the chunk's sums
-            sums = _chunk_sums(rng.generator(idx), count, mc.n_steps, V.dim, (1,))[0]
-            return reduce(merge, (block_stats([s[i:i + block] for s in sums])
-                                  for i in range(0, count, block)))
-        return job
+    def chunk(gen: np.random.Generator, count: int):
+        return reduce(merge, (block_stats([s[i:i + rows] for s in sums])
+                              for (sums,) in _bridge_sums(gen, count, mc.n_steps, V.dim, (1,))
+                              for i in range(0, len(sums[2]), rows)))
 
-    jobs = [make_job(i, c) for i, c in enumerate(_task_sizes(mc.n_samples))]
-    nodes, (n, value, m2) = reduce(merge, _run_ordered(jobs, workers))
+    nodes, (n, value, m2) = _over_chunks(rng, (), mc.n_samples, workers, chunk, merge)
     _, _, suspected = _verdict(nodes, mc.top_k, mc.heavy_fraction)
     return value, float(_std_error(n, m2)), int(suspected.sum())
 
@@ -847,7 +838,6 @@ def refine_steps(
     top_k: int = 10,
     heavy_fraction: float = 0.5,
     workers: int = 1,
-    key: tuple[int, ...] = (),
 ) -> RefinementReport:
     """Rerun the Q estimate over a schedule of grid resolutions.
 
@@ -883,7 +873,7 @@ def refine_steps(
             estimate_Q(
                 x, y, V, t, n_samples, n, rng,
                 top_k=top_k, heavy_fraction=heavy_fraction,
-                workers=workers, key=(*key, idx),
+                workers=workers, key=(idx,),
             )
             for idx, n in enumerate(schedule)
         ]
@@ -905,22 +895,18 @@ def refine_steps(
     xp = _point(x, V.dim)
     yp = _point(y, V.dim)
 
-    def make_job(idx: int, count: int):
-        def job():
-            weights = _chunk_weights(rng.generator(*key, idx), count, n_max, xp, yp, t, V,
-                                     [n_max // n for n in schedule])
-            level_stats = _chunk_stats(weights, top_k)
-            # successive differences in place, from the finest level down
-            for level in range(len(schedule) - 1, 0, -1):
-                weights[level] -= weights[level - 1]
-            return level_stats, _chunk_stats(weights[1:], 1)
-        return job
+    def chunk(gen: np.random.Generator, count: int):
+        weights = _chunk_weights(gen, count, n_max, xp, yp, t, V, [n_max // n for n in schedule])
+        level_stats = _chunk_stats(weights, top_k)
+        # successive differences in place, from the finest level down
+        for level in range(len(schedule) - 1, 0, -1):
+            weights[level] -= weights[level - 1]
+        return level_stats, _chunk_stats(weights[1:], 1)
 
     def merge(a, b):
         return _merge_stats(a[0], b[0], top_k), _merge_stats(a[1], b[1], 1)
 
-    jobs = [make_job(i, c) for i, c in enumerate(_task_sizes(n_samples))]
-    level_stats, diff_stats = reduce(merge, _run_ordered(jobs, workers))
+    level_stats, diff_stats = _over_chunks(rng, (), n_samples, workers, chunk, merge)
     estimates = _finalize(level_stats, top_k, heavy_fraction, schedule)
     diff_means = [float(m) for m in diff_stats[1]]
     diff_errs = [float(e) for e in _std_error(diff_stats[0], diff_stats[2])]

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feynman_kac import Wavefunction, free_kernel
+from .feynman_kac import Wavefunction, _check_integer, free_kernel
 from .potentials import PotentialSpec
 
 __all__ = [
@@ -67,6 +67,7 @@ class OracleConfig:
     def __post_init__(self) -> None:
         if self.domain_half_width <= 0.0:
             raise ValueError("domain_half_width must be positive")
+        _check_integer("n_points", self.n_points)
         if self.n_points < 3:
             raise ValueError("n_points must be at least 3")
         if self.tolerance <= 0.0:

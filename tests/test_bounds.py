@@ -103,6 +103,15 @@ def test_verify_bound_sweep_zero_potential():
         assert not pt.rechecked
 
 
+def test_verify_bound_sweep_rejects_an_empty_grid(counting_seed):
+    # zero points would otherwise report all_passed over nothing
+    rng = counting_seed(0)
+    for grid in ([], iter(())):
+        with pytest.raises(ValueError, match="grid"):
+            verify_bound_sweep(harmonic(), 1.0, 1.0, grid, McConfig(n_samples=100, n_steps=4), rng)
+    assert rng.opened == []
+
+
 def test_verify_bound_sweep_stark_chain_ordering():
     grid = [(-2.0, 0.0), (0.0, 0.0), (1.0, 2.0)]
     report = verify_bound_sweep(

@@ -179,6 +179,23 @@ def test_validate_demo_levels_must_divide_k():
     assert errors == ["demo.levels: every level must divide demo.k"]
 
 
+@pytest.mark.parametrize("experiment, key, value, message", [
+    ("truncation-study", "levels", "4", "expected a JSON list of truncation levels"),
+    ("truncation-study", "levels", [1, -2], "levels must be positive numbers"),
+    ("truncation-study", "levels", [2, 2], "levels must be strictly increasing"),
+    ("refine-steps", "schedule", [16], "expected a JSON list with at least two step counts"),
+    ("refine-steps", "schedule", [16, 32.0], "step counts must be positive integers"),
+    ("refine-steps", "schedule", [32, 16], "step counts must be strictly increasing"),
+    ("theorem31-demo", "demo.levels", [], "expected a JSON list of spike levels"),
+    ("theorem31-demo", "demo.levels", [4, True], "spike levels must be positive integers"),
+    ("theorem31-demo", "demo.levels", [16, 4], "spike levels must be strictly increasing"),
+])
+def test_validate_increasing_lists(experiment, key, value, message):
+    raw = {key: value} if experiment == "theorem31-demo" else {"potential": "zero", key: value}
+    _, errors = validate_config(raw, experiment=experiment)
+    assert errors == [f"{key}: {message}"]
+
+
 def test_validate_seed_bounds():
     for bad in (-1, 2**64, True, 1.5):
         _, errors = validate_config(

@@ -20,7 +20,7 @@ from bridgekac.feynman_kac import (
     matrix_element,
     refine_steps,
     _bridge_blocks,
-    _chunk_sums,
+    _bridge_sums,
     _chunk_weights,
     _estimates,
     _line_action,
@@ -77,14 +77,6 @@ def test_estimate_key_separates_streams():
     a = estimate_Q(0.0, 0.0, V, 1.0, 2000, 8, RngSeed(3), key=(0,))
     b = estimate_Q(0.0, 0.0, V, 1.0, 2000, 8, RngSeed(3), key=(1,))
     assert a.mean != b.mean
-
-
-def test_mirror_paths_realizes_even_symmetry():
-    V = harmonic()
-    a = estimate_Q(0.4, -0.9, V, 1.2, 4000, 16, RngSeed(8))
-    b = estimate_Q(-0.4, 0.9, V, 1.2, 4000, 16, RngSeed(8), mirror_paths=True)
-    assert a.mean == b.mean
-    assert a.std_error == b.std_error
 
 
 def test_estimate_validation():
@@ -183,13 +175,18 @@ def test_sums_weights_match_kernel(form, dim):
     gen = np.random.default_rng(3)
     xs = gen.uniform(-2.0, 2.0, (3, dim))
     ys = gen.uniform(-2.0, 2.0, (4, dim))
-    sums = _chunk_sums(RngSeed(31).generator(), 128, n_steps, dim, (1,))[0]
-    got = _sums_weights(sums, xs, ys, t, form, _line_action(xs, ys, form, n_steps))
-    assert got.shape == (3, 4, 128)
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            want = quadratic_weights(alpha, x, y, t, form)
-            np.testing.assert_allclose(got[i, j], want, rtol=1e-13, atol=0.0)
+    line = _line_action(xs, ys, form, n_steps)
+    start = 0
+    for (sums,) in _bridge_sums(RngSeed(31).generator(), 128, n_steps, dim, (1,)):
+        got = _sums_weights(sums, xs, ys, t, form, line)
+        stop = start + got.shape[2]
+        assert got.shape == (3, 4, stop - start)
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                want = quadratic_weights(alpha[start:stop], x, y, t, form)
+                np.testing.assert_allclose(got[i, j], want, rtol=1e-13, atol=0.0)
+        start = stop
+    assert start == 128
 
 
 def _trapezoid_sums(alpha):
@@ -213,15 +210,19 @@ def _trapezoid_sums(alpha):
 ])
 def test_bridge_sums_match_trapezoid_sums_of_the_bridge(dim, n_steps, strides, n_paths):
     alpha = bridge_values(RngSeed(41).generator().standard_normal((n_paths, n_steps, dim)))
-    levels = _chunk_sums(RngSeed(41).generator(), n_paths, n_steps, dim, strides)
-    assert len(levels) == len(strides)
-    for got, s in zip(levels, strides):
-        assert got[0].shape == got[1].shape == (n_paths, dim)
-        assert got[2].shape == (n_paths,)
-        for g, (want, scale) in zip(got, _trapezoid_sums(alpha[:, ::s])):
-            # relative to the sum of absolute terms: A and B cancel; a
-            # one-step level has alpha = 0 at both nodes and must give 0
-            assert np.all(np.abs(g - want) <= 1e-13 * scale)
+    start = 0
+    for levels in _bridge_sums(RngSeed(41).generator(), n_paths, n_steps, dim, strides):
+        assert len(levels) == len(strides)
+        stop = start + len(levels[0][2])
+        for got, s in zip(levels, strides):
+            assert got[0].shape == got[1].shape == (stop - start, dim)
+            assert got[2].shape == (stop - start,)
+            for g, (want, scale) in zip(got, _trapezoid_sums(alpha[start:stop, ::s])):
+                # relative to the sum of absolute terms: A and B cancel; a
+                # one-step level has alpha = 0 at both nodes and must give 0
+                assert np.all(np.abs(g - want) <= 1e-13 * scale)
+        start = stop
+    assert start == n_paths
 
 
 @pytest.mark.parametrize("ends", [False, True])
@@ -238,16 +239,6 @@ def test_bridge_blocks_are_the_rows_of_the_one_shot_bridge(monkeypatch, ends):
     blocks = [b.copy() for b in blocks]
     assert [len(b) for b in blocks] == [13] * 7 + [9]
     assert np.array_equal(np.concatenate(blocks), alpha if ends else alpha[:, 1:])
-
-
-def test_bridge_sums_of_mirrored_paths():
-    # mirror_paths negates the normals: A and B change sign, C is unchanged
-    plain = _chunk_sums(RngSeed(43).generator(), 300, 64, 2, (4, 1))
-    mirrored = _chunk_sums(RngSeed(43).generator(), 300, 64, 2, (4, 1), mirror_paths=True)
-    for (a, b, c), (ma, mb, mc) in zip(plain, mirrored):
-        assert np.array_equal(ma, -a)
-        assert np.array_equal(mb, -b)
-        assert np.array_equal(mc, c)
 
 
 def test_callable_may_return_a_read_only_view():
@@ -272,31 +263,27 @@ def _read_only_harmonic(points):
 
 
 _STREAMED = {
-    "callable": (custom(_callable_harmonic, lambda eps: 0.0), (1,), None, False),
-    "read-only view": (custom(_read_only_harmonic, lambda eps: 0.0), (1,), None, False),
-    "three floors": (truncate(inverted_quadratic(0.5), 2.0), (1,), (-1.0, -4.0, -math.inf),
-                     False),
-    "mirrored": (truncate(stark(0.8), 0.5), (1,), None, True),
-    "dim 2": (custom(_callable_harmonic, lambda eps: 0.0, dim=2), (1,), (-0.3, -math.inf),
-              False),
-    "strides": (custom(_callable_harmonic, lambda eps: 0.0), (1, 2, 4), None, False),
-    "writing callable": (custom(_writing_harmonic, lambda eps: 0.0), (4, 2, 1), None, False),
+    "callable": (custom(_callable_harmonic, lambda eps: 0.0), (1,), None),
+    "read-only view": (custom(_read_only_harmonic, lambda eps: 0.0), (1,), None),
+    "three floors": (truncate(inverted_quadratic(0.5), 2.0), (1,), (-1.0, -4.0, -math.inf)),
+    "clipped stark": (truncate(stark(0.8), 0.5), (1,), None),
+    "dim 2": (custom(_callable_harmonic, lambda eps: 0.0, dim=2), (1,), (-0.3, -math.inf)),
+    "strides": (custom(_callable_harmonic, lambda eps: 0.0), (1, 2, 4), None),
+    "writing callable": (custom(_writing_harmonic, lambda eps: 0.0), (4, 2, 1), None),
     "writing truncation": (truncate(custom(_writing_harmonic, lambda eps: 0.0), 1.0), (4, 2, 1),
-                           None, False),
+                           None),
 }
 
 
 @pytest.mark.parametrize("case", list(_STREAMED))
 def test_streamed_weights_equal_one_shot_weights(monkeypatch, case):
-    V, strides, floors, mirror = _STREAMED[case]
+    V, strides, floors = _STREAMED[case]
     n_paths, n_steps, t = 100, 16, 0.8
     # 13 rows per block: seven full blocks and a ragged one of 9
     monkeypatch.setattr(feynman_kac, "_BLOCK_ELEMENTS", 13 * n_steps * V.dim)
     x, y = np.full(V.dim, 0.4), np.full(V.dim, -0.3)
-    got = _chunk_weights(RngSeed(3).generator(5), n_paths, n_steps, x, y, t, V, strides, floors,
-                         mirror_paths=mirror)
-    xi = RngSeed(3).generator(5).standard_normal((n_paths, n_steps, V.dim))
-    alpha = bridge_values(np.negative(xi) if mirror else xi)
+    got = _chunk_weights(RngSeed(3).generator(5), n_paths, n_steps, x, y, t, V, strides, floors)
+    alpha = bridge_values(RngSeed(3).generator(5).standard_normal((n_paths, n_steps, V.dim)))
     want = [w for s in strides
             for w in _weights(path_positions(alpha[:, ::s], x, y, t), t, V, floors)]
     assert len(got) == len(want) == len(strides) * (1 if floors is None else len(floors))
@@ -390,6 +377,10 @@ def test_mc_config_validation():
         McConfig(n_steps=True)
     with pytest.raises(ValueError):
         QuadratureConfig(nodes_per_axis=0)
+    # True would run with one node; 2.0 would fail later inside numpy
+    for nodes in (True, 2.0):
+        with pytest.raises(ValueError, match="nodes_per_axis"):
+            QuadratureConfig(nodes)
 
 
 def test_bump_support_and_smoothness():
@@ -482,7 +473,6 @@ def test_shared_path_matrix_element_is_worker_and_block_invariant(monkeypatch):
     assert a == b
     # many small bridge and weight blocks per chunk change only the summation order
     monkeypatch.setattr(feynman_kac, "_BLOCK_ELEMENTS", 9 * 1000)
-    monkeypatch.setattr(feynman_kac, "_WEIGHT_BLOCK_ELEMENTS", 9 * 1000)
     c = matrix_element(*args)
     assert c.value == pytest.approx(a.value, rel=1e-12)
     assert c.std_error == pytest.approx(a.std_error, rel=1e-9)
@@ -526,7 +516,7 @@ def test_shared_path_matrix_element_memory_is_blocked():
     finally:
         tracemalloc.stop()
     assert me.quadrature_nodes == 1024
-    assert peak < 40e6
+    assert peak < 8e6
 
 
 def test_matrix_element_counts_divergent_nodes():

@@ -136,6 +136,10 @@ def test_oracle_config_validation():
         OracleConfig(domain_half_width=0.0)
     with pytest.raises(ValueError):
         OracleConfig(n_points=2)
+    # a fractional or boolean count must not reach numpy
+    for n_points in (600.5, 8.0, True):
+        with pytest.raises(ValueError, match="n_points"):
+            OracleConfig(8.0, n_points)
     with pytest.raises(ValueError):
         OracleConfig(tolerance=0.0)
 
