@@ -193,8 +193,9 @@ def _coerce_tail_mass(v):
 
 
 def _increasing_list(listed: str, noun: str, min_len: int, kind: str):
-    """Coercer of a JSON list of at least `min_len` positive numbers, or
-    positive integers if `kind` is "integers", in strictly increasing order."""
+    """Coercer of a JSON list of at least `min_len` positive numbers (NaN is
+    not one; Infinity is), or positive integers if `kind` is "integers",
+    in strictly increasing order."""
     cast = int if kind == "integers" else float
 
     def coerce(v):
@@ -202,7 +203,7 @@ def _increasing_list(listed: str, noun: str, min_len: int, kind: str):
             return None, f"expected a JSON list {listed}"
         out = []
         for item in v:
-            if not _is_number(item) or (cast is int and not isinstance(item, int)) or item <= 0:
+            if not _is_number(item) or (cast is int and not isinstance(item, int)) or not item > 0:
                 return None, f"{noun} must be positive {kind}"
             out.append(cast(item))
         if any(b <= a for a, b in zip(out, out[1:])):

@@ -19,7 +19,10 @@ matrix element over the bounded-below truncations max(V, -n) with
 common random numbers, so the two trajectories can be compared level by
 level, and `q_truncation_study` does the same for the pin-to-pin weight
 at a single (x, y).  Both draw their paths once and evaluate V along
-them once; each level is a clip of those values.
+them once; each level is a clip of those values.  For a quadratic form
+each level is also read against the unclipped form, whose grid value is
+exact (see `feynman_kac._estimates`), so the error bar of a level counts
+only the paths its floor touches.
 """
 
 from __future__ import annotations
@@ -280,6 +283,8 @@ def _checked_levels(levels: Sequence[float]) -> list[float]:
     levels = [float(n) for n in levels]
     if not levels:
         raise ValueError("levels must be nonempty")
+    if any(math.isnan(n) for n in levels):
+        raise ValueError("truncation levels must not be NaN")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
     if levels[0] < 0.0:
@@ -326,10 +331,15 @@ def truncation_study(
     clips one evaluation of V along them at every level (common random
     numbers), so its trajectory is non-decreasing path by path, and each
     level equals a separate `matrix_element` call on `truncate(V, n)`
-    for finite n; an infinite level keeps the same paths.  The grid side
-    is non-decreasing because lower truncation levels only raise the
-    potential; a level whose grid Hamiltonian equals the previous one
-    reuses its value.  Agreement at each level uses
+    for finite n; an infinite level keeps the same paths.  For a
+    quadratic form whose unclipped weights have finite variance, each
+    node's level is max(Q_ref + mean(w_n - w_ref), 0), Q_ref the exact
+    grid value of the unclipped form: a level whose floor touches no
+    path reads the exact grid value with a zero error bar, an infinite
+    level included.  The grid side is non-decreasing because lower
+    truncation levels only raise the potential; a level whose grid
+    Hamiltonian equals the previous one reuses its value.  Agreement at
+    each level uses
     max(3 standard errors, agree_rel_tol relative).
     """
     levels = _checked_levels(levels)
@@ -403,7 +413,10 @@ def q_truncation_study(
     The paths are drawn once, in the keyed chunks of `estimate_Q`, and V
     is evaluated along them once; each level clips those values, so it
     equals `estimate_Q` on `truncate(V, n)` for finite n and the
-    trajectory is non-decreasing path by path.  Stabilization is judged
+    trajectory is non-decreasing path by path.  A quadratic form whose
+    unclipped weights have finite variance is read against them, as in
+    `truncation_study`: an infinite level then gives the exact grid
+    value `gaussian_q` with a zero error bar.  Stabilization is judged
     only between estimates whose heavy-tail flag is clear; a trajectory
     whose tail mass concentrates never stabilizes, it gets a divergence
     onset level instead.

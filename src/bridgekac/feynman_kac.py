@@ -36,6 +36,11 @@ same pass.  Other potentials are evaluated along each block of bridges.
 Truncations max(V, -n) of one potential share the other way: V is
 evaluated along a path once and each level clips the values, so a
 truncation study draws and evaluates each path once for all levels.
+A clipped form also carries its own control variate: the unclipped
+form's weight w_ref of the same path, whose mean on the time grid,
+`stochastic.gaussian_q`, is a Gaussian integral known exactly.  Each
+level then averages w - w_ref, which is zero on every path its floor
+does not touch, provided w_ref has finite variance (see `_estimates`).
 
 Estimates carry a heavy-tail heuristic: when the top_k heaviest samples
 hold more than `heavy_fraction` of the total weight, the estimate is
@@ -57,7 +62,8 @@ import numpy as np
 from . import backend as _backend
 from .potentials import PotentialSpec, QuadraticForm
 # bridge_values is not called here: the benchmark's traced run wraps this name
-from .stochastic import BridgePath, RngSeed, _bridge_in_place, bridge_values  # noqa: F401
+from .stochastic import (BridgePath, RngSeed, _bridge_in_place, bridge_values,  # noqa: F401
+                         gaussian_q, is_divergent)
 
 __all__ = [
     "MatrixElementEstimate",
@@ -383,20 +389,19 @@ def _weights(pos: np.ndarray, t: float, V: PotentialSpec, floors=None) -> list[n
     from `backend.path_positions`.  `floors=None` is the one-level case
     of V itself.  V is evaluated along the paths once (a form unclipped,
     a callable through `evaluate`) and each floor clips those values, so
-    the weights of every floor equal those of `truncate(V, -floor)`
-    evaluated alone, bit for bit.  Unclipped forms estimated alone never
-    come here: they go through `_bridge_sums`.
+    the weights of every floor equal those of V clipped at that floor
+    evaluated alone, bit for bit.  Floors given for a form replace its
+    own floor rather than add to it (see `_form_floors`).  Unclipped
+    forms estimated alone never come here: they go through `_bridge_sums`.
     """
-    if floors is None:
-        floors = (-math.inf,)
     form = V.form
     if form is None:
         v = np.asarray(V.evaluate(pos), dtype=np.float64)
         if not (v.flags.owndata and v.flags.writeable):
             v = v.copy()  # the clip works in place; a view may alias the caller's data
-        return _backend.floored_weights(v, floors, t)
+        return _backend.floored_weights(v, (-math.inf,) if floors is None else floors, t)
     return _backend.floored_weights(_backend.form_values(pos, form),
-                                    [max(form.floor, f) for f in floors], t)
+                                    (form.floor,) if floors is None else floors, t)
 
 
 def _chunk_weights(gen: np.random.Generator, n_paths: int, n_steps: int, x: np.ndarray,
@@ -497,10 +502,19 @@ def _verdict(stats, top_k: int, heavy_fraction: float):
     return std_error, fraction, suspected
 
 
-def _finalize(stats, top_k: int, heavy_fraction: float, steps) -> list[QEstimate]:
+def _finalize(stats, top_k: int, heavy_fraction: float, steps, control=None) -> list[QEstimate]:
     """One estimate per row of stats merged over (rows, paths) weights;
-    `steps` gives each row's step count."""
+    `steps` gives each row's step count.  With a `control` (Q_ref, stats
+    of the rows' differences w - w_ref), the mean of each row is
+    max(Q_ref + mean difference, 0) and its standard error that of the
+    differences; the flag and the heavy-mass fraction stay those of the
+    weights themselves."""
     std_error, fraction, suspected = _verdict(stats, top_k, heavy_fraction)
+    means = stats[1]
+    if control is not None:
+        q_ref, diffs = control
+        means = np.maximum(q_ref + diffs[1], 0.0)
+        std_error = _std_error(diffs[0], diffs[2])
     return [
         QEstimate(
             mean=float(mean),
@@ -510,7 +524,7 @@ def _finalize(stats, top_k: int, heavy_fraction: float, steps) -> list[QEstimate
             divergence_suspected=bool(flag),
             heavy_mass_fraction=float(frac),
         )
-        for mean, err, flag, frac, n in zip(stats[1], std_error, suspected, fraction, steps)
+        for mean, err, flag, frac, n in zip(means, std_error, suspected, fraction, steps)
     ]
 
 
@@ -557,7 +571,11 @@ def estimate_Q(
 
     Sample streams are keyed by (seed, stream_id, *key, chunk index), so
     results are bit-reproducible for a fixed seed independently of the
-    worker count.
+    worker count.  A clipped quadratic form (a truncation of `zero`,
+    `harmonic`, `stark` or `inverted_quadratic`) is estimated as
+    max(Q_ref + mean(w - w_ref), 0), with w_ref the unclipped form's
+    weight and Q_ref its exact grid value, whenever w_ref has finite
+    variance; see `_estimates`.
     """
     return _estimates(x, y, V, t, n_samples, n_steps, rng, None, top_k=top_k,
                       heavy_fraction=heavy_fraction, workers=workers, key=key)[0]
@@ -569,20 +587,62 @@ def _estimates(x, y, V: PotentialSpec, t: float, n_samples: int, n_steps: int,
     """Q estimates of max(V, floor) for each floor, from one draw of the paths.
 
     The keyed chunks are those of `estimate_Q`; `floors=None` estimates
-    V itself (see `_weights`).
+    V itself (see `_weights`).  A clipped quadratic form is estimated
+    with the unclipped form as control variate wherever that form's
+    weights have finite variance (see `_form_floors`): one more floor,
+    -inf, gives each path its reference weight w_ref, whose mean Q_ref
+    on the grid is known exactly, and each level reports
+    max(Q_ref + mean(w - w_ref), 0) with the standard error of the
+    differences.  The coefficient is fixed at 1, so each level depends
+    on its own floor alone and stays non-decreasing path by path; a path
+    that no floor touches adds exactly zero.  The divergence flag and
+    the heavy-mass fraction come from the plain weights.
     """
     _check_time(t)
     _check_sampling(n_samples, n_steps, top_k, heavy_fraction, workers)
     xp = _point(x, V.dim)
     yp = _point(y, V.dim)
+    floors, q_ref = _form_floors(xp, yp, V, t, n_steps, floors)
 
     def chunk(gen: np.random.Generator, count: int):
-        return _chunk_stats(_chunk_weights(gen, count, n_steps, xp, yp, t, V, floors=floors),
-                            top_k)
+        weights = _chunk_weights(gen, count, n_steps, xp, yp, t, V, floors=floors)
+        if q_ref is None:
+            return _chunk_stats(weights, top_k), None
+        plain = _chunk_stats(weights[:-1], top_k)
+        weights[:-1] -= weights[-1]
+        return plain, _chunk_stats(weights[:-1], 1)
 
-    stats = _over_chunks(rng, key, n_samples, workers, chunk,
-                         lambda a, b: _merge_stats(a, b, top_k))
-    return _finalize(stats, top_k, heavy_fraction, [n_steps] * len(stats[1]))
+    def merge(a, b):
+        return (_merge_stats(a[0], b[0], top_k),
+                None if q_ref is None else _merge_stats(a[1], b[1], 1))
+
+    plain, diffs = _over_chunks(rng, key, n_samples, workers, chunk, merge)
+    return _finalize(plain, top_k, heavy_fraction, [n_steps] * len(plain[1]),
+                     None if q_ref is None else (q_ref, diffs))
+
+
+def _form_floors(x: np.ndarray, y: np.ndarray, V: PotentialSpec, t: float, n_steps: int,
+                 floors):
+    """The floors `_chunk_weights` clips a clipped form at, and the control's exact mean.
+
+    For anything but a quadratic form clipped at some floor, `floors` and
+    None come back unchanged.  A clipped form's floors become
+    max(form.floor, floor) for each floor (the form's own floor alone for
+    None), and if the doubled form (2q, 2g, 2c), whose grid Q is
+    E(w_ref^2), has a finite exact value, -inf is appended and Q_ref is
+    the unclipped form's exact grid value.  Otherwise w_ref has infinite
+    variance, no control is used and Q_ref is None.
+    """
+    form = V.form
+    if form is None or (floors is None and form.floor == -math.inf):
+        return floors, None
+    floors = [max(form.floor, f) for f in ((-math.inf,) if floors is None else floors)]
+    doubled = QuadraticForm(2.0 * form.quad, tuple(2.0 * g for g in form.lin), 2.0 * form.const)
+    second = gaussian_q(x, y, doubled, t, n_steps)
+    if is_divergent(second) or not math.isfinite(second):
+        return floors, None
+    unclipped = QuadraticForm(form.quad, form.lin, form.const)
+    return floors + [-math.inf], gaussian_q(x, y, unclipped, t, n_steps)
 
 
 @lru_cache(maxsize=32)
@@ -701,7 +761,9 @@ def matrix_element(
     nodes that sharing creates.  A clipped form (a truncation) or a
     callable potential gives every node pair its own stream keyed by the
     index pair, so calls with truncations of one potential at a fixed
-    seed compare the same paths across levels.  They do not share paths
+    seed compare the same paths across levels; a clipped form's Q at each
+    node pair is read against the unclipped form's exact grid value, as
+    in `estimate_Q`.  They do not share paths
     because it does not pay: such a potential is evaluated along each
     path at every node pair anyway, and the correlated error bar of
     shared paths is several times the per-node one (about 5x for the

@@ -1,11 +1,15 @@
 """Independent ground truth for the Monte Carlo estimates.
 
-Two kinds of oracle live here.  Closed-form kernels: the linear-potential
-semigroup kernel (`stark_kernel`, with its pin-to-pin factor `stark_q`)
-and the harmonic-oscillator kernel (`mehler_kernel`).  And a
-finite-difference spectral solver: a dense Dirichlet Hamiltonian on a
-truncated interval whose eigendecomposition realizes e^{-tH} through the
-functional calculus.
+Three kinds of oracle live here.  Closed-form kernels: the
+linear-potential semigroup kernel (`stark_kernel`, with its pin-to-pin
+factor `stark_q`), the harmonic-oscillator kernel (`mehler_kernel`) and
+its continuation to the inverted oscillator (`inverted_mehler_kernel`).
+The exact value of Q on the estimators' own time grid for an unclipped
+quadratic form (`gaussian_q`, `log_gaussian_q`, from `stochastic`), which
+separates grid bias from Monte Carlo error.  And a finite-difference
+spectral solver: a dense Dirichlet Hamiltonian on a truncated interval
+whose eigendecomposition realizes e^{-tH} through the functional
+calculus.
 
 The closed forms are not taken on faith.  The linear-potential exponent
 coefficients follow from Gaussian integration of the bridge action (the
@@ -41,6 +45,8 @@ import numpy as np
 
 from .feynman_kac import Wavefunction, _check_integer, free_kernel
 from .potentials import PotentialSpec
+# the exact grid value lives beside the bridge law, where the estimators can import it
+from .stochastic import DIVERGENT, gaussian_q, log_gaussian_q
 
 __all__ = [
     "GridOperator",
@@ -48,6 +54,9 @@ __all__ = [
     "SpectralDecomposition",
     "build_grid_operator",
     "decompose",
+    "gaussian_q",
+    "inverted_mehler_kernel",
+    "log_gaussian_q",
     "mehler_kernel",
     "semigroup_kernel",
     "semigroup_matrix_element",
@@ -461,3 +470,27 @@ def mehler_kernel(x: float, y: float, omega: float, t: float) -> float:
     c = math.cosh(omega * t)
     pref = math.sqrt(omega / (2.0 * math.pi * s))
     return float(pref * math.exp(-omega * ((x * x + y * y) * c - 2.0 * x * y) / (2.0 * s)))
+
+
+def inverted_mehler_kernel(x: float, y: float, c: float, t: float):
+    """Semigroup kernel for -(1/2) d^2/dx^2 - c x^2, or DIVERGENT.
+
+    Mehler's kernel at omega = i kappa, kappa = sqrt(2 c):
+    (kappa / (2 pi sin(kappa t)))^{1/2}
+      * exp(-kappa [(x^2 + y^2) cos(kappa t) - 2 x y] / (2 sin(kappa t))).
+    It is finite only for kappa t < pi; at and beyond that time the
+    expectation is infinite and the result is DIVERGENT.  This is where
+    -c x^2, which meets V >= -eps x^2 - C_eps only for eps >= c, stops
+    generating a semigroup value.
+    """
+    if not (math.isfinite(t) and t > 0.0):
+        raise ValueError("t must be positive and finite")
+    if not (math.isfinite(c) and c > 0.0):
+        raise ValueError("c must be positive and finite")
+    kappa = math.sqrt(2.0 * c)
+    if kappa * t >= math.pi:
+        return DIVERGENT
+    s = math.sin(kappa * t)
+    co = math.cos(kappa * t)
+    pref = math.sqrt(kappa / (2.0 * math.pi * s))
+    return float(pref * math.exp(-kappa * ((x * x + y * y) * co - 2.0 * x * y) / (2.0 * s)))

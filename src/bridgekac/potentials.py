@@ -180,8 +180,8 @@ def custom(
 
 def truncate(V: PotentialSpec, n: float) -> TruncatedPotential:
     """Pointwise max(V, -n): the bounded-below approximant at level n."""
-    if n < 0.0:
-        raise ValueError("truncation level must be nonnegative")
+    if not n >= 0.0:
+        raise ValueError("truncation level must be nonnegative, not NaN")
     level = float(n)
     base_eval = V.evaluate
 

@@ -7,11 +7,21 @@ b(k/n) - (k/n) b(1).  The grid marginals then carry the exact bridge
 law, with covariance min(s, u) (1 - max(s, u)) per coordinate and
 independent coordinates; only time integrals along a path are subject
 to discretization error, never the path law itself.
+
+Because the grid law is exactly Gaussian, the expected weight of an
+unclipped quadratic potential on the grid is a Gaussian integral:
+`gaussian_q` gives it in closed form, grid bias included, and the
+estimators use it as the exact mean of a control variate.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
+import operator
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,7 +32,9 @@ __all__ = [
     "bridge_covariance",
     "bridge_values",
     "gaussian_exp_moment",
+    "gaussian_q",
     "is_divergent",
+    "log_gaussian_q",
     "sample_bridge",
     "sample_bridge_batch",
 ]
@@ -192,3 +204,112 @@ def gaussian_exp_moment(eps: float, variance: float):
     if eps * variance >= 0.5:
         return DIVERGENT
     return float((1.0 - 2.0 * eps * variance) ** -0.5)
+
+
+def log_gaussian_q(x, y, form, t: float, n_steps: int):
+    """log Q(x, y) on the trapezoid grid of `n_steps` steps, exactly, for an unclipped form.
+
+    For V(z) = q |z|^2 + g . z + c the trapezoid action along
+    (1-u) x + u y + sqrt(t) alpha(u) is quadratic in the bridge's
+    interior values, whose precision matrix is K = n tridiag(-1, 2, -1)
+    (n = n_steps).  So Q is a Gaussian integral:
+
+        Q = exp(-S_line) det(K)^{1/2} det(P)^{-1/2} exp(b^T P^{-1} b / 2)
+
+    per coordinate, with P = K + diag(2 q t^2 / n),
+    b_k = -(t^{3/2} / n) (2 q ((1-u_k) x + u_k y) + g) and S_line the
+    trapezoid action of the straight line.  The coordinates share P, so
+    one LDL^T sweep per (q, t, n_steps) serves every endpoint pair and
+    every `dim`.  Returns DIVERGENT when P is not positive definite: the
+    expectation is infinite on this grid.  The result is a logarithm, so
+    nothing underflows however small Q is.  `form` needs `quad`, `lin`,
+    `const` and `floor` as a `potentials.QuadraticForm` has them, and its
+    floor must be -inf.
+    """
+    if form.floor != -math.inf:
+        raise ValueError("the exact grid value needs an unclipped form (floor -inf)")
+    if not 0.0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
+    if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral) or n_steps < 1:
+        raise ValueError("n_steps must be a positive integer")
+    dim = len(form.lin)
+    xv, yv = (_coordinates(p, dim) for p in (x, y))
+    if not all(map(math.isfinite, xv + yv)):
+        raise ValueError("endpoints must be finite")
+    q = float(form.quad)
+    grid = _grid_precision(q, float(t), int(n_steps))
+    if grid is None:
+        return DIVERGENT
+    log_det_ratio, m, (w0, w1, w2) = grid
+    g = [float(c) for c in form.lin]
+    # plain Python on the few coordinates: numpy's per-call cost would dominate
+    x2, xy, y2 = _dot(xv, xv), _dot(xv, yv), _dot(yv, yv)
+    gx, gy, gg = _dot(g, xv), _dot(g, yv), _dot(g, g)
+    # the trapezoid weights of 1 - u and of u both sum to 1/2
+    s_line = t * (q * (w0 * x2 + 2.0 * w1 * xy + w2 * y2) + 0.5 * (gx + gy) + form.const)
+    # sum over coordinates of v^T m v, v = (2 q x_i, 2 q y_i, g_i): b = -(t^1.5 / n) E v
+    quad_term = (4.0 * q * q * (m[0][0] * x2 + 2.0 * m[0][1] * xy + m[1][1] * y2)
+                 + 4.0 * q * (m[0][2] * gx + m[1][2] * gy) + m[2][2] * gg) * t**3 / n_steps**2
+    return -s_line + 0.5 * dim * log_det_ratio + 0.5 * quad_term
+
+
+def _coordinates(point, dim: int) -> list[float]:
+    arr = np.asarray(point, dtype=np.float64)
+    # broadcast_to costs several microseconds; skip it for a point already of shape (dim,)
+    return (arr if arr.shape == (dim,) else np.broadcast_to(arr, (dim,))).tolist()
+
+
+def _dot(a: list, b: list) -> float:
+    return sum(map(operator.mul, a, b))
+
+
+def gaussian_q(x, y, form, t: float, n_steps: int):
+    """exp(`log_gaussian_q`): the exact grid Q, DIVERGENT, or inf on overflow."""
+    log_q = log_gaussian_q(x, y, form, t, n_steps)
+    if is_divergent(log_q):
+        return log_q
+    return math.inf if log_q > _LOG_MAX else math.exp(log_q)
+
+
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+@lru_cache(maxsize=64)
+def _grid_precision(q: float, t: float, n_steps: int):
+    """(log det K - log det P, E^T P^{-1} E, line weights) for the bridge's interior nodes,
+    or None.
+
+    K = n tridiag(-1, 2, -1) and P = K + diag(2 q t^2 / n) are of size
+    n - 1, n = n_steps, and the columns of E are 1 - u_k, u_k and 1 at
+    the interior nodes u_k = k / n.  One LDL^T sweep gives P's pivots
+    d_k = a - n^2 / d_{k-1}, a = 2 n + 2 q t^2 / n, beside K's (a = 2 n);
+    P is positive definite iff every pivot is positive (None otherwise).
+    The determinants enter as a sum of log pivot ratios, which is exact
+    zero for q = 0.  With L y = e solved along the same sweep,
+    E^T P^{-1} E = Y^T D^{-1} Y.  The line weights are the trapezoid sums
+    of (1 - u)^2, u (1 - u) and u^2 over all the nodes.
+    """
+    n = n_steps
+    a = 2.0 * n + 2.0 * q * t * t / n
+    pivots, ratios, rows = [], [], []
+    r_p = r_k = 0.0  # n / the previous pivot of P and of K
+    y0 = y1 = y2 = 0.0
+    for k in range(1, n):
+        d_p = a - n * r_p
+        d_k = 2.0 * n - n * r_k
+        if not d_p > 0.0:
+            return None
+        y0, y1, y2 = 1.0 - k / n + r_p * y0, k / n + r_p * y1, 1.0 + r_p * y2
+        pivots.append(d_p)
+        ratios.append(d_k / d_p)
+        rows.append((y0, y1, y2))
+        r_p, r_k = n / d_p, n / d_k
+    u = np.arange(n + 1, dtype=np.float64) / n
+    tau = np.full(n + 1, 1.0 / n)
+    tau[[0, -1]] *= 0.5
+    line = (float(tau @ np.square(1.0 - u)), float(tau @ (u * (1.0 - u))), float(tau @ np.square(u)))
+    if n == 1:
+        return 0.0, ((0.0,) * 3,) * 3, line
+    Y = np.array(rows)
+    gram = (Y / np.array(pivots)[:, None]).T @ Y
+    return float(np.log(ratios).sum()), tuple(map(tuple, gram.tolist())), line

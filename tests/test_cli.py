@@ -326,3 +326,12 @@ def test_main_oracle_crosscheck(tmp_path, capsys):
     checks = [line.split(",")[0] for line in lines[1:]]
     assert checks == ["kernel", "matrix-element", "ground-energy"]
     assert all(line.split(",")[-1] == "true" for line in lines[1:])
+
+
+def test_main_truncation_study_rejects_nan_levels(tmp_path, capsys):
+    cfg = _write(tmp_path, "ts.cfg", "potential = inverted-quadratic\npotential.c = 0.5\n"
+                                     "levels = [1, NaN]\n")
+    out = tmp_path / "ts.csv"
+    assert main(["truncation-study", "--config", cfg, "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: levels: levels must be positive")
+    assert not out.exists()

@@ -310,3 +310,48 @@ def test_truncation_studies_draw_each_stream_once(counting_seed):
     pointwise = counting_seed(3)
     q_truncation_study(0.0, 0.0, inverted_quadratic(0.5), 1.0, levels, mc, pointwise)
     assert pointwise.opened == [(0,), (1,)]
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_truncation_study_right_values_monotone_at_the_benchmark_config(seed):
+    # the truncation-cli benchmark's study; it checks monotone right values with no slack
+    report = truncation_study(
+        inverted_quadratic(0.5), bump(), bump(), 1.0, [1.0, 2.0, 4.0, 8.0, 16.0, 32.0],
+        McConfig(n_samples=1000, n_steps=32), RngSeed(seed), quadrature=QuadratureConfig(8),
+        oracle=OracleConfig(n_points=600),
+    )
+    assert report.right_monotone
+    assert report.all_agree
+    # no path reaches -c x^2 = -8 from the bumps' supports: the control is exact there
+    assert report.right_std_errors[3:] == (0.0, 0.0, 0.0)
+    assert 0.0 < report.right_std_errors[0] < 3e-5
+
+
+def test_q_truncation_study_infinite_level_reads_the_exact_grid_value():
+    V = inverted_quadratic(0.5)
+    report = q_truncation_study(0.3, -0.2, V, 1.0, [1.0, math.inf], McConfig(500, 16),
+                                RngSeed(3))
+    last = report.estimates[-1]
+    assert last.mean == oracles.gaussian_q(0.3, -0.2, V.form, 1.0, 16)
+    assert last.std_error == 0.0
+    assert report.estimates[0].mean <= last.mean
+
+
+def test_q_truncation_study_clamps_controlled_estimates_at_zero():
+    # ten paths, where w_ref's tail draws the mean of w - w_ref below -Q_ref
+    report = q_truncation_study(0.0, 0.0, inverted_quadratic(1.0), 1.55, [0.0, 0.5],
+                                McConfig(10, 32), RngSeed(179))
+    assert [e.mean for e in report.estimates] == [0.0, 0.0]
+    assert all(e.std_error > 0.0 for e in report.estimates)
+    assert report.monotone
+
+
+@pytest.mark.parametrize("levels", [[1.0, math.nan], [math.nan], [math.nan, 1.0]])
+def test_truncation_studies_reject_nan_levels(levels):
+    phi = bump()
+    mc = McConfig(n_samples=10, n_steps=2)
+    with pytest.raises(ValueError, match="NaN"):
+        q_truncation_study(0.0, 0.0, inverted_quadratic(1.0), 1.0, levels, mc, RngSeed(0))
+    with pytest.raises(ValueError, match="NaN"):
+        truncation_study(inverted_quadratic(1.0), phi, phi, 1.0, levels, mc, RngSeed(0),
+                         quadrature=QuadratureConfig(2))

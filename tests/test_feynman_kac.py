@@ -34,7 +34,7 @@ from bridgekac.oracles import mehler_kernel, stark_q
 from bridgekac.potentials import (
     QuadraticForm, custom, harmonic, inverted_quadratic, stark, truncate, zero,
 )
-from bridgekac.stochastic import RngSeed, bridge_values, sample_bridge
+from bridgekac.stochastic import DIVERGENT, RngSeed, bridge_values, gaussian_q, sample_bridge
 
 
 def test_free_case_is_exact():
@@ -611,3 +611,75 @@ def test_restricted_coarse_level_matches_direct_estimate_law():
     coarse = rep.estimates[0]
     err = math.hypot(coarse.std_error, direct.std_error)
     assert abs(coarse.mean - direct.mean) < 4.0 * err
+
+
+def _inverted_callable(c):
+    return custom(lambda p: -c * np.square(p).sum(axis=-1), lambda eps: math.inf)
+
+
+def test_clipped_form_reads_the_exact_grid_value_where_no_floor_binds():
+    # harmonic >= 0 > -1: the floor never binds, so w = w_ref on every path
+    exact = gaussian_q(0.3, 0.2, harmonic().form, 1.0, 16)
+    est = estimate_Q(0.3, 0.2, truncate(harmonic(), 1.0), 1.0, 500, 16, RngSeed(2))
+    assert est.mean == exact
+    assert est.std_error == 0.0
+    # the flag and the heavy-mass fraction still come from the plain weights
+    plain = estimate_Q(0.3, 0.2, truncate(custom(_callable_harmonic, lambda eps: 0.0), 1.0),
+                       1.0, 500, 16, RngSeed(2))
+    assert est.heavy_mass_fraction == plain.heavy_mass_fraction
+    assert est.divergence_suspected == plain.divergence_suspected
+    # far out, the plain mean underflows in its squares; the control does not
+    far = estimate_Q(30.0, 30.0, truncate(harmonic(), 1.0), 1.0, 2000, 64, RngSeed(1))
+    assert far.mean == pytest.approx(2.1655e-181, rel=1e-4)
+
+
+def test_clipped_form_control_variate_agrees_with_plain_weights():
+    V, t, n_steps = inverted_quadratic(0.5), 1.0, 32
+    for x, y, level in ((0.0, 0.0, 1.0), (0.7, -0.7, 2.0)):
+        est = estimate_Q(x, y, truncate(V, level), t, 4000, n_steps, RngSeed(4))
+        plain = estimate_Q(x, y, truncate(_inverted_callable(0.5), level), t, 40000, n_steps,
+                           RngSeed(6))
+        assert abs(est.mean - plain.mean) <= 5.0 * math.hypot(est.std_error, plain.std_error)
+        # same paths, same floor: the differences spread far less than the weights
+        same_paths = estimate_Q(x, y, truncate(_inverted_callable(0.5), level), t, 4000,
+                                n_steps, RngSeed(4))
+        assert est.std_error < same_paths.std_error / 5.0
+        assert est.heavy_mass_fraction == same_paths.heavy_mass_fraction
+
+
+@pytest.mark.parametrize("t", [2.0, 3.0])
+def test_clipped_form_keeps_plain_weights_where_the_control_has_infinite_variance(t):
+    # the doubled form of -x^2 diverges for 2 t > pi (on the grid, a little earlier)
+    doubled = QuadraticForm(-2.0, (0.0,), 0.0)
+    assert gaussian_q(0.2, -0.1, doubled, t, 32) is DIVERGENT
+    est = estimate_Q(0.2, -0.1, truncate(inverted_quadratic(1.0), 4.0), t, 3000, 32,
+                     RngSeed(4))
+    plain = estimate_Q(0.2, -0.1, truncate(_inverted_callable(1.0), 4.0), t, 3000, 32,
+                       RngSeed(4))
+    assert est == plain
+
+
+@pytest.mark.parametrize("n_steps, threshold", [(16, 2.21787), (128, 2.22139)])
+def test_control_variate_switches_at_the_doubled_forms_grid_threshold(n_steps, threshold):
+    # the doubled form of -x^2 / 2 is -x^2, whose grid Q diverges at `threshold`;
+    # at level 1e6 no floor binds, so a controlled estimate is exact
+    V = truncate(inverted_quadratic(0.5), 1e6)
+    below = estimate_Q(0.0, 0.0, V, threshold - 1e-4, 200, n_steps, RngSeed(1))
+    assert below.std_error == 0.0
+    assert below.mean == gaussian_q(0.0, 0.0, inverted_quadratic(0.5).form, threshold - 1e-4,
+                                    n_steps)
+    above = estimate_Q(0.0, 0.0, V, threshold + 1e-4, 200, n_steps, RngSeed(1))
+    assert above.std_error > 0.0
+
+
+def test_clipped_matrix_element_reads_the_exact_grid_value_where_no_floor_binds():
+    phi = bump(width=1.0)
+    quadrature, mc = QuadratureConfig(3), McConfig(n_samples=50, n_steps=8)
+    me = matrix_element(phi, phi, truncate(harmonic(), 2.0), 0.7, quadrature, mc, RngSeed(1))
+    assert me.std_error == 0.0
+    pts, wts = feynman_kac._tensor_gauss_legendre(phi.support_box, 3)
+    f = wts * phi.evaluate(pts)
+    exact = sum(f[i] * f[j] * free_kernel(pts[i], pts[j], 0.7)
+                * gaussian_q(pts[i], pts[j], harmonic().form, 0.7, 8)
+                for i in range(3) for j in range(3))
+    assert me.value == pytest.approx(exact, rel=1e-12)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bridgekac import oracles
-from bridgekac.feynman_kac import bump, free_kernel, _tensor_gauss_legendre
+from bridgekac.feynman_kac import bump, estimate_Q, free_kernel, _tensor_gauss_legendre
 from bridgekac.oracles import (
     OracleConfig,
     build_grid_operator,
@@ -15,7 +15,10 @@ from bridgekac.oracles import (
     stark_kernel,
     stark_q,
 )
-from bridgekac.potentials import custom, harmonic, inverted_quadratic, stark, truncate, zero
+from bridgekac.potentials import (
+    QuadraticForm, custom, harmonic, inverted_quadratic, stark, truncate, zero,
+)
+from bridgekac.stochastic import RngSeed
 
 
 @pytest.fixture(scope="module")
@@ -302,3 +305,95 @@ def test_a_partial_decomposition_must_cover_the_tail():
     # at t = 0 no finite cut bounds the tail
     with pytest.raises(ValueError, match="tail"):
         semigroup_matrix_element(op, phi, phi, 0.0, enough)
+
+
+@pytest.mark.parametrize("form, x, y, t, n_steps, expected, rel", [
+    (harmonic().form, 5.0, 5.0, 1.0, 8, 8.733126e-6, 1e-6),
+    (harmonic().form, 5.0, 5.0, 1.0, 1024, mehler_kernel(5.0, 5.0, 1.0, 1.0)
+     / free_kernel(5.0, 5.0, 1.0), 1e-6),
+    (stark(1.0).form, 3.0, -1.0, 1.0, 256, stark_q(3.0, -1.0, 1.0, 1.0), 1e-6),
+    (inverted_quadratic(1.0).form, 0.0, 0.0, 2.0, 128, 3.030204, 1e-6),
+], ids=["harmonic-8", "harmonic-mehler", "stark", "inverted"])
+def test_gaussian_q_matches_closed_forms(form, x, y, t, n_steps, expected, rel):
+    assert oracles.gaussian_q(x, y, form, t, n_steps) == pytest.approx(expected, rel=rel)
+
+
+def test_log_gaussian_q_does_not_underflow():
+    # Q = 2.1655e-181 itself is representable, but plain weights of this
+    # size square to below the smallest double; the logarithm carries it
+    log_q = oracles.log_gaussian_q(30.0, 30.0, harmonic().form, 1.0, 64)
+    assert log_q == pytest.approx(-415.995, abs=5e-4)
+    assert oracles.log_gaussian_q(300.0, 300.0, harmonic().form, 1.0, 64) < -40000.0
+    assert oracles.gaussian_q(300.0, 300.0, harmonic().form, 1.0, 64) == 0.0
+
+
+def test_gaussian_q_is_a_product_over_coordinates():
+    form = QuadraticForm(0.4, (0.3, -0.7), 0.1)
+    x, y, t, n_steps = (0.5, -0.2), (-0.1, 0.9), 0.9, 8
+    value = oracles.gaussian_q(x, y, form, t, n_steps)
+    factors = [oracles.gaussian_q(a, b, QuadraticForm(0.4, (g,), 0.0), t, n_steps)
+               for a, b, g in zip(x, y, form.lin)]
+    assert value == pytest.approx(math.exp(-t * form.const) * factors[0] * factors[1], rel=1e-12)
+    # swapping the coordinates' linear terms changes the value
+    swapped = QuadraticForm(0.4, (-0.7, 0.3), 0.1)
+    assert abs(oracles.gaussian_q(x, y, swapped, t, n_steps) - value) > 0.01 * value
+    # the Monte Carlo mean on the same grid is unbiased for it
+    V = custom(lambda p: 0.4 * np.square(p).sum(axis=-1) + p @ np.array([0.3, -0.7]) + 0.1,
+               lambda eps: math.inf, dim=2)
+    est = estimate_Q(x, y, V, t, 40000, n_steps, RngSeed(5))
+    assert abs(est.mean - value) <= 5.0 * est.std_error
+
+
+def test_gaussian_q_one_step_is_the_line_action():
+    form = harmonic().form
+    assert oracles.gaussian_q(0.3, 0.2, form, 1.0, 1) == pytest.approx(
+        math.exp(-0.5 * (0.5 * 0.09 + 0.5 * 0.04)), rel=1e-15)
+    assert oracles.gaussian_q(0.3, 0.2, zero().form, 1.0, 7) == 1.0
+
+
+def test_gaussian_q_validation():
+    with pytest.raises(ValueError, match="unclipped"):
+        oracles.gaussian_q(0.0, 0.0, truncate(harmonic(), 1.0).form, 1.0, 8)
+    for t in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            oracles.gaussian_q(0.0, 0.0, harmonic().form, t, 8)
+    for n_steps in (0, 2.0, True):
+        with pytest.raises(ValueError):
+            oracles.gaussian_q(0.0, 0.0, harmonic().form, 1.0, n_steps)
+    with pytest.raises(ValueError):
+        oracles.gaussian_q(math.nan, 0.0, harmonic().form, 1.0, 8)
+
+
+@pytest.mark.parametrize("n_steps, threshold", [(16, 2.21787), (128, 2.22139)])
+def test_gaussian_q_diverges_at_the_grid_threshold(n_steps, threshold):
+    # P is positive definite iff t < sqrt(2) n sin(pi / (2 n)) / sqrt(c)
+    form = inverted_quadratic(1.0).form
+    exact = math.sqrt(2.0) * n_steps * math.sin(math.pi / (2 * n_steps))
+    assert exact == pytest.approx(threshold, abs=5e-6)
+    assert math.isfinite(oracles.gaussian_q(0.0, 0.0, form, exact - 1e-6, n_steps))
+    assert oracles.gaussian_q(0.0, 0.0, form, exact + 1e-6, n_steps) is oracles.DIVERGENT
+    assert oracles.log_gaussian_q(0.0, 0.0, form, exact + 1e-6, n_steps) is oracles.DIVERGENT
+
+
+@pytest.mark.parametrize("c, t, x, y", [(1.0, 2.0, 0.0, 0.0), (0.5, 1.0, 0.7, -0.7),
+                                        (1.0, 1.0, 1.0, 1.0)])
+def test_gaussian_q_approaches_the_inverted_mehler_kernel(c, t, x, y):
+    exact = oracles.inverted_mehler_kernel(x, y, c, t) / free_kernel(x, y, t)
+    form = inverted_quadratic(c).form
+    coarse = abs(oracles.gaussian_q(x, y, form, t, 1024) - exact)
+    fine = abs(oracles.gaussian_q(x, y, form, t, 4096) - exact)
+    assert coarse <= 1e-5 * exact
+    assert fine <= coarse / 8.0  # second order in the step
+
+
+def test_inverted_mehler_kernel_diverges_at_kappa_t_pi():
+    threshold = math.pi / math.sqrt(2.0)  # c = 1: kappa = sqrt(2)
+    assert math.isfinite(oracles.inverted_mehler_kernel(0.0, 0.0, 1.0, threshold - 1e-9))
+    assert oracles.inverted_mehler_kernel(0.0, 0.0, 1.0, threshold) is oracles.DIVERGENT
+    assert oracles.inverted_mehler_kernel(0.3, 0.1, 1.0, 10.0) is oracles.DIVERGENT
+    # small c approaches the free kernel
+    assert oracles.inverted_mehler_kernel(0.3, 0.1, 1e-10, 1.0) == pytest.approx(
+        free_kernel(0.3, 0.1, 1.0), rel=1e-8)
+    for c, t in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, math.inf)):
+        with pytest.raises(ValueError):
+            oracles.inverted_mehler_kernel(0.0, 0.0, c, t)

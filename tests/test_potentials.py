@@ -117,3 +117,11 @@ def test_certify_validation():
         certify(V, 0.1, np.zeros((0,)))
     with pytest.raises(ValueError):
         certify(zero(dim=2), 0.1, np.array([[1.0]]))
+
+
+def test_truncate_rejects_nan_and_negative_levels():
+    V = inverted_quadratic(c=0.5)
+    for level in (math.nan, -1.0, -math.inf):
+        with pytest.raises(ValueError):
+            truncate(V, level)
+    assert truncate(V, math.inf).form.floor == -math.inf
