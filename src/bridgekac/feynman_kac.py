@@ -42,9 +42,14 @@ form's weight w_ref of the same path, whose mean on the time grid,
 level then averages w - w_ref, which is zero on every path its floor
 does not touch, provided w_ref has finite variance (see `_estimates`).
 
-Estimates carry a heavy-tail heuristic: when the top_k heaviest samples
-hold more than `heavy_fraction` of the total weight, the estimate is
-flagged `divergence_suspected`.  Monte Carlo cannot certify an infinite
+Each chunk reduces each row of weights to one record, `_Stats`: count,
+mean, centred sum of squares, total and the top_k heaviest samples,
+merged pairwise in chunk order (Chan, Golub & LeVeque 1979).  A row
+whose largest |w| lies below 1e-100 holds its squares in units of that
+|w|, so the error bar of weights near 1e-185 does not underflow to 0;
+other rows sum as plain floats.  When the top_k heaviest samples hold
+more than `heavy_fraction` of the total weight, the estimate is flagged
+`divergence_suspected`.  Monte Carlo cannot certify an infinite
 expectation; the flag marks estimates that behave like one.
 """
 
@@ -52,6 +57,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
@@ -187,8 +193,8 @@ class Wavefunction:
         lower, upper = self.support_box
         if len(lower) != self.dim or len(upper) != self.dim:
             raise ValueError("support_box corners must have length dim")
-        if any(l > u for l, u in zip(lower, upper)):
-            raise ValueError("support_box lower corner must not exceed upper corner")
+        if not all(l <= u for l, u in zip(lower, upper)):  # a NaN corner fails too
+            raise ValueError("support_box corners must not be NaN, nor lower exceed upper")
 
 
 @dataclass(frozen=True)
@@ -214,11 +220,11 @@ class RefinementReport:
     fitted_order: float | None
 
 
-def _point(value, dim: int) -> np.ndarray:
+def _point(value, dim: int, name: str = "endpoints") -> np.ndarray:
     arr = np.asarray(value, dtype=np.float64)
     out = np.ascontiguousarray(np.broadcast_to(arr, (dim,)))
     if not np.all(np.isfinite(out)):
-        raise ValueError("endpoints must be finite")
+        raise ValueError(f"{name} must be finite")
     return out
 
 
@@ -445,81 +451,100 @@ def _chunk_weights(gen: np.random.Generator, n_paths: int, n_steps: int, x: np.n
     return weights
 
 
-def _chunk_stats(w: np.ndarray, top_k: int):
-    """Count, mean, centred sum of squares, sum and top-k along the last axis.
-
-    One scratch array of w's shape holds the centred squares and then the
-    partitioned copy of w.
-    """
-    n = w.shape[-1]
-    mean = w.mean(axis=-1)
-    work = w - mean[..., None]
-    m2 = np.square(work, out=work).sum(axis=-1)
-    k = min(top_k, n)
-    np.copyto(work, w)
-    work.partition(n - k, axis=-1)
-    return n, mean, m2, w.sum(axis=-1), work[..., n - k:].copy()
+# rows of weights whose largest |w| lies below this are scaled by it (see `_Stats`)
+_TINY = 1e-100
+_NORMAL = np.finfo(np.float64).tiny  # the least scale: dividing by a subnormal is slow
 
 
-def _merge_moments(a, b):
-    """Chan et al. pairwise merge of (count, mean, centred sum of squares)."""
-    na, ma, sa = a
-    nb, mb, sb = b
-    n = na + nb
-    delta = mb - ma
-    mean = ma + delta * (nb / n)
-    m2 = sa + sb + delta * delta * (na * nb / n)
-    return n, mean, m2
+@dataclass(frozen=True, eq=False)
+class _Stats:
+    """Count, mean, centred sum of squares m2, total and top_k largest
+    weights of each row of weights, m2 in units of `scale` squared; `a + b`
+    merges the records of two sets of paths (see the module docstring)."""
+
+    n: int
+    mean: np.ndarray
+    m2: np.ndarray
+    total: np.ndarray
+    top: np.ndarray
+    top_k: int = 0
+    scale: np.ndarray | float = 1.0
+
+    @classmethod
+    def of(cls, w: np.ndarray, top_k: int = 0) -> _Stats:
+        """The record of the rows of `w` (rows, paths), with one scratch array
+        of w's shape.  |mean| >= `_TINY` implies max |w| >= `_TINY`, so only
+        a row of smaller mean makes the record pay passes for max |w|."""
+        n = w.shape[-1]
+        total = w.sum(axis=-1)
+        mean = total / n
+        work = w - mean[..., None]
+        scale = np.ones_like(mean)
+        small = ~(np.abs(mean) >= _TINY)
+        if small.any():
+            peak = np.abs(w, out=work).max(axis=-1)
+            scale = np.where(small & (peak < _TINY), np.maximum(peak, _NORMAL), 1.0)
+            np.subtract(w, mean[..., None], out=work)
+            work /= scale[..., None]
+        m2 = np.square(work, out=work).sum(axis=-1)
+        k = min(top_k, n)
+        if k:
+            np.copyto(work, w)
+            work.partition(n - k, axis=-1)
+        return cls(n, mean, m2, total, work[..., n - k:].copy(), top_k, scale)
+
+    def __add__(self, other: _Stats) -> _Stats:
+        n = self.n + other.n
+        delta = other.mean - self.mean
+        scale = np.maximum(self.scale, other.scale)
+        m2 = (self.m2 * np.square(self.scale / scale) + other.m2 * np.square(other.scale / scale)
+              + np.square(delta / scale) * (self.n * other.n / n))
+        top = np.concatenate([self.top, other.top], axis=-1)
+        if top.shape[-1] > self.top_k:
+            top = np.partition(top, -self.top_k, axis=-1)[..., -self.top_k:]
+        return _Stats(n, self.mean + delta * (other.n / n), m2, self.total + other.total, top,
+                      self.top_k, scale)
+
+    @property
+    def std_error(self):
+        if self.n > 1:
+            return np.sqrt(np.maximum(self.m2, 0.0) / (self.n - 1)) / math.sqrt(self.n) * self.scale
+        return np.zeros(np.shape(self.m2))
+
+    def heavy(self, heavy_fraction: float):
+        """Heavy-mass fraction and divergence flag of each row.  A zero total
+        (every weight underflowed) is no evidence of a heavy tail: 0."""
+        top_sum = np.sort(self.top, axis=-1).sum(axis=-1)
+        fraction = np.divide(top_sum, self.total, out=np.zeros(np.shape(self.total)),
+                             where=self.total > 0.0)
+        suspected = (self.n > self.top_k) & (fraction > heavy_fraction)
+        suspected |= ~np.isfinite(self.mean) | ~np.isfinite(self.std_error)
+        return fraction, suspected
 
 
-def _merge_stats(a, b, top_k: int):
-    n, mean, m2 = _merge_moments(a[:3], b[:3])
-    top = np.concatenate([a[4], b[4]], axis=-1)
-    if top.shape[-1] > top_k:
-        top = np.partition(top, -top_k, axis=-1)[..., -top_k:]
-    return n, mean, m2, a[3] + b[3], top
+def _merged(records):
+    """The element-wise merge, in order, of tuples of `_Stats`."""
+    return reduce(lambda a, b: tuple(map(operator.add, a, b)), records)
 
 
-def _std_error(n: int, m2):
-    if n > 1:
-        return np.sqrt(np.maximum(m2, 0.0) / (n - 1)) / math.sqrt(n)
-    return np.zeros(np.shape(m2))
-
-
-def _verdict(stats, top_k: int, heavy_fraction: float):
-    """Standard error, heavy-mass fraction and divergence flag, elementwise.
-
-    A zero total means every weight underflowed: no mass at all, so no
-    evidence of a heavy tail, and the fraction reads 0.
-    """
-    n, mean, m2, total, top = stats
-    std_error = _std_error(n, m2)
-    k = min(top_k, top.shape[-1])
-    top_sum = np.sort(top, axis=-1)[..., top.shape[-1] - k:].sum(axis=-1)
-    fraction = np.divide(top_sum, total, out=np.zeros(np.shape(total)), where=total > 0.0)
-    suspected = (n > top_k) & (fraction > heavy_fraction)
-    suspected |= ~np.isfinite(mean) | ~np.isfinite(std_error)
-    return std_error, fraction, suspected
-
-
-def _finalize(stats, top_k: int, heavy_fraction: float, steps, control=None) -> list[QEstimate]:
-    """One estimate per row of stats merged over (rows, paths) weights;
-    `steps` gives each row's step count.  With a `control` (Q_ref, stats
-    of the rows' differences w - w_ref), the mean of each row is
-    max(Q_ref + mean difference, 0) and its standard error that of the
-    differences; the flag and the heavy-mass fraction stay those of the
-    weights themselves."""
-    std_error, fraction, suspected = _verdict(stats, top_k, heavy_fraction)
-    means = stats[1]
-    if control is not None:
-        q_ref, diffs = control
-        means = np.maximum(q_ref + diffs[1], 0.0)
-        std_error = _std_error(diffs[0], diffs[2])
+def _finalize(stats: _Stats, heavy_fraction: float, steps, q_ref=None,
+              diffs: _Stats | None = None) -> list[QEstimate]:
+    """One estimate per row of `stats`, of `steps` steps each.  With a control,
+    Q_ref and the record of the differences w - w_ref, a row reads
+    max(Q_ref + mean difference, 0) with the differences' standard error; the
+    flag and heavy-mass fraction stay the weights', but a row whose differences
+    are all zero is the exact grid value (no floor touched a path): unflagged."""
+    fraction, suspected = stats.heavy(heavy_fraction)
+    means, std_error = stats.mean, stats.std_error
+    if diffs is not None:
+        means = np.maximum(q_ref + diffs.mean, 0.0)
+        std_error = diffs.std_error
+        suspected &= (diffs.mean != 0.0) | (diffs.m2 != 0.0)
     return [
         QEstimate(
             mean=float(mean),
             std_error=float(err),
-            n_samples=int(stats[0]),
+            n_samples=int(stats.n),
             n_steps=int(n),
             divergence_suspected=bool(flag),
             heavy_mass_fraction=float(frac),
@@ -537,20 +562,19 @@ def _run_ordered(jobs, workers: int):
         return [f.result() for f in futures]
 
 
-def _over_chunks(rng: RngSeed, key: tuple[int, ...], n_samples: int, workers: int,
-                 chunk, merge):
-    """Reduce `n_samples` paths in keyed chunks and merge the results in chunk order.
+def _over_chunks(rng: RngSeed, key: tuple[int, ...], n_samples: int, workers: int, chunk):
+    """Reduce `n_samples` paths in keyed chunks and merge their records in chunk order.
 
     Chunk i holds `_CHUNK` paths (the last one the rest) drawn from stream
-    (*key, i), and `chunk(gen, count)` reduces it.  The chunks run on
-    `workers` threads but merge in a fixed order, so a fixed seed gives
-    bit-identical results for any worker count.
+    (*key, i), and `chunk(gen, count)` reduces it to a tuple of `_Stats`.
+    The chunks run on `workers` threads but merge element by element in
+    chunk order, so a fixed seed gives bit-identical results for any workers.
     """
     def job(i: int):
         return chunk(rng.generator(*key, i), min(_CHUNK, n_samples - i * _CHUNK))
 
     jobs = [partial(job, i) for i in range(-(-n_samples // _CHUNK))]
-    return reduce(merge, _run_ordered(jobs, workers))
+    return _merged(_run_ordered(jobs, workers))
 
 
 def estimate_Q(
@@ -607,18 +631,13 @@ def _estimates(x, y, V: PotentialSpec, t: float, n_samples: int, n_steps: int,
     def chunk(gen: np.random.Generator, count: int):
         weights = _chunk_weights(gen, count, n_steps, xp, yp, t, V, floors=floors)
         if q_ref is None:
-            return _chunk_stats(weights, top_k), None
-        plain = _chunk_stats(weights[:-1], top_k)
+            return (_Stats.of(weights, top_k),)
+        plain = _Stats.of(weights[:-1], top_k)
         weights[:-1] -= weights[-1]
-        return plain, _chunk_stats(weights[:-1], 1)
+        return plain, _Stats.of(weights[:-1])
 
-    def merge(a, b):
-        return (_merge_stats(a[0], b[0], top_k),
-                None if q_ref is None else _merge_stats(a[1], b[1], 1))
-
-    plain, diffs = _over_chunks(rng, key, n_samples, workers, chunk, merge)
-    return _finalize(plain, top_k, heavy_fraction, [n_steps] * len(plain[1]),
-                     None if q_ref is None else (q_ref, diffs))
+    plain, *diffs = _over_chunks(rng, key, n_samples, workers, chunk)
+    return _finalize(plain, heavy_fraction, [n_steps] * len(plain.mean), q_ref, *diffs)
 
 
 def _form_floors(x: np.ndarray, y: np.ndarray, V: PotentialSpec, t: float, n_steps: int,
@@ -672,9 +691,9 @@ def _tensor_gauss_legendre(box, nodes_per_axis: int):
 
 def bump(center=0.0, width: float = 1.0, dim: int = 1) -> Wavefunction:
     """Smooth radial bump supported on the closed ball |x - center| <= width."""
-    if width <= 0.0:
-        raise ValueError("width must be positive")
-    c = np.ascontiguousarray(np.broadcast_to(np.asarray(center, dtype=np.float64), (dim,)))
+    if not 0.0 < width < math.inf:
+        raise ValueError("width must be positive and finite")
+    c = _point(center, dim, "center")
 
     def evaluate(points):
         pts = np.asarray(points, dtype=np.float64)
@@ -713,9 +732,9 @@ def gaussian(center=0.0, sigma: float = 1.0, dim: int = 1,
     is below tail_mass / dim, so the total neglected mass is below
     tail_mass.
     """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    c = np.ascontiguousarray(np.broadcast_to(np.asarray(center, dtype=np.float64), (dim,)))
+    if not 0.0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
+    c = _point(center, dim, "center")
     radius = sigma * _erfc_inv(tail_mass / dim)
 
     def evaluate(points):
@@ -818,21 +837,15 @@ def _matrix_elements(phi: Wavefunction, psi: Wavefunction, V: PotentialSpec, t: 
         return [estimate(*_shared_path_element(x_pts, y_pts, coef.reshape(-1), V, t, mc, rng,
                                                workers))]
 
-    def make_job(i: int, j: int):
-        def job():
-            return _estimates(x_pts[i], y_pts[j], V, t, mc.n_samples, mc.n_steps, rng, floors,
-                              top_k=mc.top_k, heavy_fraction=mc.heavy_fraction, workers=1,
-                              key=(i, j))
-        return job
-
-    jobs = [make_job(i, j) for i in range(n_x) for j in range(n_y)]
+    jobs = [partial(_estimates, x_pts[i], y_pts[j], V, t, mc.n_samples, mc.n_steps, rng, floors,
+                    top_k=mc.top_k, heavy_fraction=mc.heavy_fraction, workers=1, key=(i, j))
+            for i in range(n_x) for j in range(n_y)]
     elements = []
     for level in zip(*_run_ordered(jobs, workers)):
         value = 0.0
         variance = 0.0
         divergence_nodes = 0
-        for idx, q in enumerate(level):
-            c = coef[idx // n_y, idx % n_y]
+        for c, q in zip(coef.reshape(-1), level):
             value += c * q.mean
             variance += (c * q.std_error) ** 2
             divergence_nodes += int(q.divergence_suspected)
@@ -858,21 +871,19 @@ def _shared_path_element(x_pts: np.ndarray, y_pts: np.ndarray, coef: np.ndarray,
 
     def block_stats(sums):
         w = _sums_weights(sums, x_pts, y_pts, t, V.form, line).reshape(coef.size, -1)
-        nodes = _chunk_stats(w, mc.top_k)
-        spread = coef @ (w - nodes[1][:, None])
-        return nodes, (w.shape[1], float(coef @ nodes[1]), float(spread @ spread))
-
-    def merge(a, b):
-        return _merge_stats(a[0], b[0], mc.top_k), _merge_moments(a[1], b[1])
+        nodes = _Stats.of(w, mc.top_k)
+        spread = coef @ (w - nodes.mean[:, None])
+        return nodes, _Stats(w.shape[1], float(coef @ nodes.mean), float(spread @ spread),
+                             float(coef @ nodes.total), np.empty(0))
 
     def chunk(gen: np.random.Generator, count: int):
-        return reduce(merge, (block_stats([s[i:i + rows] for s in sums])
-                              for (sums,) in _bridge_sums(gen, count, mc.n_steps, V.dim, (1,))
-                              for i in range(0, len(sums[2]), rows)))
+        return _merged(block_stats([s[i:i + rows] for s in sums])
+                       for (sums,) in _bridge_sums(gen, count, mc.n_steps, V.dim, (1,))
+                       for i in range(0, len(sums[2]), rows))
 
-    nodes, (n, value, m2) = _over_chunks(rng, (), mc.n_samples, workers, chunk, merge)
-    _, _, suspected = _verdict(nodes, mc.top_k, mc.heavy_fraction)
-    return value, float(_std_error(n, m2)), int(suspected.sum())
+    nodes, totals = _over_chunks(rng, (), mc.n_samples, workers, chunk)
+    _, suspected = nodes.heavy(mc.heavy_fraction)
+    return float(totals.mean), float(totals.std_error), int(suspected.sum())
 
 
 def _fit_order(schedule, diffs) -> float | None:
@@ -939,44 +950,33 @@ def refine_steps(
             )
             for idx, n in enumerate(schedule)
         ]
-        diffs = [b.mean - a.mean for a, b in zip(estimates, estimates[1:])]
-        errs = [math.hypot(a.std_error, b.std_error)
-                for a, b in zip(estimates, estimates[1:])]
-        return RefinementReport(
-            mode=mode,
-            schedule=tuple(schedule),
-            estimates=tuple(estimates),
-            diff_means=tuple(float(d) for d in diffs),
-            diff_std_errors=tuple(float(e) for e in errs),
-            fitted_order=_fit_order(schedule, diffs),
-        )
+        diff_means = [b.mean - a.mean for a, b in zip(estimates, estimates[1:])]
+        diff_errs = [math.hypot(a.std_error, b.std_error)
+                     for a, b in zip(estimates, estimates[1:])]
+    else:
+        n_max = schedule[-1]
+        if any(n_max % n for n in schedule):
+            raise ValueError("restricted mode needs every entry to divide the largest")
+        xp = _point(x, V.dim)
+        yp = _point(y, V.dim)
 
-    n_max = schedule[-1]
-    if any(n_max % n for n in schedule):
-        raise ValueError("restricted mode needs every entry to divide the largest")
-    xp = _point(x, V.dim)
-    yp = _point(y, V.dim)
+        def chunk(gen: np.random.Generator, count: int):
+            weights = _chunk_weights(gen, count, n_max, xp, yp, t, V,
+                                     [n_max // n for n in schedule])
+            levels = _Stats.of(weights, top_k)
+            # successive differences in place, from the finest level down
+            for level in range(len(schedule) - 1, 0, -1):
+                weights[level] -= weights[level - 1]
+            return levels, _Stats.of(weights[1:])
 
-    def chunk(gen: np.random.Generator, count: int):
-        weights = _chunk_weights(gen, count, n_max, xp, yp, t, V, [n_max // n for n in schedule])
-        level_stats = _chunk_stats(weights, top_k)
-        # successive differences in place, from the finest level down
-        for level in range(len(schedule) - 1, 0, -1):
-            weights[level] -= weights[level - 1]
-        return level_stats, _chunk_stats(weights[1:], 1)
-
-    def merge(a, b):
-        return _merge_stats(a[0], b[0], top_k), _merge_stats(a[1], b[1], 1)
-
-    level_stats, diff_stats = _over_chunks(rng, (), n_samples, workers, chunk, merge)
-    estimates = _finalize(level_stats, top_k, heavy_fraction, schedule)
-    diff_means = [float(m) for m in diff_stats[1]]
-    diff_errs = [float(e) for e in _std_error(diff_stats[0], diff_stats[2])]
+        levels, diffs = _over_chunks(rng, (), n_samples, workers, chunk)
+        estimates = _finalize(levels, heavy_fraction, schedule)
+        diff_means, diff_errs = diffs.mean, diffs.std_error
     return RefinementReport(
         mode=mode,
         schedule=tuple(schedule),
         estimates=tuple(estimates),
-        diff_means=tuple(diff_means),
-        diff_std_errors=tuple(diff_errs),
+        diff_means=tuple(float(d) for d in diff_means),
+        diff_std_errors=tuple(float(e) for e in diff_errs),
         fitted_order=_fit_order(schedule, diff_means),
     )

@@ -18,7 +18,7 @@ from bridgekac.convergence import (
 from bridgekac import feynman_kac, oracles
 from bridgekac.feynman_kac import McConfig, QuadratureConfig, bump, estimate_Q, matrix_element
 from bridgekac.oracles import OracleConfig, build_grid_operator
-from bridgekac.potentials import custom, inverted_quadratic, truncate, zero
+from bridgekac.potentials import custom, harmonic, inverted_quadratic, truncate, zero
 from bridgekac.stochastic import RngSeed
 
 
@@ -325,6 +325,23 @@ def test_truncation_study_right_values_monotone_at_the_benchmark_config(seed):
     # no path reaches -c x^2 = -8 from the bumps' supports: the control is exact there
     assert report.right_std_errors[3:] == (0.0, 0.0, 0.0)
     assert 0.0 < report.right_std_errors[0] < 3e-5
+
+
+def test_truncation_study_does_not_count_exact_levels_as_divergent():
+    # around x = 6 the harmonic weights are heavy-tailed, but no floor binds: every
+    # node's level is its exact grid value, which is no sign of divergence
+    phi = bump(6.0, 1.0)
+    mc, quadrature = McConfig(200, 16), QuadratureConfig(3)
+    report = truncation_study(harmonic(), phi, phi, 1.0, [1.0, 2.0], mc, RngSeed(1),
+                              quadrature=quadrature,
+                              oracle=OracleConfig(domain_half_width=12.0, n_points=300))
+    assert report.right_std_errors == (0.0, 0.0)
+    assert report.right_divergence_nodes == (0, 0)
+    # the same paths' plain weights are flagged
+    callable_harmonic = custom(lambda p: 0.5 * np.square(p).sum(axis=-1), lambda eps: 0.0)
+    plain = matrix_element(phi, phi, truncate(callable_harmonic, 1.0), 1.0, quadrature, mc,
+                           RngSeed(1))
+    assert plain.divergence_nodes > 0
 
 
 def test_q_truncation_study_infinite_level_reads_the_exact_grid_value():

@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import operator
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from bridgekac.feynman_kac import (
     _line_action,
     _matrix_elements,
     _position_blocks,
+    _Stats,
     _sums_weights,
     _tensor_gauss_legendre,
     _weights,
@@ -156,6 +159,37 @@ def test_total_underflow_is_not_flagged_as_divergence():
     assert est.mean == 0.0
     assert not est.divergence_suspected
     assert est.heavy_mass_fraction == 0.0
+
+
+def test_tiny_weights_keep_a_nonzero_error_bar():
+    # weights near 1e-185 have squares below the smallest float: the record scales them first
+    est = estimate_Q(30, 30, harmonic(), 1.0, 2000, 64, RngSeed(1))
+    assert est.mean == pytest.approx(7.05e-185, rel=1e-3)
+    assert 0.5 * est.mean < est.std_error < math.inf
+    assert est.divergence_suspected
+    # three chunks merge rows of different scales, in the same order for any workers
+    serial = estimate_Q(30, 30, harmonic(), 1.0, 70_000, 64, RngSeed(1))
+    assert serial.std_error > 0.0
+    assert serial == estimate_Q(30, 30, harmonic(), 1.0, 70_000, 64, RngSeed(1), workers=2)
+
+
+def test_stats_of_all_columns_equals_the_merge_of_column_slices():
+    rng = np.random.default_rng(0)
+    levels = np.array([1.0, 1e-130, 1e-180, 0.0])[:, None]
+    w = levels * np.exp(rng.standard_normal((4, 1000)) * [[0.5], [1.0], [3.0], [1.0]])
+    whole = _Stats.of(w, 5)
+    merged = reduce(operator.add, (_Stats.of(w[:, i:i + 300], 5) for i in range(0, 1000, 300)))
+    assert merged.n == whole.n == 1000
+    for field in ("mean", "total", "std_error"):
+        np.testing.assert_allclose(getattr(merged, field), getattr(whole, field), rtol=1e-12)
+    np.testing.assert_array_equal(np.sort(merged.top), np.sort(whole.top))
+    np.testing.assert_array_equal(np.sort(whole.top), np.sort(w)[:, -5:])
+    # the error bar is that of the rescaled rows; the row near 1 sums as plain floats
+    unit = np.where(levels > 0.0, levels, 1.0)
+    want = unit[:, 0] * (w / unit).std(axis=1, ddof=1) / math.sqrt(1000)
+    np.testing.assert_allclose(whole.std_error, want, rtol=1e-12)
+    assert np.all(whole.std_error[:3] > 0.0) and whole.std_error[3] == 0.0
+    assert whole.m2[0] == np.square(w[0] - w[0].mean()).sum() and whole.scale[0] == 1.0
 
 
 @pytest.mark.parametrize("form, dim", [
@@ -403,6 +437,21 @@ def test_gaussian_box_carries_requested_tail_mass():
     assert psi.evaluate(np.array([[0.0]]))[0] == 1.0
 
 
+@pytest.mark.parametrize("make", [
+    lambda: bump(width=math.nan),
+    lambda: bump(width=math.inf),
+    lambda: bump(center=math.nan),
+    lambda: bump(center=(0.0, math.inf), dim=2),
+    lambda: gaussian(sigma=math.nan),
+    lambda: gaussian(sigma=math.inf),
+    lambda: gaussian(center=math.nan),
+], ids=["bump-width-nan", "bump-width-inf", "bump-center-nan", "bump-center-inf",
+        "gaussian-sigma-nan", "gaussian-sigma-inf", "gaussian-center-nan"])
+def test_wavefunction_factories_reject_non_finite_parameters(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 def test_l2_norm_of_gaussian():
     # the support box drops tail_mass = 1e-8 of squared mass, so the norm
     # sits within ~0.5e-8 relative of the closed form
@@ -414,6 +463,9 @@ def test_wavefunction_validation():
     with pytest.raises(ValueError):
         Wavefunction(dim=1, evaluate=lambda p: p, support_box=((1.0,), (-1.0,)),
                      kind="compact")
+    for box in (((math.nan,), (1.0,)), ((-1.0,), (math.nan,))):
+        with pytest.raises(ValueError, match="NaN"):
+            Wavefunction(dim=1, evaluate=lambda p: p, support_box=box, kind="compact")
     with pytest.raises(ValueError):
         Wavefunction(dim=1, evaluate=lambda p: p, support_box=((-1.0,), (1.0,)),
                      kind="mystery")
@@ -631,6 +683,18 @@ def test_clipped_form_reads_the_exact_grid_value_where_no_floor_binds():
     # far out, the plain mean underflows in its squares; the control does not
     far = estimate_Q(30.0, 30.0, truncate(harmonic(), 1.0), 1.0, 2000, 64, RngSeed(1))
     assert far.mean == pytest.approx(2.1655e-181, rel=1e-4)
+
+
+def test_exact_controlled_level_is_not_flagged():
+    # plain weights at (30, 30) are heavy-tailed, but the floor never binds: the level is exact
+    est = estimate_Q(30, 30, truncate(harmonic(), 1.0), 1.0, 2000, 64, RngSeed(1))
+    assert est.mean == gaussian_q(30, 30, harmonic().form, 1.0, 64)
+    assert est.std_error == 0.0
+    assert not est.divergence_suspected
+    plain = estimate_Q(30, 30, truncate(custom(_callable_harmonic, lambda eps: 0.0), 1.0), 1.0,
+                       2000, 64, RngSeed(1))
+    assert plain.divergence_suspected
+    assert est.heavy_mass_fraction == pytest.approx(plain.heavy_mass_fraction, rel=1e-12)
 
 
 def test_clipped_form_control_variate_agrees_with_plain_weights():
