@@ -411,7 +411,9 @@ def q_truncation_study(
     """estimate_Q over max(V, -n) with common random numbers across levels.
 
     The paths are drawn once, in the keyed chunks of `estimate_Q`, and V
-    is evaluated along them once; each level clips those values, so it
+    is evaluated along them once (so they are drawn as the walk even for
+    an unclipped form, which `estimate_Q` reads from the same streams as
+    sine coordinates); each level clips those values, so it
     equals `estimate_Q` on `truncate(V, n)` for finite n and the
     trajectory is non-decreasing path by path.  A quadratic form whose
     unclipped weights have finite variance is read against them, as in

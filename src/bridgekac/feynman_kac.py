@@ -14,25 +14,32 @@ supports, where K_t is the free heat kernel.
 Units are hbar = m = 1 with kinetic part -(1/2) Laplacian.
 
 Every estimator streams its paths.  A keyed chunk of paths is drawn one
-row block at a time into a reused buffer of standard normals, turned
-into the bridge in place and reduced to per-path numbers before the next
-block is drawn, so memory does not grow with the chunk, nor with the
-time grid until one path alone outgrows a block; the blocks are drawn
-bit for bit as the chunk would be drawn at once.  A block holds at most
-2^17 numbers (1 MB), so that it and the buffers reused beside it fit in
-a core's L2 cache (2 MB per core on the host measured, where op times
-were 6-7 % lower than with 4 MB blocks).  Every per-path intermediate of
-an estimate, the trapezoid sums, positions and potential values, exists
-for one block only, and only the chunk's weights span all its paths; a
-shared-path matrix element cuts each block's sums into (node pairs x
-paths) weight blocks under the same cap.  For an unclipped
-quadratic potential V(z) = q |z|^2 + g . z + c the trapezoid action of a
-path is linear in three of its trapezoid sums, A = sum' alpha,
-B = sum' u alpha and C = sum' |alpha|^2, plus terms that depend on x and
-y alone.  Such potentials are evaluated from those sums, which lets
-`matrix_element` reuse one set of paths at every quadrature node pair,
-and `refine_steps` gets the sums of every grid of its schedule from the
-same pass.  Other potentials are evaluated along each block of bridges.
+row block at a time into a reused buffer of standard normals and
+reduced to per-path numbers before the next block is drawn, so memory
+does not grow with the chunk, nor with the time grid until one path
+alone outgrows a block; the blocks are drawn bit for bit as the chunk
+would be drawn at once.  A block holds at most 2^17 numbers (1 MB), so
+that it and the buffers reused beside it fit in a core's L2 cache (2 MB
+per core on the host measured, where op times were 6-7 % lower than
+with 4 MB blocks).  Every per-path intermediate of an estimate, the
+trapezoid sums, positions and potential values, exists for one block
+only, and only the chunk's weights span all its paths; a shared-path
+matrix element cuts each block's sums into (node pairs x paths) weight
+blocks under the same cap.
+
+The two kinds of potential read the normals as two realizations of the
+bridge law (see `stochastic`).  For an unclipped quadratic potential
+V(z) = q |z|^2 + g . z + c the trapezoid action of a path is linear in
+three of its trapezoid sums, A = sum' alpha, B = sum' u alpha and
+C = sum' |alpha|^2, plus terms that depend on x and y alone.  Such
+potentials draw each path as its n_steps - 1 sine coordinates per
+coordinate axis and take the sums from them by matrix products, without
+ever forming node values (`_bridge_sums`); this lets `matrix_element`
+reuse one set of paths at every quadrature node pair, and `refine_steps`
+gets the sums of every grid of its schedule from the same pass.
+Callables and clipped forms need the values at the nodes: they draw
+n_steps increments per path and coordinate, turn each block into the
+bridge in place by the walk and evaluate V along it.
 Truncations max(V, -n) of one potential share the other way: V is
 evaluated along a path once and each level clips the values, so a
 truncation study draws and evaluates each path once for all levels.
@@ -68,8 +75,8 @@ import numpy as np
 from . import backend as _backend
 from .potentials import PotentialSpec, QuadraticForm
 # bridge_values is not called here: the benchmark's traced run wraps this name
-from .stochastic import (BridgePath, RngSeed, _bridge_in_place, bridge_values,  # noqa: F401
-                         gaussian_q, is_divergent)
+from .stochastic import (BridgePath, RngSeed, _bridge_in_place, _sine_amplitudes,
+                         _sine_transform, bridge_values, gaussian_q, is_divergent)  # noqa: F401
 
 __all__ = [
     "MatrixElementEstimate",
@@ -90,7 +97,8 @@ __all__ = [
 
 _CHUNK = 32768
 # Cap on the row block of normals that `_bridge_blocks` draws and turns
-# into bridges at once: 1 MB of float64.  The block and its detrend work
+# into bridges at once, and that `_bridge_sums` draws as sine coordinates:
+# 1 MB of float64.  The block and its detrend work
 # buffer (or a callable's positions buffer) then fit together in one
 # core's 2 MB L2 on the 2-core x86-64 host measured, where a 4 MB block
 # alone did not: q-point and refine-long ops (one BLAS thread) took
@@ -268,8 +276,9 @@ def _trapezoid_grid(n_steps: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _block_rows(n_paths: int, n_steps: int, dim: int) -> int:
-    """Paths per row block: at most `_BLOCK_ELEMENTS` normals, one path if a path is larger."""
-    return min(n_paths, max(1, _BLOCK_ELEMENTS // (n_steps * dim)))
+    """Paths per row block of `n_steps` x `dim` normals each: at most `_BLOCK_ELEMENTS`
+    normals, one path if a path is larger, the whole chunk if a path draws none."""
+    return min(n_paths, max(1, _BLOCK_ELEMENTS // max(1, n_steps * dim)))
 
 
 def _bridge_blocks(gen: np.random.Generator, n_paths: int, n_steps: int, dim: int,
@@ -279,7 +288,8 @@ def _bridge_blocks(gen: np.random.Generator, n_paths: int, n_steps: int, dim: in
     The chunk's standard normals are drawn block after block into one
     reused buffer of `_block_rows` paths; drawn in C order they are bit
     for bit the one-shot draw `gen.standard_normal((n_paths, n_steps,
-    dim))`.  Each block is turned into the bridge in place, its detrend
+    dim))`.  Each block is turned into the bridge in place by the walk
+    of `stochastic`, its detrend
     formed in `work` (a reused buffer of the full block's shape,
     allocated here if None), and yielded: nodes 1..n_steps, bit for bit
     the rows of `bridge_values(normals)[:, 1:]` (node 0 is zero and not
@@ -319,33 +329,97 @@ def _position_blocks(gen: np.random.Generator, n_paths: int, n_steps: int, x: np
         yield p
 
 
+@lru_cache(maxsize=32)
+def _sine_sums(n_steps: int, strides: tuple[int, ...], dim: int):
+    """The coefficients that read a path's trapezoid sums from its sine coordinates.
+
+    Returns (ab_cols, c_col, amp).  Rows follow a path's flattened (mode,
+    coordinate) axis of xi.  Column (level, {A, B}, coordinate) of
+    `ab_cols` gives A = sum' alpha and B = sum' u alpha on the grid of
+    stride strides[level]: the sine transform of those trapezoid weights
+    at the grid's interior nodes, times sqrt(2/n) and the mode's
+    amplitude.  `c_col` gives C = sum' |alpha|^2 on the full grid from
+    xi^2, sum_j xi_j^2 / (n^2 mu_j), and `amp` the amplitudes
+    1 / sqrt(n mu_j) that make eta = amp xi, from whose folds `_fold` the
+    coarser grids take their C.  O(n log n) work and O(n L dim^2) memory:
+    no n x n basis is ever formed.
+    """
+    amp = _sine_amplitudes(n_steps)
+    weights = np.zeros((len(strides), 2, n_steps - 1))
+    for level, s in enumerate(strides):
+        u, tau = _trapezoid_grid(n_steps // s)
+        # interior node k (1..n_steps - 1) sits at index k - 1
+        weights[level, 0, s - 1::s] = tau[1:-1]
+        weights[level, 1, s - 1::s] = (tau * u)[1:-1]
+    coef = _sine_transform(weights) * (math.sqrt(2.0 / n_steps) * amp)
+    ab_cols = np.kron(coef.reshape(2 * len(strides), n_steps - 1).T, np.eye(dim))
+    return ab_cols, np.repeat(np.square(amp) / n_steps, dim), np.repeat(amp, dim)
+
+
+def _fold(v: np.ndarray, m: int, out: np.ndarray) -> None:
+    """Write into `out` the coordinates eta' of a grid of m steps, from those of a
+    grid of M steps in `v` (rows, M - 1, dim), m a divisor of M below it.
+
+    On the nodes of the coarse grid sin(j k pi / M) is periodic in j with
+    period 2m and odd about 0 and m, so mode j acts there as mode
+    r = j mod 2m for 0 < r < m and as minus mode 2m - r for m < r < 2m
+    (modes with r = 0 or m vanish).  The folded coordinates then carry
+    the coarse nodes' values with the fine grid's normalization, so every
+    grid of the path reads C = sum |eta'|^2 / n_steps.
+    """
+    M = v.shape[1] + 1
+    np.subtract(v[:, :m - 1], v[:, 2 * m - 2:m - 1:-1], out=out)
+    for base in range(2 * m, M - 1, 2 * m):
+        out += v[:, base:base + m - 1]
+        if base + 2 * m <= M:
+            out -= v[:, base + 2 * m - 2:base + m - 1:-1]
+
+
 def _bridge_sums(gen: np.random.Generator, n_paths: int, n_steps: int, dim: int, strides):
     """Trapezoid sums A = sum' alpha, B = sum' u alpha, C = sum' |alpha|^2 per stride.
 
-    The paths are those of `_bridge_blocks(gen, n_paths, n_steps, dim)`.
-    Each block of bridges gives A and B by one matrix product, is squared
-    in place and gives C by another.  A stride s, which must divide
+    The paths are drawn in sine coordinates (see `stochastic`): each row
+    block of `_block_rows` paths is (rows, n_steps - 1, dim) standard
+    normals xi, drawn in C order into one reused buffer, so the blocks
+    are bit for bit the one-shot draw `gen.standard_normal((n_paths,
+    n_steps - 1, dim))`; a one-step grid draws nothing.  A and B of every
+    grid come from one matrix product on xi.  If no coarser grid has
+    interior nodes, C takes the squares of xi and one matrix-vector
+    product.  Otherwise xi is overwritten by eta = amp xi, each coarser
+    grid folds its coordinates (`_fold`) from the coarsest grid already
+    folded that it divides, or from eta, into a buffer of its own, and
+    every grid's C is its sum of squares / n_steps.  A stride s, which must divide
     n_steps, restricts the path to the nodes that are multiples of s: a
     grid of n_steps / s steps.  Yields, block after block, a list of
     (A, B, C) for each stride in order, with A and B of shape (rows, dim)
     and C of shape (rows,).
     """
-    ab_cols = np.zeros((n_steps, len(strides), 2))
-    c_cols = np.zeros((n_steps, len(strides)))
-    for level, s in enumerate(strides):
-        u, tau = _trapezoid_grid(n_steps // s)
-        ab_cols[s - 1::s, level, 0] = tau[1:]
-        ab_cols[s - 1::s, level, 1] = (tau * u)[1:]
-        c_cols[s - 1::s, level] = tau[1:]
-    # rows follow the flattened (node, coordinate) axis of a path
-    ab_cols = np.kron(ab_cols.reshape(n_steps, -1), np.eye(dim))
-    c_cols = np.repeat(c_cols, dim, axis=0)
-    for block in _bridge_blocks(gen, n_paths, n_steps, dim):
-        flat = block.reshape(len(block), -1)
-        ab = (flat @ ab_cols).reshape(len(block), len(strides), 2, dim)
-        np.square(flat, out=flat)
-        c = flat @ c_cols
-        yield [(ab[:, level, 0], ab[:, level, 1], c[:, level]) for level in range(len(strides))]
+    strides = tuple(strides)
+    ab_cols, c_col, amp = _sine_sums(n_steps, strides, dim)
+    rows = _block_rows(n_paths, n_steps - 1, dim)
+    xi = np.empty((rows, n_steps - 1, dim))
+    coarse = sorted({n_steps // s for s in strides} - {1, n_steps}, reverse=True)
+    folds = {m: np.empty((rows, m - 1, dim)) for m in coarse}
+    for start in range(0, n_paths, rows):
+        block = xi[:min(rows, n_paths - start)]
+        r = len(block)
+        gen.standard_normal(out=block)
+        flat = block.reshape(r, -1)
+        ab = (flat @ ab_cols).reshape(r, len(strides), 2, dim)
+        c = {1: np.zeros(r)}
+        if coarse:
+            flat *= amp
+            done = {n_steps: block}
+            for m in coarse:
+                source = done[min(M for M in done if M % m == 0)]
+                _fold(source, m, folds[m][:r])
+                done[m] = folds[m][:r]
+            for m, eta in done.items():
+                c[m] = np.square(eta, out=eta).reshape(r, -1).sum(axis=1) / n_steps
+        else:
+            c[n_steps] = np.square(flat, out=flat) @ c_col
+        yield [(ab[:, level, 0], ab[:, level, 1], c[n_steps // s])
+               for level, s in enumerate(strides)]
 
 
 def _line_action(xs: np.ndarray, ys: np.ndarray, form: QuadraticForm,
@@ -417,8 +491,9 @@ def _chunk_weights(gen: np.random.Generator, n_paths: int, n_steps: int, x: np.n
 
     A stride s restricts the paths to the nodes that are multiples of s,
     a grid of n_steps / s steps.  An unclipped form estimated alone is
-    weighed from the trapezoid sums of `_bridge_sums`; anything else is
-    evaluated along each block of `_position_blocks` by `_weights`.
+    weighed from the trapezoid sums of `_bridge_sums`, whose paths are
+    drawn in sine coordinates; anything else is evaluated along each
+    block of `_position_blocks`, drawn as the walk, by `_weights`.
     Either way the chunk is streamed block by block and each block's
     weights are written into the result, of shape (rows, n_paths).  For
     a callable or a clipped form it is bit for bit the weights of the
@@ -456,6 +531,12 @@ _TINY = 1e-100
 _NORMAL = np.finfo(np.float64).tiny  # the least scale: dividing by a subnormal is slow
 
 
+def _tiny_scale(peak):
+    """The unit of squares of numbers whose largest |value| is `peak`: `peak` below
+    `_TINY` (but at least `_NORMAL`), else 1."""
+    return np.where(peak < _TINY, np.maximum(peak, _NORMAL), 1.0)
+
+
 @dataclass(frozen=True, eq=False)
 class _Stats:
     """Count, mean, centred sum of squares m2, total and top_k largest
@@ -482,8 +563,7 @@ class _Stats:
         scale = np.ones_like(mean)
         small = ~(np.abs(mean) >= _TINY)
         if small.any():
-            peak = np.abs(w, out=work).max(axis=-1)
-            scale = np.where(small & (peak < _TINY), np.maximum(peak, _NORMAL), 1.0)
+            scale = np.where(small, _tiny_scale(np.abs(w, out=work).max(axis=-1)), 1.0)
             np.subtract(w, mean[..., None], out=work)
             work /= scale[..., None]
         m2 = np.square(work, out=work).sum(axis=-1)
@@ -864,7 +944,9 @@ def _shared_path_element(x_pts: np.ndarray, y_pts: np.ndarray, coef: np.ndarray,
     each yields per-node stats, for the divergence flags, and the
     moments of the per-path totals coef . w, for the value and its error.
     The totals are centred on the block's node means, so paths that all
-    carry the same weights give exactly zero spread.
+    carry the same weights give exactly zero spread, and their squares
+    are summed in the unit `_Stats.of` gives a row of weights, so that
+    totals near 1e-185 keep a nonzero error bar.
     """
     rows = max(1, _BLOCK_ELEMENTS // coef.size)
     line = _line_action(x_pts, y_pts, V.form, mc.n_steps)
@@ -873,8 +955,10 @@ def _shared_path_element(x_pts: np.ndarray, y_pts: np.ndarray, coef: np.ndarray,
         w = _sums_weights(sums, x_pts, y_pts, t, V.form, line).reshape(coef.size, -1)
         nodes = _Stats.of(w, mc.top_k)
         spread = coef @ (w - nodes.mean[:, None])
+        scale = float(_tiny_scale(np.abs(spread).max()))
+        spread /= scale
         return nodes, _Stats(w.shape[1], float(coef @ nodes.mean), float(spread @ spread),
-                             float(coef @ nodes.total), np.empty(0))
+                             float(coef @ nodes.total), np.empty(0), scale=scale)
 
     def chunk(gen: np.random.Generator, count: int):
         return _merged(block_stats([s[i:i + rows] for s in sums])

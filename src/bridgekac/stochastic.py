@@ -1,12 +1,26 @@
 """Brownian bridge sampling and Gaussian moment identities.
 
-The bridge is realized on a uniform grid over [0, 1] by detrending a
-random walk: b(k/n) is the cumulative sum of independent Gaussian
-increments of variance 1/n per coordinate, and alpha(k/n) is
-b(k/n) - (k/n) b(1).  The grid marginals then carry the exact bridge
-law, with covariance min(s, u) (1 - max(s, u)) per coordinate and
-independent coordinates; only time integrals along a path are subject
-to discretization error, never the path law itself.
+The bridge is realized on a uniform grid over [0, 1] in one of two
+ways, both carrying the exact bridge law: covariance
+min(s, u) (1 - max(s, u)) per coordinate and independent coordinates,
+so only time integrals along a path are subject to discretization
+error, never the path law itself.
+
+- The walk: b(k/n) is the cumulative sum of independent Gaussian
+  increments of variance 1/n per coordinate, and alpha(k/n) is
+  b(k/n) - (k/n) b(1).  `bridge_values`, `sample_bridge` and
+  `sample_bridge_batch` draw it, and so does every estimator that needs
+  node values: callable potentials and clipped quadratic forms.
+- Sine (Karhunen-Loeve) coordinates: the interior values have precision
+  K = n tridiag(-1, 2, -1), which the discrete sine basis diagonalizes,
+  so alpha(k/n) = sum_j sqrt(2/n) sin(j k pi / n) xi_j / sqrt(n mu_j)
+  with mu_j = 2 - 2 cos(j pi / n) and xi_1..xi_{n-1} independent
+  standard normals per coordinate.  The estimators of an unclipped
+  quadratic form (`estimate_Q`, both modes of `refine_steps`, the
+  shared-path `matrix_element` and, through them, the bound sweep) draw
+  xi and read the path's trapezoid sums straight from it, without ever
+  forming the node values; `_sine_amplitudes` and `_sine_transform`
+  give the basis.
 
 Because the grid law is exactly Gaussian, the expected weight of an
 unclipped quadratic potential on the grid is a Gaussian integral:
@@ -152,6 +166,24 @@ def _bridge_in_place(b: np.ndarray, work: np.ndarray | None = None) -> None:
     b *= np.sqrt(1.0 / n_steps)
     u = np.arange(1, n_steps + 1, dtype=np.float64) / n_steps
     b -= np.multiply(u[:, None], b[..., -1:, :], out=work)
+
+
+def _sine_amplitudes(n_steps: int) -> np.ndarray:
+    """Standard deviations 1 / sqrt(n mu_j) of the sine coordinates j = 1..n-1 of a
+    bridge on n = `n_steps` steps, with mu_j = 2 - 2 cos(j pi / n) written as
+    4 sin^2(j pi / (2 n)) so that the low modes do not cancel."""
+    j = np.arange(1, n_steps, dtype=np.float64)
+    return 0.5 / (math.sqrt(n_steps) * np.sin(j * (0.5 * math.pi / n_steps)))
+
+
+def _sine_transform(e: np.ndarray) -> np.ndarray:
+    """sum_k e_k sin(j k pi / n) for j = 1..n-1, of node values e_1..e_{n-1} on the
+    last axis: a DST-I, by one real FFT of the odd extension (0, e, 0, -reversed e)."""
+    n = e.shape[-1] + 1
+    odd = np.zeros(e.shape[:-1] + (2 * n,))
+    odd[..., 1:n] = e
+    odd[..., n + 1:] = -e[..., ::-1]
+    return -0.5 * np.fft.rfft(odd)[..., 1:n].imag
 
 
 def _as_generator(rng) -> np.random.Generator:

@@ -37,7 +37,10 @@ from bridgekac.oracles import mehler_kernel, stark_q
 from bridgekac.potentials import (
     QuadraticForm, custom, harmonic, inverted_quadratic, stark, truncate, zero,
 )
-from bridgekac.stochastic import DIVERGENT, RngSeed, bridge_values, gaussian_q, sample_bridge
+from bridgekac.stochastic import (
+    DIVERGENT, RngSeed, _sine_amplitudes, _sine_transform, bridge_values, gaussian_q,
+    sample_bridge,
+)
 
 
 def test_free_case_is_exact():
@@ -164,7 +167,7 @@ def test_total_underflow_is_not_flagged_as_divergence():
 def test_tiny_weights_keep_a_nonzero_error_bar():
     # weights near 1e-185 have squares below the smallest float: the record scales them first
     est = estimate_Q(30, 30, harmonic(), 1.0, 2000, 64, RngSeed(1))
-    assert est.mean == pytest.approx(7.05e-185, rel=1e-3)
+    assert est.mean == pytest.approx(5.409e-187, rel=1e-3, abs=0.0)
     assert 0.5 * est.mean < est.std_error < math.inf
     assert est.divergence_suspected
     # three chunks merge rows of different scales, in the same order for any workers
@@ -204,8 +207,8 @@ def test_stats_of_all_columns_equals_the_merge_of_column_slices():
 ])
 def test_sums_weights_match_kernel(form, dim):
     n_steps, t = 24, 0.9
-    xi = RngSeed(31).generator().standard_normal((128, n_steps, dim))
-    alpha = bridge_values(xi)
+    xi = RngSeed(31).generator().standard_normal((128, n_steps - 1, dim))
+    alpha = _sine_bridge(xi)
     gen = np.random.default_rng(3)
     xs = gen.uniform(-2.0, 2.0, (3, dim))
     ys = gen.uniform(-2.0, 2.0, (4, dim))
@@ -221,6 +224,82 @@ def test_sums_weights_match_kernel(form, dim):
                 np.testing.assert_allclose(got[i, j], want, rtol=1e-13, atol=0.0)
         start = stop
     assert start == 128
+
+
+def _sine_bridge(xi):
+    """Node values 0..n of the bridges whose sine coordinates are `xi` (n_paths, n - 1, dim),
+    synthesized term by term: alpha_k = sum_j sqrt(2/n) sin(j k pi / n) xi_j / sqrt(n mu_j)."""
+    n_paths, modes, dim = xi.shape
+    n = modes + 1
+    j = np.arange(1, n)
+    # mu_j = 2 - 2 cos(j pi / n) = 4 sin^2(j pi / (2 n)), without the cancellation at low j
+    eta = xi / (2.0 * np.sqrt(n) * np.sin(j * np.pi / (2 * n)))[:, None]
+    alpha = np.zeros((n_paths, n + 1, dim))
+    for first in range(1, n, 256):
+        k = np.arange(first, min(first + 256, n))
+        # reduce the phase mod 2 n: a large argument would round the sine
+        basis = math.sqrt(2.0 / n) * np.sin(np.outer(k, j) % (2 * n) * (np.pi / n))
+        alpha[:, k] = basis @ eta
+    return alpha
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_sine_coordinates_carry_the_bridge_covariance(n):
+    # row j: the interior values of the bridge whose only sine coordinate is xi_j = 1
+    synth = math.sqrt(2.0 / n) * _sine_transform(np.diag(_sine_amplitudes(n)))
+    assert synth.shape == (n - 1, n - 1)
+    np.testing.assert_allclose(synth, _sine_bridge(np.eye(n - 1)[:, :, None])[:, 1:-1, 0],
+                               rtol=0.0, atol=1e-15)
+    u = np.arange(1, n) / n
+    want = np.minimum.outer(u, u) * (1.0 - np.maximum.outer(u, u))
+    np.testing.assert_allclose(synth.T @ synth, want, rtol=0.0, atol=1e-15)
+
+
+class _CountingGenerator:
+    """Generator proxy that logs the number of normals of every draw."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.drawn = []
+
+    def standard_normal(self, *args, out=None, **kwargs):
+        self.drawn.append(np.size(out) if out is not None else int(np.prod(args[0])))
+        return self.gen.standard_normal(*args, out=out, **kwargs)
+
+
+@pytest.mark.parametrize("n_steps, dim, strides", [
+    (1, 2, (1,)), (2, 1, (2, 1)), (16, 3, (1,)), (256, 1, (16, 8, 4, 2, 1)),
+])
+def test_sums_path_draws_n_steps_minus_one_normals_per_path(n_steps, dim, strides):
+    gen = _CountingGenerator(RngSeed(5).generator())
+    paths = sum(len(levels[0][2]) for levels in _bridge_sums(gen, 3000, n_steps, dim, strides))
+    assert paths == 3000
+    assert sum(gen.drawn) == 3000 * (n_steps - 1) * dim
+    assert len(gen.drawn) == -(-3000 // feynman_kac._block_rows(3000, n_steps - 1, dim))
+
+
+def test_one_step_estimate_is_the_exact_line_weight():
+    # no interior node: nothing is drawn and every path carries exp(-t D(x, y))
+    for V in (harmonic(omega=1.3), stark(0.7), harmonic(dim=2)):
+        est = estimate_Q(0.4, -0.3, V, 0.8, 500, 1, RngSeed(2))
+        assert est.mean == pytest.approx(gaussian_q(0.4, -0.3, V.form, 0.8, 1), rel=1e-15)
+        assert est.std_error <= 1e-15 * est.mean
+
+
+@pytest.mark.parametrize("x, y, V", [
+    (0.4, -0.7, harmonic()),
+    (1.0, 0.3, stark(0.9)),
+    ((0.5, -0.2), (-0.3, 0.6), harmonic(omega=1.3, dim=2)),
+], ids=["harmonic", "stark", "dim-2"])
+def test_sine_coordinate_estimates_match_the_exact_grid_value(x, y, V):
+    t = 0.9
+    est = estimate_Q(x, y, V, t, 20_000, 32, RngSeed(73))
+    assert abs(est.mean - gaussian_q(x, y, V.form, t, 32)) <= 5.0 * est.std_error
+    # the coarse grids of a restricted study read their C from folded coordinates
+    rep = refine_steps(x, y, V, t, 20_000, (4, 8, 32), RngSeed(73))
+    for level in rep.estimates:
+        exact = gaussian_q(x, y, V.form, t, level.n_steps)
+        assert abs(level.mean - exact) <= 5.0 * level.std_error
 
 
 def _trapezoid_sums(alpha):
@@ -243,7 +322,7 @@ def _trapezoid_sums(alpha):
     (4096, (4096, 64, 1), 60),  # several row blocks per chunk at dim 3
 ])
 def test_bridge_sums_match_trapezoid_sums_of_the_bridge(dim, n_steps, strides, n_paths):
-    alpha = bridge_values(RngSeed(41).generator().standard_normal((n_paths, n_steps, dim)))
+    alpha = _sine_bridge(RngSeed(41).generator().standard_normal((n_paths, n_steps - 1, dim)))
     start = 0
     for levels in _bridge_sums(RngSeed(41).generator(), n_paths, n_steps, dim, strides):
         assert len(levels) == len(strides)
@@ -557,6 +636,20 @@ def test_shared_path_std_error_matches_spread_over_seeds():
     assert 0.6 < spread / reported < 1.5
 
 
+def test_shared_path_error_bar_survives_tiny_weights():
+    # weights near 1e-185 at (30, 30): the squares of their per-path totals underflow
+    # unless scaled; shifting V by -425 scales every weight by e^{425 t} and nothing else
+    args = (bump(30.0, 0.5), bump(30.0, 0.5))
+    cfg = (1.0, QuadratureConfig(4), McConfig(2000, 64), RngSeed(1))
+    tiny = matrix_element(*args, harmonic(), *cfg)
+    assert 0.0 < tiny.std_error < math.inf
+    lifted = dataclasses.replace(harmonic(), form=QuadraticForm(0.5, (0.0,), -425.0))
+    unit = matrix_element(*args, lifted, *cfg)
+    assert unit.value > 1e-3
+    assert tiny.value == pytest.approx(unit.value * math.exp(-425.0), rel=1e-9)
+    assert tiny.std_error == pytest.approx(unit.std_error * math.exp(-425.0), rel=1e-9)
+
+
 def test_shared_path_matrix_element_memory_is_blocked():
     # a dense 1024-pair x 20 000-path weight matrix alone would take 164 MB
     phi = bump(width=1.0)
@@ -634,7 +727,9 @@ def test_refine_steps_free_case_differences_vanish():
 
 
 def test_refine_steps_restricted_resolves_harmonic_bias():
-    rep = refine_steps(0.0, 0.0, harmonic(), 1.0, 40_000, [8, 16, 32, 64],
+    # the finest difference is about 6.1e-5 (exact grid values): 120 000 paths put it
+    # about 7.5 standard errors from zero, so the 4-sigma check fails for few draws
+    rep = refine_steps(0.0, 0.0, harmonic(), 1.0, 120_000, [8, 16, 32, 64],
                        RngSeed(13), mode="restricted", workers=2)
     # trapezoid bias shrinks the action deficit: finer grids lower Q
     assert all(d < 0.0 for d in rep.diff_means)

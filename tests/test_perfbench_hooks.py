@@ -84,3 +84,27 @@ def test_traced_truncation_study_decomposes_each_distinct_level_once(perfbench_m
     names = [span.name for span in tracer.spans]
     assert names.count("oracles.decompose") == 3
     assert names.count("oracles.semigroup_matrix_element") == 3
+
+
+def test_traced_estimate_spans_every_row_block_of_normals(perfbench_modules):
+    # stochastic.normals_s times the draws of the sums path through the generator
+    # proxy: one span per row block of a harmonic estimate
+    harness, workloads = perfbench_modules
+    from bridgekac import feynman_kac, potentials, stochastic
+
+    n_samples, n_steps = 5000, 128
+    tracer = harness.Tracer()
+    workloads.instrument(tracer)
+    try:
+        tracer.op = 0
+        tracer.active = True
+        feynman_kac.estimate_Q(0.3, -0.2, potentials.harmonic(), 1.0, n_samples, n_steps,
+                               stochastic.RngSeed(1))
+    finally:
+        tracer.active = False
+        tracer.restore()
+    blocks = -(-n_samples // feynman_kac._block_rows(n_samples, n_steps - 1, 1))
+    assert blocks > 1
+    names = [span.name for span in tracer.spans]
+    assert names.count("stochastic.normals") == blocks
+    assert names.count("feynman_kac.estimate_Q") == 1
