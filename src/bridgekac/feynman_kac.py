@@ -352,8 +352,11 @@ def _sine_sums(n_steps: int, strides: tuple[int, ...], dim: int):
         weights[level, 0, s - 1::s] = tau[1:-1]
         weights[level, 1, s - 1::s] = (tau * u)[1:-1]
     coef = _sine_transform(weights) * (math.sqrt(2.0 / n_steps) * amp)
-    ab_cols = np.kron(coef.reshape(2 * len(strides), n_steps - 1).T, np.eye(dim))
-    return ab_cols, np.repeat(np.square(amp) / n_steps, dim), np.repeat(amp, dim)
+    cached = (np.kron(coef.reshape(2 * len(strides), n_steps - 1).T, np.eye(dim)),
+              np.repeat(np.square(amp) / n_steps, dim), np.repeat(amp, dim))
+    for a in cached:
+        a.flags.writeable = False  # every caller shares them
+    return cached
 
 
 def _fold(v: np.ndarray, m: int, out: np.ndarray) -> None:
