@@ -391,11 +391,11 @@ def _bridge_sums(gen: np.random.Generator, n_paths: int, n_steps: int, dim: int,
     product.  Otherwise xi is overwritten by eta = amp xi, each coarser
     grid folds its coordinates (`_fold`) from the coarsest grid already
     folded that it divides, or from eta, into a buffer of its own, and
-    every grid's C is its sum of squares / n_steps.  A stride s, which must divide
-    n_steps, restricts the path to the nodes that are multiples of s: a
-    grid of n_steps / s steps.  Yields, block after block, a list of
-    (A, B, C) for each stride in order, with A and B of shape (rows, dim)
-    and C of shape (rows,).
+    every grid's C is its sum of squares / n_steps.  A stride s, which
+    must divide n_steps, restricts the path to the nodes that are
+    multiples of s: a grid of n_steps / s steps.  Yields, block after
+    block, a list of (A, B, C) for each stride in order, with A and B of
+    shape (rows, dim) and C of shape (rows,).
     """
     strides = tuple(strides)
     ab_cols, c_col, amp = _sine_sums(n_steps, strides, dim)
