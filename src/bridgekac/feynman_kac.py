@@ -27,6 +27,20 @@ only, and only the chunk's weights span all its paths; a shared-path
 matrix element cuts each block's sums into (node pairs x paths) weight
 blocks under the same cap.
 
+The bridge law is centred, so a path alpha and its mirror -alpha are
+equally likely.  Every estimator draws ceil(count / 2) of a chunk's
+count paths and weighs each drawn path a second time as its mirror,
+which costs no draws (antithetic variates; Hammersley & Morton 1956).
+The two weights reduce at once to one pair unit
+(w(alpha) + w(-alpha)) / 2; when the count is odd, the chunk's last
+drawn path has no mirror and is a unit of its own.  Every later
+reduction is linear: the records below, the control differences
+w - w_ref, the successive differences of `refine_steps` and the
+shared-path totals.  Taken over units, they give error bars that
+account for the pairing, while `n_samples` still counts paths.  Terms
+odd in alpha, such as those of a linear potential, cancel within a
+pair: for `stark` the two weights of a pair correlate at about -0.92.
+
 The two kinds of potential read the normals as two realizations of the
 bridge law (see `stochastic`).  For an unclipped quadratic potential
 V(z) = q |z|^2 + g . z + c the trapezoid action of a path is linear in
@@ -37,24 +51,27 @@ coordinate axis and take the sums from them by matrix products, without
 ever forming node values (`_bridge_sums`); this lets `matrix_element`
 reuse one set of paths at every quadrature node pair, and `refine_steps`
 gets the sums of every grid of its schedule from the same pass.
+A mirror's sums are -A, -B and C, so it needs no further products.
 Callables and clipped forms need the values at the nodes: they draw
 n_steps increments per path and coordinate, turn each block into the
-bridge in place by the walk and evaluate V along it.
+bridge in place by the walk and evaluate V along it, then once more
+along the mirrors, whose positions are rewritten from the same block.
 Truncations max(V, -n) of one potential share the other way: V is
 evaluated along a path once and each level clips the values, so a
 truncation study draws and evaluates each path once for all levels.
 A clipped form also carries its own control variate: the unclipped
 form's weight w_ref of the same path, whose mean on the time grid,
 `stochastic.gaussian_q`, is a Gaussian integral known exactly.  Each
-level then averages w - w_ref, which is zero on every path its floor
-does not touch, provided w_ref has finite variance (see `_estimates`).
+level then averages w - w_ref, which is zero on every pair whose path
+and mirror its floor does not touch, provided w_ref has finite variance
+(see `_estimates`).
 
-Each chunk reduces each row of weights to one record, `_Stats`: count,
-mean, centred sum of squares, total and the top_k heaviest samples,
+Each chunk reduces each row of pair units to one record, `_Stats`:
+count, mean, centred sum of squares, total and the top_k heaviest units,
 merged pairwise in chunk order (Chan, Golub & LeVeque 1979).  A row
 whose largest |w| lies below 1e-100 holds its squares in units of that
 |w|, so the error bar of weights near 1e-185 does not underflow to 0;
-other rows sum as plain floats.  When the top_k heaviest samples hold
+other rows sum as plain floats.  When the top_k heaviest units hold
 more than `heavy_fraction` of the total weight, the estimate is flagged
 `divergence_suspected`.  Monte Carlo cannot certify an infinite
 expectation; the flag marks estimates that behave like one.
@@ -307,26 +324,40 @@ def _bridge_blocks(gen: np.random.Generator, n_paths: int, n_steps: int, dim: in
 
 
 def _position_blocks(gen: np.random.Generator, n_paths: int, n_steps: int, x: np.ndarray,
-                     y: np.ndarray, t: float):
-    """Positions (1-u) x + u y + sqrt(t) alpha(u) of the bridges of `_bridge_blocks`.
+                     y: np.ndarray, t: float, paired: int = 0):
+    """Positions (1-u) x + u y + sqrt(t) alpha(u) of the bridges of `_bridge_blocks`,
+    and of the mirrors -alpha of the first `paired` of them.
 
-    Each row block is yielded as nodes 0..n_steps of shape (rows,
-    n_steps + 1, dim) in one reused buffer, which also serves as the
-    detrend work buffer; the values are bit for bit those of
-    `backend.path_positions` on the rows of `bridge_values`.  The next
-    block overwrites it.
+    Each row block is yielded as (positions, reflect): the positions of
+    nodes 0..n_steps, of shape (rows, n_steps + 1, dim), in one reused
+    buffer, which also serves as the detrend work buffer; and a function
+    that rewrites the buffer's leading rows as the positions
+    (1-u) x + u y - sqrt(t) alpha(u) of the block's paths among the first
+    `paired` and returns them.  Both are bit for bit
+    `backend.path_positions` on the rows of `bridge_values` of the
+    normals, and of the negated normals; the mirrors are written from the
+    bridge block, which the caller never sees, so what the caller wrote
+    into the positions does not reach them.  The next block overwrites
+    the buffer.
     """
     dim = x.size
     pos = np.empty((_block_rows(n_paths, n_steps, dim), n_steps + 1, dim))
     base = _backend._line_positions(n_steps, x, y)
     s = np.sqrt(t)
-    for block in _bridge_blocks(gen, n_paths, n_steps, dim, work=pos[:, 1:]):
-        p = pos[:len(block)]
+
+    def fill(alpha: np.ndarray, scale: float) -> np.ndarray:
+        p = pos[:len(alpha)]
         # the order of path_positions: sqrt(t) alpha first, then the line
         p[:, 0] = base[0] + s * 0.0
-        np.multiply(block, s, out=p[:, 1:])
+        np.multiply(alpha, scale, out=p[:, 1:])
         p[:, 1:] += base[1:]
-        yield p
+        return p
+
+    start = 0
+    for block in _bridge_blocks(gen, n_paths, n_steps, dim, work=pos[:, 1:]):
+        mirrors = block[:max(0, paired - start)]
+        start += len(block)
+        yield fill(block, s), partial(fill, mirrors, -s)
 
 
 @lru_cache(maxsize=32)
@@ -439,26 +470,39 @@ def _line_action(xs: np.ndarray, ys: np.ndarray, form: QuadraticForm,
 
 
 def _sums_weights(sums, xs: np.ndarray, ys: np.ndarray, t: float,
-                  form: QuadraticForm, line: np.ndarray) -> np.ndarray:
-    """exp(-trapezoid action) of an unclipped form from per-path sums.
+                  form: QuadraticForm, line: np.ndarray, paired: int = 0) -> np.ndarray:
+    """exp(-trapezoid action) of an unclipped form from per-path sums, the first
+    `paired` paths weighed together with their mirrors.
 
     `xs` and `ys` hold endpoints of shape (n_x, dim) and (n_y, dim) and
     `line` their `_line_action` on the paths' grid; the result has shape
     (n_x, n_y, n_paths).  Along (1-u) x + u y + sqrt(t) alpha the action
-    is t times D(x, y) + 2 q sqrt(t) (x . (A - B) + y . B) + q t C +
-    sqrt(t) g . A.
+    is t times D(x, y) + q t C, even in alpha, plus
+    2 q sqrt(t) (x . (A - B) + y . B) + sqrt(t) g . A, odd in alpha.  The
+    mirror -alpha has the sums -A, -B and C, so it flips the sign of the
+    odd terms alone, exactly: its weight is bit for bit the one its own
+    sums would give.  Each of the first `paired` paths reads the unit
+    (w(alpha) + w(-alpha)) / 2; the others read w(alpha).
     """
     A, B, C = sums
     q = form.quad
     g = np.asarray(form.lin, dtype=np.float64)
     s = math.sqrt(t)
-    x_terms = (2.0 * q * s) * (xs @ (A - B).T)
-    # the terms of the path alone ride along with the y terms
-    y_terms = (2.0 * q * s) * (ys @ B.T) + (q * t * C + s * (A @ g))
-    action = line[:, :, None] + x_terms[:, None, :]
-    action += y_terms[None, :, :]
-    action *= -t
-    return np.exp(action, out=action)
+    # minus t times each term, grouped as (line + x terms) + (path terms + y terms)
+    x_odd = (-2.0 * q * s * t) * (xs @ (A - B).T)
+    y_odd = (-2.0 * q * s * t) * (ys @ B.T) + (-s * t) * (A @ g)
+    path_even = (-q * t * t) * C
+    line = -t * line
+    part = line[:, :, None] + x_odd[:, None, :]
+    w = np.add(part, (path_even + y_odd)[None, :, :])
+    np.exp(w, out=w)
+    if paired:
+        mirror = np.subtract(line[:, :, None], x_odd[:, None, :paired], out=part[..., :paired])
+        mirror += (path_even[:paired] - y_odd[:, :paired])[None, :, :]
+        np.exp(mirror, out=mirror)
+        w[..., :paired] += mirror
+        w[..., :paired] *= 0.5
+    return w
 
 
 def _unclipped(V: PotentialSpec) -> bool:
@@ -487,44 +531,70 @@ def _weights(pos: np.ndarray, t: float, V: PotentialSpec, floors=None) -> list[n
                                     (form.floor,) if floors is None else floors, t)
 
 
-def _chunk_weights(gen: np.random.Generator, n_paths: int, n_steps: int, x: np.ndarray,
+def _pairs(count: int) -> tuple[int, int]:
+    """The paths drawn for a chunk of `count` paths, ceil(count / 2), and how many of
+    them are weighed with their mirrors, count // 2 (see `_chunk_weights`)."""
+    return -(-count // 2), count // 2
+
+
+def _chunk_weights(gen: np.random.Generator, count: int, n_steps: int, x: np.ndarray,
                    y: np.ndarray, t: float, V: PotentialSpec, strides=(1,),
                    floors=None) -> np.ndarray:
-    """Weights of a chunk of paths drawn from `gen`, one row per stride and then per floor.
+    """Pair units of a chunk of `count` paths drawn from `gen`, one row per stride and
+    then per floor.
+
+    The bridge law is centred, so a path alpha and its mirror -alpha are
+    equally likely: the chunk draws ceil(count / 2) paths and weighs
+    each with its mirror, without drawing it.  A drawn path and its
+    mirror give one unit (w(alpha) + w(-alpha)) / 2; when `count` is
+    odd, the last drawn path has no mirror and is a unit of its own.
+    The result has shape (rows, ceil(count / 2)), one column per unit in
+    draw order.
 
     A stride s restricts the paths to the nodes that are multiples of s,
     a grid of n_steps / s steps.  An unclipped form estimated alone is
     weighed from the trapezoid sums of `_bridge_sums`, whose paths are
-    drawn in sine coordinates; anything else is evaluated along each
-    block of `_position_blocks`, drawn as the walk, by `_weights`.
-    Either way the chunk is streamed block by block and each block's
-    weights are written into the result, of shape (rows, n_paths).  For
-    a callable or a clipped form it is bit for bit the weights of the
-    whole chunk at once.
+    drawn in sine coordinates, and a mirror's sums are -A, -B and C.
+    Anything else is evaluated by `_weights` along each block of
+    `_position_blocks`, drawn as the walk, and then along the same
+    block's mirrors.  Either way the chunk is streamed block by block,
+    and for a callable or a clipped form the units are bit for bit those
+    of the whole chunk at once.
 
     A callable may write to the positions it is given.  The last stride
-    is evaluated on the positions buffer itself, which the next block
-    rewrites; every earlier stride gets a copy of its view, so no stride
-    sees what a callable left in another's positions.
+    is evaluated on the positions buffer itself, which the mirrors and
+    the next block rewrite; every earlier stride gets a copy of its view,
+    so no stride sees what a callable left in another's positions.
     """
+    drawn, paired = _pairs(count)
     n_floors = 1 if floors is None else len(floors)
-    weights = np.empty((len(strides) * n_floors, n_paths))
+    weights = np.empty((len(strides) * n_floors, drawn))
     start = 0
     if floors is None and _unclipped(V):
         xs, ys = x[None], y[None]
         lines = [_line_action(xs, ys, V.form, n_steps // s) for s in strides]
-        for levels in _bridge_sums(gen, n_paths, n_steps, V.dim, strides):
+        for levels in _bridge_sums(gen, drawn, n_steps, V.dim, strides):
             stop = start + len(levels[0][2])
             for row, (sums, line) in enumerate(zip(levels, lines)):
-                weights[row, start:stop] = _sums_weights(sums, xs, ys, t, V.form, line)[0, 0]
+                weights[row, start:stop] = _sums_weights(sums, xs, ys, t, V.form, line,
+                                                         max(0, paired - start))[0, 0]
             start = stop
         return weights
     last = len(strides) - 1
-    for pos in _position_blocks(gen, n_paths, n_steps, x, y, t):
-        stop = start + len(pos)
+
+    def evaluate(pos):
         views = (pos[:, ::s].copy() if V.form is None and level < last else pos[:, ::s]
                  for level, s in enumerate(strides))
-        weights[:, start:stop] = [w for view in views for w in _weights(view, t, V, floors)]
+        return [w for view in views for w in _weights(view, t, V, floors)]
+
+    for pos, reflect in _position_blocks(gen, drawn, n_steps, x, y, t, paired):
+        stop = start + len(pos)
+        weights[:, start:stop] = evaluate(pos)
+        mirrors = reflect()
+        if len(mirrors):
+            units = weights[:, start:start + len(mirrors)]
+            units += evaluate(mirrors)
+            units *= 0.5
         start = stop
     return weights
 
@@ -543,8 +613,9 @@ def _tiny_scale(peak):
 @dataclass(frozen=True, eq=False)
 class _Stats:
     """Count, mean, centred sum of squares m2, total and top_k largest
-    weights of each row of weights, m2 in units of `scale` squared; `a + b`
-    merges the records of two sets of paths (see the module docstring)."""
+    weights of each row of weights (pair units, in an estimator), m2 in
+    units of `scale` squared; `a + b` merges the records of two sets of
+    samples (see the module docstring)."""
 
     n: int
     mean: np.ndarray
@@ -610,9 +681,10 @@ def _merged(records):
     return reduce(lambda a, b: tuple(map(operator.add, a, b)), records)
 
 
-def _finalize(stats: _Stats, heavy_fraction: float, steps, q_ref=None,
+def _finalize(stats: _Stats, heavy_fraction: float, steps, n_samples: int, q_ref=None,
               diffs: _Stats | None = None) -> list[QEstimate]:
-    """One estimate per row of `stats`, of `steps` steps each.  With a control,
+    """One estimate per row of `stats`, of `steps` steps and `n_samples` paths each
+    (`stats` counts pair units, about half as many).  With a control,
     Q_ref and the record of the differences w - w_ref, a row reads
     max(Q_ref + mean difference, 0) with the differences' standard error; the
     flag and heavy-mass fraction stay the weights', but a row whose differences
@@ -627,7 +699,7 @@ def _finalize(stats: _Stats, heavy_fraction: float, steps, q_ref=None,
         QEstimate(
             mean=float(mean),
             std_error=float(err),
-            n_samples=int(stats.n),
+            n_samples=n_samples,
             n_steps=int(n),
             divergence_suspected=bool(flag),
             heavy_mass_fraction=float(frac),
@@ -720,7 +792,8 @@ def _estimates(x, y, V: PotentialSpec, t: float, n_samples: int, n_steps: int,
         return plain, _Stats.of(weights[:-1])
 
     plain, *diffs = _over_chunks(rng, key, n_samples, workers, chunk)
-    return _finalize(plain, heavy_fraction, [n_steps] * len(plain.mean), q_ref, *diffs)
+    return _finalize(plain, heavy_fraction, [n_steps] * len(plain.mean), n_samples, q_ref,
+                     *diffs)
 
 
 def _form_floors(x: np.ndarray, y: np.ndarray, V: PotentialSpec, t: float, n_steps: int,
@@ -868,9 +941,13 @@ def matrix_element(
     in `estimate_Q`.  They do not share paths
     because it does not pay: such a potential is evaluated along each
     path at every node pair anyway, and the correlated error bar of
-    shared paths is several times the per-node one (about 5x for the
-    harmonic form at 6 x 6 nodes, about 3x for a truncated inverted
-    quadratic at 8 x 8), so the cost of a given error would grow.
+    shared paths is several times the per-node one, so the cost of a
+    given error would grow.  Measured on pair units over three seeds of
+    4000 paths x 32 steps between bump(width=1) and bump(0.5, 1), the
+    ratio is about 2.9 for the harmonic form at 6 x 6 nodes and t = 0.5,
+    and about 3.6 for truncate(inverted_quadratic(0.5), 1.0) at 8 x 8
+    nodes and t = 1.  `mc_samples_per_node` counts paths, each weighed
+    with its mirror (see `_chunk_weights`).
     Either way a fixed seed gives bit-identical results for any worker
     count.
     """
@@ -942,20 +1019,21 @@ def _shared_path_element(x_pts: np.ndarray, y_pts: np.ndarray, coef: np.ndarray,
     """Value, standard error and flagged node count from one set of paths.
 
     `coef` holds the quadrature coefficient of each node pair, x-major.
-    Weights exist only one (node pairs x paths) block of at most
-    `_BLOCK_ELEMENTS` numbers at a time, cut from a block of bridge sums;
-    each yields per-node stats, for the divergence flags, and the
-    moments of the per-path totals coef . w, for the value and its error.
-    The totals are centred on the block's node means, so paths that all
-    carry the same weights give exactly zero spread, and their squares
-    are summed in the unit `_Stats.of` gives a row of weights, so that
-    totals near 1e-185 keep a nonzero error bar.
+    The paths pair with their mirrors as in `_chunk_weights`, and w below
+    is a pair unit.  Units exist only one (node pairs x drawn paths)
+    block of at most `_BLOCK_ELEMENTS` numbers at a time, cut from a
+    block of bridge sums; each yields per-node stats, for the divergence
+    flags, and the moments of the per-unit totals coef . w, for the value
+    and its error.  The totals are centred on the block's node means, so
+    units that all carry the same weights give exactly zero spread, and
+    their squares are summed in the unit `_Stats.of` gives a row of
+    weights, so that totals near 1e-185 keep a nonzero error bar.
     """
     rows = max(1, _BLOCK_ELEMENTS // coef.size)
     line = _line_action(x_pts, y_pts, V.form, mc.n_steps)
 
-    def block_stats(sums):
-        w = _sums_weights(sums, x_pts, y_pts, t, V.form, line).reshape(coef.size, -1)
+    def block_stats(sums, paired: int):
+        w = _sums_weights(sums, x_pts, y_pts, t, V.form, line, paired).reshape(coef.size, -1)
         nodes = _Stats.of(w, mc.top_k)
         spread = coef @ (w - nodes.mean[:, None])
         scale = float(_tiny_scale(np.abs(spread).max()))
@@ -964,9 +1042,17 @@ def _shared_path_element(x_pts: np.ndarray, y_pts: np.ndarray, coef: np.ndarray,
                              float(coef @ nodes.total), np.empty(0), scale=scale)
 
     def chunk(gen: np.random.Generator, count: int):
-        return _merged(block_stats([s[i:i + rows] for s in sums])
-                       for (sums,) in _bridge_sums(gen, count, mc.n_steps, V.dim, (1,))
-                       for i in range(0, len(sums[2]), rows))
+        drawn, paired = _pairs(count)
+
+        def records():
+            start = 0
+            for (sums,) in _bridge_sums(gen, drawn, mc.n_steps, V.dim, (1,)):
+                for i in range(0, len(sums[2]), rows):
+                    part = [s[i:i + rows] for s in sums]
+                    yield block_stats(part, max(0, paired - start))
+                    start += len(part[2])
+
+        return _merged(records())
 
     nodes, totals = _over_chunks(rng, (), mc.n_samples, workers, chunk)
     _, suspected = nodes.heavy(mc.heavy_fraction)
@@ -1057,7 +1143,7 @@ def refine_steps(
             return levels, _Stats.of(weights[1:])
 
         levels, diffs = _over_chunks(rng, (), n_samples, workers, chunk)
-        estimates = _finalize(levels, heavy_fraction, schedule)
+        estimates = _finalize(levels, heavy_fraction, schedule, n_samples)
         diff_means, diff_errs = diffs.mean, diffs.std_error
     return RefinementReport(
         mode=mode,

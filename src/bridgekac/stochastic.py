@@ -22,6 +22,13 @@ error, never the path law itself.
   forming the node values; `_sine_amplitudes` and `_sine_transform`
   give the basis.
 
+Both realizations are odd in the normals they read: the negated
+normals, -xi or the negated increments, give exactly the mirrored
+bridge -alpha, which has the same law.  The estimators use this to
+weigh every drawn path a second time as its mirror, without drawing it
+(see `feynman_kac`), so they draw half as many normals as they weigh
+paths.
+
 Because the grid law is exactly Gaussian, the expected weight of an
 unclipped quadratic potential on the grid is a Gaussian integral:
 `gaussian_q` gives it in closed form, grid bias included, and the

@@ -328,9 +328,9 @@ def test_truncation_study_right_values_monotone_at_the_benchmark_config(seed):
 
 
 def test_truncation_study_does_not_count_exact_levels_as_divergent():
-    # around x = 6 the harmonic weights are heavy-tailed, but no floor binds: every
+    # around x = 7 the harmonic weights are heavy-tailed, but no floor binds: every
     # node's level is its exact grid value, which is no sign of divergence
-    phi = bump(6.0, 1.0)
+    phi = bump(7.0, 1.0)
     mc, quadrature = McConfig(200, 16), QuadratureConfig(3)
     report = truncation_study(harmonic(), phi, phi, 1.0, [1.0, 2.0], mc, RngSeed(1),
                               quadrature=quadrature,
@@ -357,7 +357,7 @@ def test_q_truncation_study_infinite_level_reads_the_exact_grid_value():
 def test_q_truncation_study_clamps_controlled_estimates_at_zero():
     # ten paths, where w_ref's tail draws the mean of w - w_ref below -Q_ref
     report = q_truncation_study(0.0, 0.0, inverted_quadratic(1.0), 1.55, [0.0, 0.5],
-                                McConfig(10, 32), RngSeed(179))
+                                McConfig(10, 32), RngSeed(216))
     assert [e.mean for e in report.estimates] == [0.0, 0.0]
     assert all(e.std_error > 0.0 for e in report.estimates)
     assert report.monotone

@@ -167,7 +167,7 @@ def test_total_underflow_is_not_flagged_as_divergence():
 def test_tiny_weights_keep_a_nonzero_error_bar():
     # weights near 1e-185 have squares below the smallest float: the record scales them first
     est = estimate_Q(30, 30, harmonic(), 1.0, 2000, 64, RngSeed(1))
-    assert est.mean == pytest.approx(5.409e-187, rel=1e-3, abs=0.0)
+    assert est.mean == pytest.approx(2.854e-187, rel=1e-3, abs=0.0)
     assert 0.5 * est.mean < est.std_error < math.inf
     assert est.divergence_suspected
     # three chunks merge rows of different scales, in the same order for any workers
@@ -302,6 +302,18 @@ def test_sine_coordinate_estimates_match_the_exact_grid_value(x, y, V):
         assert abs(level.mean - exact) <= 5.0 * level.std_error
 
 
+def test_stark_error_bars_are_calibrated_on_pair_units():
+    # a path and its mirror are strongly anticorrelated for stark (about -0.92), so the
+    # units' error bar is far below a per-path one: against the exact grid value the
+    # z-scores of 40 seeds spread by about 1, where per-path error bars give about 0.3
+    x, y, t, n_steps = 0.3, -0.4, 1.0, 16
+    V = stark(1.0)
+    exact = gaussian_q(x, y, V.form, t, n_steps)
+    z = [(e.mean - exact) / e.std_error
+         for e in (estimate_Q(x, y, V, t, 2000, n_steps, RngSeed(k)) for k in range(40))]
+    assert 0.7 <= np.std(z, ddof=1) <= 1.3
+
+
 def _trapezoid_sums(alpha):
     """A, B and C of paths `alpha` (n_paths, n_steps + 1, dim), each paired
     with its sum of absolute terms, which bounds its rounding error."""
@@ -342,14 +354,20 @@ def test_bridge_sums_match_trapezoid_sums_of_the_bridge(dim, n_steps, strides, n
 def test_bridge_blocks_are_the_rows_of_the_one_shot_bridge(monkeypatch, ends):
     # 13 rows per block: 100 paths are seven full blocks and a ragged one of 9
     monkeypatch.setattr(feynman_kac, "_BLOCK_ELEMENTS", 13 * 16 * 2)
-    alpha = bridge_values(RngSeed(47).generator().standard_normal((100, 16, 2)))
+    normals = RngSeed(47).generator().standard_normal((100, 16, 2))
+    alpha = bridge_values(normals)
     if ends:
-        # nodes 0..n: the positions of pin-to-pin paths from 0 to 0 at t = 1
-        blocks = _position_blocks(RngSeed(47).generator(), 100, 16, np.zeros(2), np.zeros(2),
-                                  1.0)
+        # nodes 0..n: the positions of pin-to-pin paths from 0 to 0 at t = 1; the
+        # mirrors of the first 95 are the positions of the bridges of the negated normals
+        blocks, mirrors = [], []
+        for pos, reflect in _position_blocks(RngSeed(47).generator(), 100, 16, np.zeros(2),
+                                             np.zeros(2), 1.0, 95):
+            blocks.append(pos.copy())
+            mirrors.append(reflect().copy())
+        assert [len(m) for m in mirrors] == [13] * 7 + [4]
+        assert np.array_equal(np.concatenate(mirrors), bridge_values(-normals[:95]))
     else:
-        blocks = _bridge_blocks(RngSeed(47).generator(), 100, 16, 2)
-    blocks = [b.copy() for b in blocks]
+        blocks = [b.copy() for b in _bridge_blocks(RngSeed(47).generator(), 100, 16, 2)]
     assert [len(b) for b in blocks] == [13] * 7 + [9]
     assert np.array_equal(np.concatenate(blocks), alpha if ends else alpha[:, 1:])
 
@@ -388,20 +406,144 @@ _STREAMED = {
 }
 
 
+def _pair_units(plus, minus, paired):
+    """Units of weights `plus` of drawn paths and `minus` of their mirrors, paths last:
+    (plus + minus) / 2 for the first `paired` paths, plus alone for the rest."""
+    units = np.array(plus, dtype=np.float64)
+    units[..., :paired] = 0.5 * (units[..., :paired] + np.asarray(minus)[..., :paired])
+    return units
+
+
 @pytest.mark.parametrize("case", list(_STREAMED))
 def test_streamed_weights_equal_one_shot_weights(monkeypatch, case):
     V, strides, floors = _STREAMED[case]
-    n_paths, n_steps, t = 100, 16, 0.8
-    # 13 rows per block: seven full blocks and a ragged one of 9
+    # 199 paths: 100 drawn, 13 per block (seven full blocks and a ragged one of 9), the
+    # first 99 weighed with their mirrors and the last a unit of its own
+    n_paths, n_steps, t = 199, 16, 0.8
     monkeypatch.setattr(feynman_kac, "_BLOCK_ELEMENTS", 13 * n_steps * V.dim)
     x, y = np.full(V.dim, 0.4), np.full(V.dim, -0.3)
     got = _chunk_weights(RngSeed(3).generator(5), n_paths, n_steps, x, y, t, V, strides, floors)
-    alpha = bridge_values(RngSeed(3).generator(5).standard_normal((n_paths, n_steps, V.dim)))
-    want = [w for s in strides
-            for w in _weights(path_positions(alpha[:, ::s], x, y, t), t, V, floors)]
-    assert len(got) == len(want) == len(strides) * (1 if floors is None else len(floors))
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+    normals = RngSeed(3).generator(5).standard_normal((100, n_steps, V.dim))
+
+    def one_shot(alpha):
+        return [w for s in strides
+                for w in _weights(path_positions(alpha[:, ::s], x, y, t), t, V, floors)]
+
+    want = _pair_units(one_shot(bridge_values(normals)), one_shot(bridge_values(-normals)), 99)
+    assert got.shape == want.shape == (len(strides) * (1 if floors is None else len(floors)), 100)
+    assert np.array_equal(got, want)
+
+
+class _NegatedGenerator:
+    """Generator proxy whose draws are those of `gen`, negated."""
+
+    def __init__(self, gen):
+        self.gen = gen
+
+    def standard_normal(self, *, out):
+        self.gen.standard_normal(out=out)
+        np.negative(out, out=out)
+
+
+def _drawn_weights(gen, n_paths, n_steps, x, y, t, V, strides):
+    """Weights of `n_paths` drawn paths each alone, no mirror: from the trapezoid sums of
+    an unclipped form, else along the walk; one row per stride."""
+    if V.form is not None and V.form.floor == -math.inf:
+        lines = [_line_action(x[None], y[None], V.form, n_steps // s) for s in strides]
+        return np.concatenate(
+            [[_sums_weights(sums, x[None], y[None], t, V.form, line)[0, 0]
+              for sums, line in zip(levels, lines)]
+             for levels in _bridge_sums(gen, n_paths, n_steps, V.dim, strides)], axis=1)
+    return np.concatenate(
+        [[w for s in strides for w in _weights(pos[:, ::s].copy(), t, V)]
+         for pos, _ in _position_blocks(gen, n_paths, n_steps, x, y, t)], axis=1)
+
+
+@pytest.mark.parametrize("V, strides", [
+    (harmonic(omega=1.3), (1,)),
+    (stark(0.8), (4, 2, 1)),
+    (dataclasses.replace(harmonic(dim=2), form=QuadraticForm(-0.2, (0.3, -0.6), 0.45)), (1,)),
+], ids=["harmonic", "stark-strides", "dim-2-form"])
+@pytest.mark.parametrize("count", [1, 2, 97, 200])
+def test_units_are_the_means_of_each_path_and_its_mirror(monkeypatch, V, strides, count):
+    # on the sums path the mirror is the path drawn as the negated sine coordinates -xi
+    # (the walk's mirrors are checked against the negated increments above); with an odd
+    # count the last path is a unit alone
+    n_steps, t = 16, 0.7
+    monkeypatch.setattr(feynman_kac, "_BLOCK_ELEMENTS", 13 * n_steps * V.dim)
+    x, y = np.full(V.dim, 0.4), np.full(V.dim, -0.3)
+    got = _chunk_weights(RngSeed(9).generator(2), count, n_steps, x, y, t, V, strides)
+    drawn = -(-count // 2)
+    plus = _drawn_weights(RngSeed(9).generator(2), drawn, n_steps, x, y, t, V, strides)
+    minus = _drawn_weights(_NegatedGenerator(RngSeed(9).generator(2)), drawn, n_steps, x, y, t,
+                           V, strides)
+    assert got.shape == (len(strides), drawn)
+    assert np.array_equal(got, _pair_units(plus, minus, count // 2))
+    if count % 2:
+        assert np.array_equal(got[:, -1], plus[:, -1])
+
+
+@pytest.mark.parametrize("count, n_steps, dim, strides", [
+    (1, 8, 1, (1,)), (2, 1, 2, (1,)), (3001, 16, 3, (1,)), (3000, 256, 1, (16, 4, 1)),
+])
+def test_a_chunk_draws_the_normals_of_half_its_paths(count, n_steps, dim, strides):
+    gen = _CountingGenerator(RngSeed(5).generator())
+    V = harmonic(dim=dim)
+    units = _chunk_weights(gen, count, n_steps, np.zeros(dim), np.ones(dim), 1.0, V, strides)
+    drawn = -(-count // 2)
+    assert units.shape == (len(strides), drawn)
+    assert sum(gen.drawn) == drawn * (n_steps - 1) * dim
+    assert len(gen.drawn) == -(-drawn // feynman_kac._block_rows(drawn, n_steps - 1, dim))
+
+
+@pytest.mark.parametrize("V", [harmonic(), custom(_callable_harmonic, lambda eps: 0.0),
+                               truncate(inverted_quadratic(0.5), 0.5)],
+                         ids=["harmonic", "callable", "clipped"])
+def test_n_samples_counts_paths(V):
+    one = estimate_Q(0.3, -0.2, V, 0.8, 1, 8, RngSeed(4))
+    # one path: a unit of its own, with no mirror and no spread
+    alone = _drawn_weights(RngSeed(4).generator(0), 1, 8, np.array([0.3]), np.array([-0.2]), 0.8,
+                           V, (1,))
+    assert one.n_samples == 1 and one.std_error == 0.0
+    if V.form is None or V.form.floor == -math.inf:
+        assert one.mean == alone[0, 0]
+    # odd, and across two chunks (the second holds one path, alone)
+    for n_samples in (7, feynman_kac._CHUNK + 1):
+        est = estimate_Q(0.3, -0.2, V, 0.8, n_samples, 4, RngSeed(4))
+        assert est.n_samples == n_samples
+        assert 0.0 < est.std_error < math.inf
+    rep = refine_steps(0.3, -0.2, V, 0.8, 7, (2, 4), RngSeed(4))
+    assert [e.n_samples for e in rep.estimates] == [7, 7]
+    me = matrix_element(bump(width=0.5), bump(width=0.5), V, 0.8, QuadratureConfig(2),
+                        McConfig(7, 4), RngSeed(4))
+    assert me.mc_samples_per_node == 7
+
+
+def test_heavy_tail_rule_counts_units():
+    # the top 10 of 10 units hold all the weight trivially, so 20 paths are not flagged;
+    # 22 paths are 11 units, whose top 10 hold at least 10/11 of it
+    kept = estimate_Q(0.0, 0.0, harmonic(), 1.0, 20, 8, RngSeed(3), top_k=10)
+    assert kept.heavy_mass_fraction == pytest.approx(1.0, rel=1e-15)
+    assert not kept.divergence_suspected
+    flagged = estimate_Q(0.0, 0.0, harmonic(), 1.0, 22, 8, RngSeed(3), top_k=10)
+    assert flagged.heavy_mass_fraction >= 10.0 / 11.0
+    assert flagged.divergence_suspected
+
+
+def test_shared_path_units_pair_as_the_pointwise_units(monkeypatch):
+    # one set of paths: each node's units are those of estimate_Q at that node with
+    # key=(), also across a chunk boundary with an odd count and many weight blocks
+    monkeypatch.setattr(feynman_kac, "_BLOCK_ELEMENTS", 4 * 37)
+    phi, psi = bump(width=0.8), bump(0.3, 0.8)
+    mc = McConfig(feynman_kac._CHUNK + 3, 4)
+    me = matrix_element(phi, psi, stark(0.7), 0.6, QuadratureConfig(2), mc, RngSeed(8))
+    xp, xw = _tensor_gauss_legendre(phi.support_box, 2)
+    yp, yw = _tensor_gauss_legendre(psi.support_box, 2)
+    want = sum(xw[i] * phi.evaluate(xp[i]) * yw[j] * psi.evaluate(yp[j])
+               * free_kernel(xp[i], yp[j], 0.6)
+               * estimate_Q(xp[i], yp[j], stark(0.7), 0.6, mc.n_samples, 4, RngSeed(8)).mean
+               for i in range(2) for j in range(2))
+    assert me.value == pytest.approx(want, rel=1e-12)
 
 
 def test_callable_estimate_memory_stays_within_a_few_blocks():
@@ -625,7 +767,7 @@ def test_shared_path_matrix_element_opens_one_stream_per_chunk(counting_seed):
 
 def test_shared_path_std_error_matches_spread_over_seeds():
     # shared paths correlate the nodes; the error bar must still match the
-    # spread of independent runs (a per-node formula would be ~5x too small)
+    # spread of independent runs (a per-node formula would be ~3x too small)
     phi = bump(width=1.0)
     psi = bump(center=0.5, width=1.0)
     runs = [matrix_element(phi, psi, harmonic(), 0.5, QuadratureConfig(6),
@@ -777,7 +919,7 @@ def test_clipped_form_reads_the_exact_grid_value_where_no_floor_binds():
     assert est.divergence_suspected == plain.divergence_suspected
     # far out, the plain mean underflows in its squares; the control does not
     far = estimate_Q(30.0, 30.0, truncate(harmonic(), 1.0), 1.0, 2000, 64, RngSeed(1))
-    assert far.mean == pytest.approx(2.1655e-181, rel=1e-4)
+    assert far.mean == pytest.approx(2.1655e-181, rel=1e-4, abs=0.0)
 
 
 def test_exact_controlled_level_is_not_flagged():

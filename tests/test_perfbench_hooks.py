@@ -88,7 +88,8 @@ def test_traced_truncation_study_decomposes_each_distinct_level_once(perfbench_m
 
 def test_traced_estimate_spans_every_row_block_of_normals(perfbench_modules):
     # stochastic.normals_s times the draws of the sums path through the generator
-    # proxy: one span per row block of a harmonic estimate
+    # proxy: one span per row block of a harmonic estimate, whose 5000 paths are
+    # 2500 drawn paths and their mirrors
     harness, workloads = perfbench_modules
     from bridgekac import feynman_kac, potentials, stochastic
 
@@ -103,7 +104,8 @@ def test_traced_estimate_spans_every_row_block_of_normals(perfbench_modules):
     finally:
         tracer.active = False
         tracer.restore()
-    blocks = -(-n_samples // feynman_kac._block_rows(n_samples, n_steps - 1, 1))
+    drawn = -(-n_samples // 2)
+    blocks = -(-drawn // feynman_kac._block_rows(drawn, n_steps - 1, 1))
     assert blocks > 1
     names = [span.name for span in tracer.spans]
     assert names.count("stochastic.normals") == blocks
