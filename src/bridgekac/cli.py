@@ -178,8 +178,8 @@ def _coerce_unit_fraction(v):
     val, err = _coerce_float(v)
     if err:
         return None, err
-    if not 0.0 < val <= 1.0:
-        return None, "expected a number in (0, 1]"
+    if not 0.0 < val < 1.0:
+        return None, "expected a number in (0, 1)"
     return val, None
 
 

@@ -64,6 +64,10 @@ __all__ = [
     "truncation_study",
 ]
 
+_STABLE_REL_TOL = 1e-3
+_STABLE_RUN_LENGTH = 3
+_AGREE_REL_TOL = 0.01
+
 
 @dataclass(frozen=True)
 class OperatorSequence:
@@ -246,13 +250,11 @@ def stabilization_level(
     values: Sequence[float],
     std_errors: Sequence[float] | None = None,
     trusted: Sequence[bool] | None = None,
-    rel_tol: float = 1e-3,
-    run_length: int = 3,
 ):
-    """First level after `run_length` successive small increments, or None.
+    """First level after 3 successive small increments, or None.
 
     An increment is small when it is below max(3 combined standard
-    errors, rel_tol relative); increments touching untrusted values
+    errors, 1e-3 relative); increments touching untrusted values
     (e.g. divergence-flagged estimates) never count.
     """
     if std_errors is None:
@@ -263,12 +265,12 @@ def stabilization_level(
     for i in range(1, len(values)):
         threshold = max(
             3.0 * math.hypot(std_errors[i], std_errors[i - 1]),
-            rel_tol * abs(values[i]),
+            _STABLE_REL_TOL * abs(values[i]),
         )
         small = abs(values[i] - values[i - 1]) <= threshold
         if small and trusted[i] and trusted[i - 1]:
             run += 1
-            if run >= run_length:
+            if run >= _STABLE_RUN_LENGTH:
                 return levels[i]
         else:
             run = 0
@@ -323,7 +325,6 @@ def truncation_study(
     quadrature: QuadratureConfig | None = None,
     oracle: OracleConfig | None = None,
     workers: int = 1,
-    agree_rel_tol: float = 0.01,
 ) -> TruncationReport:
     """Compare grid-oracle and Monte Carlo matrix elements over max(V, -n).
 
@@ -340,7 +341,7 @@ def truncation_study(
     truncation levels only raise the potential; a level whose grid
     Hamiltonian equals the previous one reuses its value.  Agreement at
     each level uses
-    max(3 standard errors, agree_rel_tol relative).
+    max(3 standard errors, 1 % relative).
     """
     levels = _checked_levels(levels)
     _check_workers(workers)
@@ -364,7 +365,7 @@ def truncation_study(
 
     agreements = []
     for lv, rv, se in zip(left_values, right_values, right_errs):
-        tol = max(3.0 * se, agree_rel_tol * max(abs(lv), abs(rv)))
+        tol = max(3.0 * se, _AGREE_REL_TOL * max(abs(lv), abs(rv)))
         agreements.append(bool(abs(lv - rv) <= tol))
     trusted = [d == 0 for d in right_div]
     return TruncationReport(

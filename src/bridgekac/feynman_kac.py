@@ -73,8 +73,10 @@ whose largest |w| lies below 1e-100 holds its squares in units of that
 |w|, so the error bar of weights near 1e-185 does not underflow to 0;
 other rows sum as plain floats.  When the top_k heaviest units hold
 more than `heavy_fraction` of the total weight, the estimate is flagged
-`divergence_suspected`.  Monte Carlo cannot certify an infinite
-expectation; the flag marks estimates that behave like one.
+`divergence_suspected` if it has more than top_k / heavy_fraction units
+(the top_k of fewer hold that much of any sample).  Monte Carlo cannot
+certify an infinite expectation; the flag marks estimates that behave
+like one.
 """
 
 from __future__ import annotations
@@ -92,8 +94,9 @@ import numpy as np
 from . import backend as _backend
 from .potentials import PotentialSpec, QuadraticForm
 # bridge_values is not called here: the benchmark's traced run wraps this name
-from .stochastic import (BridgePath, RngSeed, _bridge_in_place, _sine_amplitudes,
-                         _sine_transform, bridge_values, gaussian_q, is_divergent)  # noqa: F401
+from .stochastic import (BridgePath, RngSeed, _bridge_in_place, _line_weights,
+                         _sine_amplitudes, _sine_transform, _trapezoid_grid, bridge_values,
+                         gaussian_q, is_divergent)  # noqa: F401
 
 __all__ = [
     "MatrixElementEstimate",
@@ -277,19 +280,9 @@ def action_integral(path: BridgePath, V: PotentialSpec, x, y, t: float) -> float
     _check_time(t)
     xp = _point(x, V.dim)
     yp = _point(y, V.dim)
-    u = path.times
+    u, tau = _trapezoid_grid(path.n_steps)
     pos = np.outer(1.0 - u, xp) + np.outer(u, yp) + math.sqrt(t) * path.values
-    v = np.asarray(V.evaluate(pos), dtype=np.float64)
-    inner = float(v[1:-1].sum()) if path.n_steps > 1 else 0.0
-    return float(t * (0.5 * v[0] + inner + 0.5 * v[-1]) / path.n_steps)
-
-
-def _trapezoid_grid(n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Grid times u_k = k / n_steps and trapezoid weights summing to one."""
-    u = np.arange(n_steps + 1, dtype=np.float64) / n_steps
-    tau = np.full(n_steps + 1, 1.0 / n_steps)
-    tau[[0, -1]] *= 0.5
-    return u, tau
+    return float(t * (tau @ np.asarray(V.evaluate(pos), dtype=np.float64)))
 
 
 def _block_rows(n_paths: int, n_steps: int, dim: int) -> int:
@@ -462,8 +455,7 @@ def _line_action(xs: np.ndarray, ys: np.ndarray, form: QuadraticForm,
     the straight lines from `xs` (n_x, dim) to `ys` (n_y, dim); shape (n_x, n_y)."""
     q = form.quad
     g = np.asarray(form.lin, dtype=np.float64)
-    u, tau = _trapezoid_grid(n_steps)
-    w0, w1, w2 = tau @ np.square(1.0 - u), tau @ (u * (1.0 - u)), tau @ np.square(u)
+    w0, w1, w2 = _line_weights(n_steps)
     return (q * (w0 * np.square(xs).sum(axis=1)[:, None] + 2.0 * w1 * (xs @ ys.T)
                  + w2 * np.square(ys).sum(axis=1)[None, :])
             + 0.5 * (xs @ g)[:, None] + 0.5 * (ys @ g)[None, :] + form.const)
@@ -671,7 +663,7 @@ class _Stats:
         top_sum = np.sort(self.top, axis=-1).sum(axis=-1)
         fraction = np.divide(top_sum, self.total, out=np.zeros(np.shape(self.total)),
                              where=self.total > 0.0)
-        suspected = (self.n > self.top_k) & (fraction > heavy_fraction)
+        suspected = (self.n * heavy_fraction > self.top_k) & (fraction > heavy_fraction)
         suspected |= ~np.isfinite(self.mean) | ~np.isfinite(self.std_error)
         return fraction, suspected
 

@@ -32,7 +32,9 @@ paths.
 Because the grid law is exactly Gaussian, the expected weight of an
 unclipped quadratic potential on the grid is a Gaussian integral:
 `gaussian_q` gives it in closed form, grid bias included, and the
-estimators use it as the exact mean of a control variate.
+estimators use it as the exact mean of a control variate.  It is read
+in the sine basis of the draws, where the quadratic part of V shifts
+each mode's precision n mu_j by 2 q t^2 / n.
 """
 
 from __future__ import annotations
@@ -257,8 +259,9 @@ def log_gaussian_q(x, y, form, t: float, n_steps: int):
 
     per coordinate, with P = K + diag(2 q t^2 / n),
     b_k = -(t^{3/2} / n) (2 q ((1-u_k) x + u_k y) + g) and S_line the
-    trapezoid action of the straight line.  The coordinates share P, so
-    one LDL^T sweep per (q, t, n_steps) serves every endpoint pair and
+    trapezoid action of the straight line.  P is diagonal in the sine
+    basis of the draws, and the coordinates share it, so one
+    `_grid_precision` per (q, t, n_steps) serves every endpoint pair and
     every `dim`.  Returns DIVERGENT when P is not positive definite: the
     expectation is infinite on this grid.  The result is a logarithm, so
     nothing underflows however small Q is.  `form` needs `quad`, `lin`,
@@ -313,42 +316,43 @@ def gaussian_q(x, y, form, t: float, n_steps: int):
 _LOG_MAX = math.log(sys.float_info.max)
 
 
+def _trapezoid_grid(n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid times u_k = k / n_steps and trapezoid weights summing to one."""
+    u = np.arange(n_steps + 1, dtype=np.float64) / n_steps
+    tau = np.full(n_steps + 1, 1.0 / n_steps)
+    tau[[0, -1]] *= 0.5
+    return u, tau
+
+
+@lru_cache(maxsize=64)
+def _line_weights(n_steps: int) -> tuple[float, float, float]:
+    """The trapezoid sums of (1 - u)^2, u (1 - u) and u^2 over the grid of `n_steps` steps:
+    the weights of |x|^2, 2 x . y and |y|^2 in the action of the line from x to y."""
+    u, tau = _trapezoid_grid(n_steps)
+    return float(tau @ np.square(1.0 - u)), float(tau @ (u * (1.0 - u))), float(tau @ np.square(u))
+
+
 @lru_cache(maxsize=64)
 def _grid_precision(q: float, t: float, n_steps: int):
-    """(log det K - log det P, E^T P^{-1} E, line weights) for the bridge's interior nodes,
-    or None.
+    """(log det K - log det P, E^T P^{-1} E, `_line_weights`) for the bridge's interior
+    nodes, or None.
 
-    K = n tridiag(-1, 2, -1) and P = K + diag(2 q t^2 / n) are of size
-    n - 1, n = n_steps, and the columns of E are 1 - u_k, u_k and 1 at
-    the interior nodes u_k = k / n.  One LDL^T sweep gives P's pivots
-    d_k = a - n^2 / d_{k-1}, a = 2 n + 2 q t^2 / n, beside K's (a = 2 n);
-    P is positive definite iff every pivot is positive (None otherwise).
-    The determinants enter as a sum of log pivot ratios, which is exact
-    zero for q = 0.  With L y = e solved along the same sweep,
-    E^T P^{-1} E = Y^T D^{-1} Y.  The line weights are the trapezoid sums
-    of (1 - u)^2, u (1 - u) and u^2 over all the nodes.
+    K = n tridiag(-1, 2, -1) and P = K + c I, c = 2 q t^2 / n, are of
+    size n - 1, n = n_steps, and the columns of E are 1 - u_k, u_k and 1
+    at the interior nodes u_k = k / n.  The sine basis of the sampler
+    diagonalizes K with eigenvalues 1 / amp_j^2 (`_sine_amplitudes`), so
+    P is positive definite iff every 1 + c amp_j^2 is positive (None
+    otherwise), log det K - log det P = -sum_j log1p(c amp_j^2), exactly
+    zero for q = 0, and E^T P^{-1} E = sum_j e_j e_j^T amp_j^2 / (1 + c amp_j^2)
+    with e_j the orthonormal sine coordinates of E's rows.  A one-step
+    grid has no interior nodes: both are zero.
     """
-    n = n_steps
-    a = 2.0 * n + 2.0 * q * t * t / n
-    pivots, ratios, rows = [], [], []
-    r_p = r_k = 0.0  # n / the previous pivot of P and of K
-    y0 = y1 = y2 = 0.0
-    for k in range(1, n):
-        d_p = a - n * r_p
-        d_k = 2.0 * n - n * r_k
-        if not d_p > 0.0:
-            return None
-        y0, y1, y2 = 1.0 - k / n + r_p * y0, k / n + r_p * y1, 1.0 + r_p * y2
-        pivots.append(d_p)
-        ratios.append(d_k / d_p)
-        rows.append((y0, y1, y2))
-        r_p, r_k = n / d_p, n / d_k
-    u = np.arange(n + 1, dtype=np.float64) / n
-    tau = np.full(n + 1, 1.0 / n)
-    tau[[0, -1]] *= 0.5
-    line = (float(tau @ np.square(1.0 - u)), float(tau @ (u * (1.0 - u))), float(tau @ np.square(u)))
-    if n == 1:
-        return 0.0, ((0.0,) * 3,) * 3, line
-    Y = np.array(rows)
-    gram = (Y / np.array(pivots)[:, None]).T @ Y
-    return float(np.log(ratios).sum()), tuple(map(tuple, gram.tolist())), line
+    u = _trapezoid_grid(n_steps)[0][1:-1]
+    amp2 = np.square(_sine_amplitudes(n_steps))
+    c_amp2 = (2.0 * q * t * t / n_steps) * amp2
+    if not np.all(c_amp2 > -1.0):
+        return None
+    e = _sine_transform(np.array([1.0 - u, u, np.ones_like(u)])) * math.sqrt(2.0 / n_steps)
+    gram = (e * (amp2 / (1.0 + c_amp2))) @ e.T
+    return (-float(np.log1p(c_amp2).sum()), tuple(map(tuple, gram.tolist())),
+            _line_weights(n_steps))

@@ -270,6 +270,13 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     assert err.startswith("config error: mc.n_samples:")
 
 
+def test_main_rejects_heavy_fraction_one_as_a_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "q.cfg", "potential = zero\nmc.heavy_fraction = 1\n")
+    assert main(["q-estimate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: mc.heavy_fraction: expected a number in (0, 1)")
+
+
 def test_main_unreadable_config_exit_code(tmp_path, capsys):
     missing = str(tmp_path / "nope.cfg")
     assert main(["q-estimate", "--config", missing]) == 1

@@ -520,14 +520,27 @@ def test_n_samples_counts_paths(V):
 
 
 def test_heavy_tail_rule_counts_units():
-    # the top 10 of 10 units hold all the weight trivially, so 20 paths are not flagged;
-    # 22 paths are 11 units, whose top 10 hold at least 10/11 of it
-    kept = estimate_Q(0.0, 0.0, harmonic(), 1.0, 20, 8, RngSeed(3), top_k=10)
-    assert kept.heavy_mass_fraction == pytest.approx(1.0, rel=1e-15)
-    assert not kept.divergence_suspected
-    flagged = estimate_Q(0.0, 0.0, harmonic(), 1.0, 22, 8, RngSeed(3), top_k=10)
-    assert flagged.heavy_mass_fraction >= 10.0 / 11.0
-    assert flagged.divergence_suspected
+    # the top 10 of n units hold at least 10/n of any positive total, so at the default
+    # heavy_fraction 0.5 a row needs more than 20 units (40 paths) to be flagged for it
+    for n_paths in (20, 22, 30):
+        exact = estimate_Q(0.0, 0.0, zero(), 1.0, n_paths, 8, RngSeed(3), top_k=10)
+        assert (exact.mean, exact.std_error) == (1.0, 0.0)
+        assert exact.heavy_mass_fraction >= 10.0 / math.ceil(n_paths / 2)
+        assert not exact.divergence_suspected
+    heavy = np.ones(21)
+    heavy[0] = 1e6
+    for units, flagged in ((heavy[1:], False), (heavy[:20], False), (np.ones(21), False),
+                           (heavy, True)):
+        fraction, suspected = _Stats.of(units[None, :], top_k=10).heavy(0.5)
+        assert bool(suspected[0]) is flagged
+    assert fraction[0] > 0.99
+    # at (30, 30) the harmonic weights are heavy-tailed: 40 paths (20 units) cannot be
+    # flagged, 42 paths (21 units) are
+    below = estimate_Q(30, 30, harmonic(), 1.0, 40, 64, RngSeed(1), top_k=10)
+    above = estimate_Q(30, 30, harmonic(), 1.0, 42, 64, RngSeed(1), top_k=10)
+    assert min(below.heavy_mass_fraction, above.heavy_mass_fraction) > 0.99
+    assert not below.divergence_suspected
+    assert above.divergence_suspected
 
 
 def test_shared_path_units_pair_as_the_pointwise_units(monkeypatch):

@@ -18,7 +18,7 @@ from bridgekac.oracles import (
 from bridgekac.potentials import (
     QuadraticForm, custom, harmonic, inverted_quadratic, stark, truncate, zero,
 )
-from bridgekac.stochastic import RngSeed
+from bridgekac.stochastic import RngSeed, _grid_precision
 
 
 @pytest.fixture(scope="module")
@@ -373,6 +373,45 @@ def test_gaussian_q_diverges_at_the_grid_threshold(n_steps, threshold):
     assert math.isfinite(oracles.gaussian_q(0.0, 0.0, form, exact - 1e-6, n_steps))
     assert oracles.gaussian_q(0.0, 0.0, form, exact + 1e-6, n_steps) is oracles.DIVERGENT
     assert oracles.log_gaussian_q(0.0, 0.0, form, exact + 1e-6, n_steps) is oracles.DIVERGENT
+
+
+@pytest.mark.parametrize("omega, t", [(0.2, 0.3), (1.0, 1.0)])
+def test_log_gaussian_q_matches_the_tridiagonal_determinant(omega, t):
+    # at x = y = 0 only det(K)^(1/2) / det(P)^(1/2) is left, and P / n is
+    # tridiag(-1, 2 cosh theta, -1), of determinant sinh(n theta) / sinh(theta)
+    n_steps, q = 4096, 0.5 * omega * omega
+    theta = 2.0 * math.asinh(t * math.sqrt(q / 2.0) / n_steps)
+    exact = 0.5 * math.log(n_steps * math.sinh(theta) / math.sinh(n_steps * theta))
+    log_q = oracles.log_gaussian_q(0.0, 0.0, harmonic(omega).form, t, n_steps)
+    assert log_q == pytest.approx(exact, rel=1e-11)
+
+
+@pytest.mark.parametrize("n_steps", [16, 128, 4096])
+def test_log_gaussian_q_matches_the_determinant_below_the_grid_threshold(n_steps):
+    # for q < 0, P / n is tridiag(-1, 2 cos phi, -1), of determinant sin(n phi) / sin(phi);
+    # t = 2.2 lies below the threshold of every grid (2.21787 at 16 steps, see above)
+    q, t = -1.0, 2.2
+    phi = 2.0 * math.asin(t * math.sqrt(-q / 2.0) / n_steps)
+    exact = 0.5 * math.log(n_steps * math.sin(phi) / math.sin(n_steps * phi))
+    log_q = oracles.log_gaussian_q(0.0, 0.0, inverted_quadratic(-q).form, t, n_steps)
+    assert log_q == pytest.approx(exact, rel=1e-11)
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 7, 64, 256])
+@pytest.mark.parametrize("q, t", [(0.0, 1.0), (0.5, 1.3), (-1.0, 1.5)])
+def test_grid_precision_matches_a_dense_solve(q, t, n_steps):
+    n = n_steps
+    K = n * (2.0 * np.eye(n - 1) - np.eye(n - 1, k=1) - np.eye(n - 1, k=-1))
+    P = K + (2.0 * q * t * t / n) * np.eye(n - 1)
+    u = np.arange(1, n) / n
+    E = np.column_stack([1.0 - u, u, np.ones_like(u)])
+    log_det_ratio, gram, _ = _grid_precision(q, t, n)
+    # a one-step grid has no interior nodes: empty matrices, both terms zero
+    want = np.linalg.slogdet(K)[1] - np.linalg.slogdet(P)[1]
+    assert log_det_ratio == pytest.approx(want, rel=1e-10)
+    if q == 0.0:
+        assert log_det_ratio == 0.0
+    np.testing.assert_allclose(gram, E.T @ np.linalg.solve(P, E), rtol=1e-10)
 
 
 @pytest.mark.parametrize("c, t, x, y", [(1.0, 2.0, 0.0, 0.0), (0.5, 1.0, 0.7, -0.7),
