@@ -365,6 +365,9 @@ def _cross_checks(exp: str, raw: dict, params: dict, errors: list[str]) -> None:
         else:
             for key in sorted(present & _POINT):
                 errors.append(f"{key}: only used in pointwise mode")
+            if "oracle.tolerance" in present:
+                errors.append("oracle.tolerance: only oracle-crosscheck uses it; the study's "
+                              "agreement is max(3 standard errors, 1 % relative)")
     if exp == "oracle-crosscheck":
         if "potential.truncation" in present:
             errors.append("potential.truncation: crosscheck needs a closed-form kernel")
@@ -574,7 +577,7 @@ def _run_truncation_study(p: dict):
     report = truncation_study(
         V, phi, psi, p["t"], p["levels"], _mc_config(p), RngSeed(p["seed"]),
         quadrature=QuadratureConfig(p["quadrature.nodes_per_axis"]),
-        oracle=OracleConfig(p["oracle.L"], p["oracle.n_points"], p["oracle.tolerance"]),
+        oracle=OracleConfig(p["oracle.L"], p["oracle.n_points"]),
         workers=p["workers"],
     )
     header = ["level", "left_value", "right_value", "right_stderr",

@@ -21,8 +21,8 @@ level, and `q_truncation_study` does the same for the pin-to-pin weight
 at a single (x, y).  Both draw their paths once and evaluate V along
 them once; each level is a clip of those values.  For a quadratic form
 each level is also read against the unclipped form, whose grid value is
-exact (see `feynman_kac._estimates`), so the error bar of a level counts
-only the paths its floor touches.
+exact (see `feynman_kac._pair_estimates`), so the error bar of a level
+counts only the paths its floor touches.
 """
 
 from __future__ import annotations

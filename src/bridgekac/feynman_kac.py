@@ -21,11 +21,12 @@ alone outgrows a block; the blocks are drawn bit for bit as the chunk
 would be drawn at once.  A block holds at most 2^17 numbers (1 MB), so
 that it and the buffers reused beside it fit in a core's L2 cache (2 MB
 per core on the host measured, where op times were 6-7 % lower than
-with 4 MB blocks).  Every per-path intermediate of an estimate, the
-trapezoid sums, positions and potential values, exists for one block
-only, and only the chunk's weights span all its paths; a shared-path
-matrix element cuts each block's sums into (node pairs x paths) weight
-blocks under the same cap.
+with 4 MB blocks); the walk below keeps six buffers per block, so its
+blocks are a sixth of that.  Every per-path intermediate of an
+estimate, the trapezoid sums, bridge values, positions and potential
+values, exists for one block only, and only the chunk's weights span
+all its paths; a shared-path matrix element cuts each block's sums into
+(node pairs x paths) weight blocks under the same cap.
 
 The bridge law is centred, so a path alpha and its mirror -alpha are
 equally likely.  Every estimator draws ceil(count / 2) of a chunk's
@@ -53,18 +54,27 @@ reuse one set of paths at every quadrature node pair, and `refine_steps`
 gets the sums of every grid of its schedule from the same pass.
 A mirror's sums are -A, -B and C, so it needs no further products.
 Callables and clipped forms need the values at the nodes: they draw
-n_steps increments per path and coordinate, turn each block into the
-bridge in place by the walk and evaluate V along it, then once more
-along the mirrors, whose positions are rewritten from the same block.
+n_steps increments per path and coordinate and turn each block into the
+bridge node-major, node k of every path in row k, by the walk, whose
+steps then act on whole rows (`_bridge_blocks`).  A clipped form is
+weighed from the bridge values alone, with no positions: along
+(1-u) x + u y + sqrt(t) alpha its value is E + O, E even and O odd in
+alpha (`backend.form_parts`), so the mirror's values are E - O.  A
+callable is evaluated at the positions of the block's paths and then at
+those of their mirrors, rewritten from the same block.  Each floor's
+trapezoid action is taken from the values directly, and a path's
+weight is bit for bit the same whatever other paths share its block.
 Truncations max(V, -n) of one potential share the other way: V is
 evaluated along a path once and each level clips the values, so a
 truncation study draws and evaluates each path once for all levels.
-A clipped form also carries its own control variate: the unclipped
-form's weight w_ref of the same path, whose mean on the time grid,
-`stochastic.gaussian_q`, is a Gaussian integral known exactly.  Each
-level then averages w - w_ref, which is zero on every pair whose path
-and mirror its floor does not touch, provided w_ref has finite variance
-(see `_estimates`).
+The node pairs of a matrix element draw their own streams, but
+consecutive pairs share row blocks, and their records come from one
+reduction (`_pair_estimates`).  A clipped form also carries its own
+control variate: the unclipped form's weight w_ref of the same path,
+whose mean on the time grid, `stochastic.gaussian_q`, is a Gaussian
+integral known exactly.  Each level then averages w - w_ref, which is
+zero on every pair whose path and mirror its floor does not touch,
+provided w_ref has finite variance (see `_pair_estimates`).
 
 Each chunk reduces each row of pair units to one record, `_Stats`:
 count, mean, centred sum of squares, total and the top_k heaviest units,
@@ -94,9 +104,9 @@ import numpy as np
 from . import backend as _backend
 from .potentials import PotentialSpec, QuadraticForm
 # bridge_values is not called here: the benchmark's traced run wraps this name
-from .stochastic import (BridgePath, RngSeed, _bridge_in_place, _line_weights,
-                         _sine_amplitudes, _sine_transform, _trapezoid_grid, bridge_values,
-                         gaussian_q, is_divergent)  # noqa: F401
+from .stochastic import (BridgePath, RngSeed, _line_weights, _sine_amplitudes,
+                         _sine_transform, _trapezoid_grid, bridge_values, gaussian_q,
+                         is_divergent)  # noqa: F401
 
 __all__ = [
     "MatrixElementEstimate",
@@ -116,15 +126,23 @@ __all__ = [
 ]
 
 _CHUNK = 32768
-# Cap on the row block of normals that `_bridge_blocks` draws and turns
-# into bridges at once, and that `_bridge_sums` draws as sine coordinates:
-# 1 MB of float64.  The block and its detrend work
-# buffer (or a callable's positions buffer) then fit together in one
-# core's 2 MB L2 on the 2-core x86-64 host measured, where a 4 MB block
-# alone did not: q-point and refine-long ops (one BLAS thread) took
-# 6-7 % less time at 2**17 than at 2**19; 2**16 was within the noise of
-# 2**17 and 2**15 slower.
+# Cap on the row block of sine coordinates that `_bridge_sums` draws at
+# once, and on the buffers of the walk together: 1 MB of float64.  The
+# block and the buffers reused beside it then fit in one core's 2 MB L2
+# on the 2-core x86-64 host measured, where a 4 MB block alone did not:
+# q-point and refine-long ops (one BLAS thread) took 6-7 % less time at
+# 2**17 than at 2**19; 2**16 was within the noise of 2**17 and 2**15
+# slower.
 _BLOCK_ELEMENTS = 2**17
+# The walk (`_bridge_blocks`) keeps six block buffers at once: the normals
+# and the bridge values, then a clipped form's even and odd parts, values
+# and spare rows (a callable: positions, its values and spare rows).  Its
+# row blocks are sized so that all six hold `_BLOCK_ELEMENTS` together:
+# at the truncation-cli config the Monte Carlo of a study then peaks at
+# 2.4 MB of traced memory instead of 8.6 MB with six full blocks, and
+# neither its time nor that of a callable q-point op (65 536 paths x 128
+# steps) rose.
+_WALK_BUFFERS = 6
 
 
 @dataclass(frozen=True)
@@ -291,66 +309,167 @@ def _block_rows(n_paths: int, n_steps: int, dim: int) -> int:
     return min(n_paths, max(1, _BLOCK_ELEMENTS // max(1, n_steps * dim)))
 
 
-def _bridge_blocks(gen: np.random.Generator, n_paths: int, n_steps: int, dim: int,
-                   work: np.ndarray | None = None):
-    """The bridges of a chunk of `n_paths` paths drawn from `gen`, one row block at a time.
+def _walk_rows(n_paths: int, n_steps: int, dim: int) -> int:
+    """Paths per row block of the walk: its `_WALK_BUFFERS` block buffers of
+    n_steps + 1 nodes x dim per path hold `_BLOCK_ELEMENTS` numbers together,
+    one path if a path is larger."""
+    return min(n_paths, max(1, _BLOCK_ELEMENTS // (_WALK_BUFFERS * (n_steps + 1) * dim)))
 
-    The chunk's standard normals are drawn block after block into one
-    reused buffer of `_block_rows` paths; drawn in C order they are bit
-    for bit the one-shot draw `gen.standard_normal((n_paths, n_steps,
-    dim))`.  Each block is turned into the bridge in place by the walk
-    of `stochastic`, its detrend
-    formed in `work` (a reused buffer of the full block's shape,
-    allocated here if None), and yielded: nodes 1..n_steps, bit for bit
-    the rows of `bridge_values(normals)[:, 1:]` (node 0 is zero and not
-    stored).  The next block overwrites it.
+
+def _bridge_blocks(draws, n_steps: int, dim: int):
+    """The bridges of several draws of paths, node-major, one row block at a time.
+
+    `draws` is a list of (gen, n_paths): n_paths paths drawn from gen,
+    one draw after the other.  Their standard normals are drawn into one
+    reused buffer of `_walk_rows` paths, a draw's rows continuing in the
+    next block where one fills up; drawn in C order, a draw's rows are
+    bit for bit its one-shot draw `gen.standard_normal((n_paths,
+    n_steps, dim))`.  Each block is yielded as (alpha, spans): alpha, of
+    shape (n_steps + 1, rows, dim), holds node k of every path in row k,
+    bit for bit `bridge_values` of the normals with the first two axes
+    swapped (nodes 0 and n_steps are zero); spans lists (draw index,
+    first column, end column) of the draws in the block.  The walk's
+    cumulative sum runs node by node, over whole rows, unless a path has
+    more nodes than the block has numbers per node.  The next block
+    overwrites alpha.
     """
-    rows = _block_rows(n_paths, n_steps, dim)
+    rows = _walk_rows(sum(n for _, n in draws), n_steps, dim)
     normals = np.empty((rows, n_steps, dim))
-    if work is None:
-        work = np.empty_like(normals)
-    for start in range(0, n_paths, rows):
-        block = normals[:min(rows, n_paths - start)]
-        gen.standard_normal(out=block)
-        _bridge_in_place(block, work[:len(block)])
-        yield block
+    alpha = np.zeros((n_steps + 1, rows, dim))
+    # once a block is copied into alpha, its normals buffer holds the detrend term
+    work = normals.reshape(n_steps, rows, dim)
+    u = np.arange(1, n_steps + 1, dtype=np.float64) / n_steps
+
+    def walk(filled: int) -> np.ndarray:
+        b = alpha[1:, :filled]
+        if n_steps <= filled * dim:
+            np.copyto(b, normals[:filled].transpose(1, 0, 2))
+            for k in range(1, n_steps):
+                b[k] += b[k - 1]
+        else:
+            np.cumsum(normals[:filled].transpose(1, 0, 2), axis=0, out=b)
+        b *= np.sqrt(1.0 / n_steps)
+        b -= np.multiply(u[:, None, None], b[-1], out=work[:, :filled])
+        return alpha[:, :filled]
+
+    spans, filled = [], 0
+    for index, (gen, n_paths) in enumerate(draws):
+        done = 0
+        while done < n_paths:
+            take = min(rows - filled, n_paths - done)
+            gen.standard_normal(out=normals[filled:filled + take])
+            spans.append((index, filled, filled + take))
+            filled += take
+            done += take
+            if filled == rows:
+                yield walk(filled), spans
+                spans, filled = [], 0
+    if filled:
+        yield walk(filled), spans
 
 
-def _position_blocks(gen: np.random.Generator, n_paths: int, n_steps: int, x: np.ndarray,
-                     y: np.ndarray, t: float, paired: int = 0):
+def _position_blocks(draws, n_steps: int, t: float):
     """Positions (1-u) x + u y + sqrt(t) alpha(u) of the bridges of `_bridge_blocks`,
-    and of the mirrors -alpha of the first `paired` of them.
+    node-major, and of their mirrors -alpha.
 
-    Each row block is yielded as (positions, reflect): the positions of
-    nodes 0..n_steps, of shape (rows, n_steps + 1, dim), in one reused
-    buffer, which also serves as the detrend work buffer; and a function
-    that rewrites the buffer's leading rows as the positions
-    (1-u) x + u y - sqrt(t) alpha(u) of the block's paths among the first
-    `paired` and returns them.  Both are bit for bit
-    `backend.path_positions` on the rows of `bridge_values` of the
-    normals, and of the negated normals; the mirrors are written from the
-    bridge block, which the caller never sees, so what the caller wrote
-    into the positions does not reach them.  The next block overwrites
-    the buffer.
+    `draws` is a list of (gen, n_paths, x, y): n_paths paths drawn from
+    gen, pinned from x to y.  Each row block is yielded as (positions,
+    reflect): the positions of nodes 0..n_steps, of shape (n_steps + 1,
+    rows, dim), in one reused buffer; and a function that rewrites the
+    buffer as the positions (1-u) x + u y - sqrt(t) alpha(u) of the
+    block's mirrors and returns it.  Both are bit for bit
+    `backend.path_positions` on `bridge_values` of the normals, and of
+    the negated normals, with the first two axes swapped; the mirrors
+    are written from the bridge block, which the caller never sees, so
+    what the caller wrote into the positions does not reach them.  The
+    next block overwrites the buffer.
     """
-    dim = x.size
-    pos = np.empty((_block_rows(n_paths, n_steps, dim), n_steps + 1, dim))
-    base = _backend._line_positions(n_steps, x, y)
-    s = np.sqrt(t)
+    dim = draws[0][2].size
+    lines = [_backend._line_positions(n_steps, x, y)[:, None, :] for _, _, x, y in draws]
+    pos = np.empty((n_steps + 1, _walk_rows(sum(n for _, n, _, _ in draws), n_steps, dim), dim))
 
-    def fill(alpha: np.ndarray, scale: float) -> np.ndarray:
-        p = pos[:len(alpha)]
+    def fill(alpha: np.ndarray, spans, scale: float) -> np.ndarray:
+        p = pos[:, :alpha.shape[1]]
         # the order of path_positions: sqrt(t) alpha first, then the line
-        p[:, 0] = base[0] + s * 0.0
-        np.multiply(alpha, scale, out=p[:, 1:])
-        p[:, 1:] += base[1:]
+        np.multiply(alpha, scale, out=p)
+        for i, a, b in spans:
+            p[:, a:b] += lines[i]
         return p
 
+    s = math.sqrt(t)
+    for alpha, spans in _bridge_blocks([(gen, n) for gen, n, _, _ in draws], n_steps, dim):
+        yield fill(alpha, spans, s), partial(fill, alpha, spans, -s)
+
+
+def _walk_units(draws, n_steps: int, t: float, V: PotentialSpec, strides=(1,),
+                floors=None) -> np.ndarray:
+    """Pair units of several draws of paths along the walk, one row per stride and
+    then per floor, one column per unit, the draws' units one after the other.
+
+    `draws` is a list of (gen, count, x, y): `count` paths pinned from x
+    to y, of which ceil(count / 2) are drawn from gen and weighed with
+    their mirrors as in `_chunk_weights`.  Each row block is weighed in
+    one pass for all the draws in it.  A quadratic form (clipped at
+    `floors`, or at its own floor for None) takes its even and odd parts
+    from each draw's bridge values (`backend.form_parts`), and a path
+    and its mirror read E + O and E - O.  A callable is evaluated at the
+    positions of `_position_blocks` and then at those of the mirrors;
+    every stride but the last gets a copy of its view, so no stride sees
+    what a callable left in another's positions.  Each unit depends on
+    its own path alone, bit for bit, whatever block it sits in.
+    """
+    form = V.form
+    if floors is None:
+        floors = (-math.inf if form is None else form.floor,)
+    sizes = [_pairs(count) for _, count, _, _ in draws]
+    paths = [(gen, drawn, x, y) for (gen, _, x, y), (drawn, _) in zip(draws, sizes)]
+    ends = np.cumsum([drawn for drawn, _ in sizes])
+    lone = ends[[drawn > paired for drawn, paired in sizes]] - 1
+    units = np.empty((len(strides) * len(floors), ends[-1]))
+    if form is None:
+        last = len(strides) - 1
+
+        def evaluate(pos: np.ndarray) -> np.ndarray:
+            views = (pos[::s].copy() if level < last else pos[::s]
+                     for level, s in enumerate(strides))
+            return np.array([w for view in views
+                             for w in _backend.floored_weights(_values(V, view), floors, t)])
+
+        weighed = ((evaluate(pos), evaluate(reflect()))
+                   for pos, reflect in _position_blocks(paths, n_steps, t))
+    else:
+        rows = _walk_rows(int(ends[-1]), n_steps, V.dim)
+        even, odd, values, spare = np.empty((4, n_steps + 1, rows))
+
+        def parts(alpha: np.ndarray, spans):
+            r = alpha.shape[1]
+            e, o = even[:, :r], odd[:, :r]
+            _backend.form_parts(alpha, [(*draws[i][2:], a, b) for i, a, b in spans], t, form,
+                                e, o)
+            return [np.array(_backend.floored_weights(combine(e, o, out=values[:, :r]), floors,
+                                                      t, strides, spare[:, :r]))
+                    for combine in (np.add, np.subtract)]
+
+        weighed = (parts(alpha, spans) for alpha, spans
+                   in _bridge_blocks([(gen, n) for gen, n, _, _ in paths], n_steps, V.dim))
     start = 0
-    for block in _bridge_blocks(gen, n_paths, n_steps, dim, work=pos[:, 1:]):
-        mirrors = block[:max(0, paired - start)]
-        start += len(block)
-        yield fill(block, s), partial(fill, mirrors, -s)
+    for plus, minus in weighed:
+        stop = start + plus.shape[1]
+        block = units[:, start:stop]
+        np.add(plus, minus, out=block)
+        block *= 0.5
+        alone = lone[(lone >= start) & (lone < stop)] - start
+        block[:, alone] = plus[:, alone]
+        start = stop
+    return units
+
+
+def _values(V: PotentialSpec, points: np.ndarray) -> np.ndarray:
+    """A callable's values at `points`, in an array of its own that may be overwritten."""
+    v = np.asarray(V.evaluate(points), dtype=np.float64)
+    if not (v.flags.owndata and v.flags.writeable):
+        v = v.copy()  # the clip works in place; a view may alias the caller's data
+    return v
 
 
 @lru_cache(maxsize=32)
@@ -501,28 +620,6 @@ def _unclipped(V: PotentialSpec) -> bool:
     return V.form is not None and V.form.floor == -math.inf
 
 
-def _weights(pos: np.ndarray, t: float, V: PotentialSpec, floors=None) -> list[np.ndarray]:
-    """Path weights of max(V, floor) for each floor, from one evaluation of V.
-
-    `pos` holds path positions of shape (n_paths, n_steps + 1, dim), as
-    from `backend.path_positions`.  `floors=None` is the one-level case
-    of V itself.  V is evaluated along the paths once (a form unclipped,
-    a callable through `evaluate`) and each floor clips those values, so
-    the weights of every floor equal those of V clipped at that floor
-    evaluated alone, bit for bit.  Floors given for a form replace its
-    own floor rather than add to it (see `_form_floors`).  Unclipped
-    forms estimated alone never come here: they go through `_bridge_sums`.
-    """
-    form = V.form
-    if form is None:
-        v = np.asarray(V.evaluate(pos), dtype=np.float64)
-        if not (v.flags.owndata and v.flags.writeable):
-            v = v.copy()  # the clip works in place; a view may alias the caller's data
-        return _backend.floored_weights(v, (-math.inf,) if floors is None else floors, t)
-    return _backend.floored_weights(_backend.form_values(pos, form),
-                                    (form.floor,) if floors is None else floors, t)
-
-
 def _pairs(count: int) -> tuple[int, int]:
     """The paths drawn for a chunk of `count` paths, ceil(count / 2), and how many of
     them are weighed with their mirrors, count // 2 (see `_chunk_weights`)."""
@@ -547,24 +644,19 @@ def _chunk_weights(gen: np.random.Generator, count: int, n_steps: int, x: np.nda
     a grid of n_steps / s steps.  An unclipped form estimated alone is
     weighed from the trapezoid sums of `_bridge_sums`, whose paths are
     drawn in sine coordinates, and a mirror's sums are -A, -B and C.
-    Anything else is evaluated by `_weights` along each block of
-    `_position_blocks`, drawn as the walk, and then along the same
-    block's mirrors.  Either way the chunk is streamed block by block,
-    and for a callable or a clipped form the units are bit for bit those
-    of the whole chunk at once.
-
-    A callable may write to the positions it is given.  The last stride
-    is evaluated on the positions buffer itself, which the mirrors and
-    the next block rewrite; every earlier stride gets a copy of its view,
-    so no stride sees what a callable left in another's positions.
+    Anything else is drawn as the walk and weighed by `_walk_units`: a
+    quadratic form from the even and odd parts of each path, a callable
+    at the positions of the paths and then of their mirrors.  Either way
+    the chunk is streamed block by block, and for a callable or a
+    clipped form the units are bit for bit those of the whole chunk at
+    once.
     """
-    drawn, paired = _pairs(count)
-    n_floors = 1 if floors is None else len(floors)
-    weights = np.empty((len(strides) * n_floors, drawn))
-    start = 0
     if floors is None and _unclipped(V):
+        drawn, paired = _pairs(count)
+        weights = np.empty((len(strides), drawn))
         xs, ys = x[None], y[None]
         lines = [_line_action(xs, ys, V.form, n_steps // s) for s in strides]
+        start = 0
         for levels in _bridge_sums(gen, drawn, n_steps, V.dim, strides):
             stop = start + len(levels[0][2])
             for row, (sums, line) in enumerate(zip(levels, lines)):
@@ -572,23 +664,7 @@ def _chunk_weights(gen: np.random.Generator, count: int, n_steps: int, x: np.nda
                                                          max(0, paired - start))[0, 0]
             start = stop
         return weights
-    last = len(strides) - 1
-
-    def evaluate(pos):
-        views = (pos[:, ::s].copy() if V.form is None and level < last else pos[:, ::s]
-                 for level, s in enumerate(strides))
-        return [w for view in views for w in _weights(view, t, V, floors)]
-
-    for pos, reflect in _position_blocks(gen, drawn, n_steps, x, y, t, paired):
-        stop = start + len(pos)
-        weights[:, start:stop] = evaluate(pos)
-        mirrors = reflect()
-        if len(mirrors):
-            units = weights[:, start:start + len(mirrors)]
-            units += evaluate(mirrors)
-            units *= 0.5
-        start = stop
-    return weights
+    return _walk_units([(gen, count, x, y)], n_steps, t, V, strides, floors)
 
 
 # rows of weights whose largest |w| lies below this are scaled by it (see `_Stats`)
@@ -651,6 +727,11 @@ class _Stats:
         return _Stats(n, self.mean + delta * (other.n / n), m2, self.total + other.total, top,
                       self.top_k, scale)
 
+    def __getitem__(self, index) -> _Stats:
+        """The record of the rows that `index` picks out of mean's shape."""
+        return _Stats(self.n, self.mean[index], self.m2[index], self.total[index],
+                      self.top[index], self.top_k, self.scale[index])
+
     @property
     def std_error(self):
         if self.n > 1:
@@ -709,18 +790,21 @@ def _run_ordered(jobs, workers: int):
         return [f.result() for f in futures]
 
 
-def _over_chunks(rng: RngSeed, key: tuple[int, ...], n_samples: int, workers: int, chunk):
-    """Reduce `n_samples` paths in keyed chunks and merge their records in chunk order.
+def _over_chunks(rng: RngSeed, keys, n_samples: int, workers: int, chunk):
+    """Reduce `n_samples` paths at each of `keys` in keyed chunks and merge their records
+    in chunk order.
 
-    Chunk i holds `_CHUNK` paths (the last one the rest) drawn from stream
-    (*key, i), and `chunk(gen, count)` reduces it to a tuple of `_Stats`.
-    The chunks run on `workers` threads but merge element by element in
-    chunk order, so a fixed seed gives bit-identical results for any workers.
+    Chunk i holds `_CHUNK` paths (the last one the rest), drawn for each
+    key from stream (*key, i).  The streams open key by key, in chunk
+    order, before any is drawn, and `chunk(gens, count)` reduces chunk i,
+    given its generators in key order, to a tuple of `_Stats`.  The
+    chunks run on `workers` threads but merge element by element in
+    chunk order, so a fixed seed gives bit-identical results for any
+    workers.
     """
-    def job(i: int):
-        return chunk(rng.generator(*key, i), min(_CHUNK, n_samples - i * _CHUNK))
-
-    jobs = [partial(job, i) for i in range(-(-n_samples // _CHUNK))]
+    counts = [min(_CHUNK, n_samples - i) for i in range(0, n_samples, _CHUNK)]
+    gens = [[rng.generator(*key, i) for i in range(len(counts))] for key in keys]
+    jobs = [partial(chunk, [g[i] for g in gens], count) for i, count in enumerate(counts)]
     return _merged(_run_ordered(jobs, workers))
 
 
@@ -746,7 +830,7 @@ def estimate_Q(
     `harmonic`, `stark` or `inverted_quadratic`) is estimated as
     max(Q_ref + mean(w - w_ref), 0), with w_ref the unclipped form's
     weight and Q_ref its exact grid value, whenever w_ref has finite
-    variance; see `_estimates`.
+    variance; see `_pair_estimates`.
     """
     return _estimates(x, y, V, t, n_samples, n_steps, rng, None, top_k=top_k,
                       heavy_fraction=heavy_fraction, workers=workers, key=key)[0]
@@ -755,61 +839,104 @@ def estimate_Q(
 def _estimates(x, y, V: PotentialSpec, t: float, n_samples: int, n_steps: int,
                rng: RngSeed, floors, *, top_k: int, heavy_fraction: float, workers: int,
                key: tuple[int, ...] = ()) -> list[QEstimate]:
-    """Q estimates of max(V, floor) for each floor, from one draw of the paths.
+    """Q estimates of max(V, floor) for each floor, from one draw of the paths: the
+    one-pair case of `_pair_estimates`, with the keyed chunks of `estimate_Q`."""
+    xp = _point(x, V.dim)
+    yp = _point(y, V.dim)
+    return _pair_estimates(xp[None], yp[None], [tuple(key)], V, t, n_samples, n_steps, rng,
+                           floors, top_k=top_k, heavy_fraction=heavy_fraction,
+                           workers=workers)[0]
 
-    The keyed chunks are those of `estimate_Q`; `floors=None` estimates
-    V itself (see `_weights`).  A clipped quadratic form is estimated
-    with the unclipped form as control variate wherever that form's
-    weights have finite variance (see `_form_floors`): one more floor,
-    -inf, gives each path its reference weight w_ref, whose mean Q_ref
-    on the grid is known exactly, and each level reports
-    max(Q_ref + mean(w - w_ref), 0) with the standard error of the
-    differences.  The coefficient is fixed at 1, so each level depends
-    on its own floor alone and stays non-decreasing path by path; a path
-    that no floor touches adds exactly zero.  The divergence flag and
-    the heavy-mass fraction come from the plain weights.
+
+def _pair_estimates(xs: np.ndarray, ys: np.ndarray, keys, V: PotentialSpec, t: float,
+                    n_samples: int, n_steps: int, rng: RngSeed, floors, *, top_k: int,
+                    heavy_fraction: float, workers: int) -> list[list[QEstimate]]:
+    """Q estimates of max(V, floor) for each floor at each node pair (xs[p], ys[p]).
+
+    Pair p draws its paths from the keyed chunks (*keys[p], chunk) once
+    for all floors; `floors=None` estimates V itself (the sums path of
+    `_chunk_weights` for an unclipped form, which must then be one pair).
+    Consecutive pairs whose units of one chunk fit in `_BLOCK_ELEMENTS`
+    together form a group: chunk by chunk, they share the row blocks of
+    `_walk_units` and one `_Stats.of` over (floors x pairs) rows.
+    `workers` threads split the groups, or the chunks of the only group.
+    Streams open pair by pair, in chunk order, and each record row
+    depends on its own pair's paths alone, so every pair's estimates
+    equal its own one-pair call bit for bit, for any workers.
+
+    A clipped quadratic form is estimated with the unclipped form as
+    control variate wherever that form's weights have finite variance
+    (see `_form_floors`): one more floor, -inf, gives each path its
+    reference weight w_ref, whose mean Q_ref on the grid is known
+    exactly, and each level reports max(Q_ref + mean(w - w_ref), 0) with
+    the standard error of the differences.  The coefficient is fixed at
+    1, so each level depends on its own floor alone and stays
+    non-decreasing path by path; a path that no floor touches adds
+    exactly zero.  The divergence flag and the heavy-mass fraction come
+    from the plain weights.
     """
     _check_time(t)
     _check_sampling(n_samples, n_steps, top_k, heavy_fraction, workers)
-    xp = _point(x, V.dim)
-    yp = _point(y, V.dim)
-    floors, q_ref = _form_floors(xp, yp, V, t, n_steps, floors)
+    floors, control = _form_floors(V, floors)
+    q_refs = [_control_mean(x, y, V.form, t, n_steps) if control else None
+              for x, y in zip(xs, ys)]
+    n_rows = 1 if floors is None else len(floors)
+    size = max(1, _BLOCK_ELEMENTS // (n_rows * _pairs(min(n_samples, _CHUNK))[0]))
+    groups = [range(a, min(a + size, len(keys))) for a in range(0, len(keys), size)]
 
-    def chunk(gen: np.random.Generator, count: int):
-        weights = _chunk_weights(gen, count, n_steps, xp, yp, t, V, floors=floors)
-        if q_ref is None:
-            return (_Stats.of(weights, top_k),)
-        plain = _Stats.of(weights[:-1], top_k)
-        weights[:-1] -= weights[-1]
-        return plain, _Stats.of(weights[:-1])
+    def chunk(pairs: range, gens, count: int):
+        if floors is None and _unclipped(V):
+            (gen,), (p,) = gens, pairs
+            w = _chunk_weights(gen, count, n_steps, xs[p], ys[p], t, V)
+        else:
+            w = _walk_units([(gen, count, xs[p], ys[p]) for gen, p in zip(gens, pairs)],
+                            n_steps, t, V, floors=floors)
+        w = w.reshape(n_rows, len(pairs), -1)
+        if not control:
+            return (_Stats.of(w, top_k),)
+        plain = _Stats.of(w[:-1], top_k)
+        w[:-1] -= w[-1]
+        return plain, _Stats.of(w[:-1])
 
-    plain, *diffs = _over_chunks(rng, key, n_samples, workers, chunk)
-    return _finalize(plain, heavy_fraction, [n_steps] * len(plain.mean), n_samples, q_ref,
-                     *diffs)
+    def group(pairs: range):
+        return _over_chunks(rng, [keys[p] for p in pairs], n_samples,
+                            workers if len(groups) == 1 else 1, partial(chunk, pairs))
+
+    estimates = []
+    for pairs, (plain, *diffs) in zip(groups, _run_ordered([partial(group, g) for g in groups],
+                                                          workers)):
+        for k, p in enumerate(pairs):
+            controlled = [d[:, k] for d in diffs if q_refs[p] is not None]
+            estimates.append(_finalize(plain[:, k], heavy_fraction, [n_steps] * len(plain.mean),
+                                       n_samples, q_refs[p], *controlled))
+    return estimates
 
 
-def _form_floors(x: np.ndarray, y: np.ndarray, V: PotentialSpec, t: float, n_steps: int,
-                 floors):
-    """The floors `_chunk_weights` clips a clipped form at, and the control's exact mean.
+def _form_floors(V: PotentialSpec, floors):
+    """The floors `_walk_units` clips V at, and whether the last of them is the control's.
 
-    For anything but a quadratic form clipped at some floor, `floors` and
-    None come back unchanged.  A clipped form's floors become
+    For anything but a quadratic form clipped at some floor, `floors`
+    come back unchanged, with False.  A clipped form's floors become
     max(form.floor, floor) for each floor (the form's own floor alone for
-    None), and if the doubled form (2q, 2g, 2c), whose grid Q is
-    E(w_ref^2), has a finite exact value, -inf is appended and Q_ref is
-    the unclipped form's exact grid value.  Otherwise w_ref has infinite
-    variance, no control is used and Q_ref is None.
+    None), and -inf is appended, with True: it gives each path the
+    unclipped form's weight w_ref, the control of `_pair_estimates`.
     """
     form = V.form
     if form is None or (floors is None and form.floor == -math.inf):
-        return floors, None
+        return floors, False
     floors = [max(form.floor, f) for f in ((-math.inf,) if floors is None else floors)]
+    return floors + [-math.inf], True
+
+
+def _control_mean(x: np.ndarray, y: np.ndarray, form: QuadraticForm, t: float, n_steps: int):
+    """Q_ref, the exact grid value of the unclipped `form` from x to y, or None if w_ref
+    has infinite variance: if the doubled form (2q, 2g, 2c), whose grid Q is
+    E(w_ref^2), has no finite exact value, no control is used."""
     doubled = QuadraticForm(2.0 * form.quad, tuple(2.0 * g for g in form.lin), 2.0 * form.const)
     second = gaussian_q(x, y, doubled, t, n_steps)
     if is_divergent(second) or not math.isfinite(second):
-        return floors, None
-    unclipped = QuadraticForm(form.quad, form.lin, form.const)
-    return floors + [-math.inf], gaussian_q(x, y, unclipped, t, n_steps)
+        return None
+    return gaussian_q(x, y, QuadraticForm(form.quad, form.lin, form.const), t, n_steps)
 
 
 @lru_cache(maxsize=32)
@@ -938,10 +1065,14 @@ def matrix_element(
     4000 paths x 32 steps between bump(width=1) and bump(0.5, 1), the
     ratio is about 2.9 for the harmonic form at 6 x 6 nodes and t = 0.5,
     and about 3.6 for truncate(inverted_quadratic(0.5), 1.0) at 8 x 8
-    nodes and t = 1.  `mc_samples_per_node` counts paths, each weighed
-    with its mirror (see `_chunk_weights`).
-    Either way a fixed seed gives bit-identical results for any worker
-    count.
+    nodes and t = 1.  What the node pairs share is their row blocks:
+    consecutive pairs draw their own paths into the same blocks of the
+    walk, which are weighed in one pass, and their records come from one
+    reduction (`_pair_estimates`), while each pair's estimate stays bit
+    for bit that of `estimate_Q` at the pair with key=(i, j).
+    `mc_samples_per_node` counts paths, each weighed with its mirror (see
+    `_chunk_weights`).  Either way a fixed seed gives bit-identical
+    results for any worker count.
     """
     return _matrix_elements(phi, psi, V, t, quadrature, mc, rng, None, workers=workers)[0]
 
@@ -953,7 +1084,8 @@ def _matrix_elements(phi: Wavefunction, psi: Wavefunction, V: PotentialSpec, t: 
 
     Node pair (i, j) draws the keyed chunks (i, j, chunk) once for all
     floors, so every floor's estimate equals that of `matrix_element`
-    on `truncate(V, -floor)` and the floors compare the same paths.
+    on `truncate(V, -floor)` and the floors compare the same paths; the
+    pairs are estimated together, x-major, by `_pair_estimates`.
     `floors=None` estimates V itself, on shared paths if V is an
     unclipped form.
     """
@@ -989,11 +1121,12 @@ def _matrix_elements(phi: Wavefunction, psi: Wavefunction, V: PotentialSpec, t: 
         return [estimate(*_shared_path_element(x_pts, y_pts, coef.reshape(-1), V, t, mc, rng,
                                                workers))]
 
-    jobs = [partial(_estimates, x_pts[i], y_pts[j], V, t, mc.n_samples, mc.n_steps, rng, floors,
-                    top_k=mc.top_k, heavy_fraction=mc.heavy_fraction, workers=1, key=(i, j))
-            for i in range(n_x) for j in range(n_y)]
+    keys = [(i, j) for i in range(n_x) for j in range(n_y)]
+    pairs = _pair_estimates(x_pts.repeat(n_y, axis=0), np.tile(y_pts, (n_x, 1)), keys, V, t,
+                            mc.n_samples, mc.n_steps, rng, floors, top_k=mc.top_k,
+                            heavy_fraction=mc.heavy_fraction, workers=workers)
     elements = []
-    for level in zip(*_run_ordered(jobs, workers)):
+    for level in zip(*pairs):
         value = 0.0
         variance = 0.0
         divergence_nodes = 0
@@ -1033,7 +1166,8 @@ def _shared_path_element(x_pts: np.ndarray, y_pts: np.ndarray, coef: np.ndarray,
         return nodes, _Stats(w.shape[1], float(coef @ nodes.mean), float(spread @ spread),
                              float(coef @ nodes.total), np.empty(0), scale=scale)
 
-    def chunk(gen: np.random.Generator, count: int):
+    def chunk(gens, count: int):
+        (gen,) = gens
         drawn, paired = _pairs(count)
 
         def records():
@@ -1046,7 +1180,7 @@ def _shared_path_element(x_pts: np.ndarray, y_pts: np.ndarray, coef: np.ndarray,
 
         return _merged(records())
 
-    nodes, totals = _over_chunks(rng, (), mc.n_samples, workers, chunk)
+    nodes, totals = _over_chunks(rng, [()], mc.n_samples, workers, chunk)
     _, suspected = nodes.heavy(mc.heavy_fraction)
     return float(totals.mean), float(totals.std_error), int(suspected.sum())
 
@@ -1125,8 +1259,8 @@ def refine_steps(
         xp = _point(x, V.dim)
         yp = _point(y, V.dim)
 
-        def chunk(gen: np.random.Generator, count: int):
-            weights = _chunk_weights(gen, count, n_max, xp, yp, t, V,
+        def chunk(gens, count: int):
+            weights = _chunk_weights(gens[0], count, n_max, xp, yp, t, V,
                                      [n_max // n for n in schedule])
             levels = _Stats.of(weights, top_k)
             # successive differences in place, from the finest level down
@@ -1134,7 +1268,7 @@ def refine_steps(
                 weights[level] -= weights[level - 1]
             return levels, _Stats.of(weights[1:])
 
-        levels, diffs = _over_chunks(rng, (), n_samples, workers, chunk)
+        levels, diffs = _over_chunks(rng, [()], n_samples, workers, chunk)
         estimates = _finalize(levels, heavy_fraction, schedule, n_samples)
         diff_means, diff_errs = diffs.mean, diffs.std_error
     return RefinementReport(

@@ -157,24 +157,14 @@ def bridge_values(normals: np.ndarray) -> np.ndarray:
     if n_steps < 1:
         raise ValueError("n_steps must be a positive integer")
     out = np.zeros(normals.shape[:-2] + (n_steps + 1, normals.shape[-1]))
-    out[..., 1:, :] = normals
-    _bridge_in_place(out[..., 1:, :])
-    out[..., -1, :] = 0.0
-    return out
-
-
-def _bridge_in_place(b: np.ndarray, work: np.ndarray | None = None) -> None:
-    """Turn standard normals of shape (..., n_steps, dim) into the bridge at
-    grid nodes 1..n_steps, in place; node 0 is zero and not stored.
-
-    The detrend term u b(1) is formed in `work`, an array of b's shape
-    that must not overlap it, or in a new array if `work` is None.
-    """
-    n_steps = b.shape[-2]
+    b = out[..., 1:, :]
+    b[...] = normals
     np.cumsum(b, axis=-2, out=b)
     b *= np.sqrt(1.0 / n_steps)
     u = np.arange(1, n_steps + 1, dtype=np.float64) / n_steps
-    b -= np.multiply(u[:, None], b[..., -1:, :], out=work)
+    b -= u[:, None] * b[..., -1:, :]
+    out[..., -1, :] = 0.0
+    return out
 
 
 def _sine_amplitudes(n_steps: int) -> np.ndarray:

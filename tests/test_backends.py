@@ -1,10 +1,11 @@
-import itertools
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from bridgekac import backend
+from bridgekac.feynman_kac import _chunk_weights
 from bridgekac.potentials import QuadraticForm, harmonic, inverted_quadratic, stark, truncate
 from bridgekac.stochastic import RngSeed, bridge_values
 
@@ -92,20 +93,35 @@ def test_out_argument_is_used():
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_form_values_equal_the_sum_and_matmul_formula_bit_for_bit(dim):
-    def reference(pos, form):
-        v = form.quad * np.square(pos).sum(axis=-1)
-        v += pos @ np.asarray(form.lin, dtype=np.float64)
-        v += form.const
-        return v
+def test_clipped_kernel_matches_reference_for_paths_and_mirrors(dim):
+    # E + O and E - O are the values along each path and along its mirror
+    form = QuadraticForm(-0.4, (0.3, -0.5, 0.2)[:dim], 0.1)
+    # each finite floor lies below the values at the ends, where the paths are pinned
+    floors = {1: (-0.45, -1.0), 2: (-1.4, -2.0), 3: (-1.1, -1.6)}[dim] + (-math.inf,)
+    strides = (1, 2, 4)
+    n_paths, n_steps, t = 20, 16, 0.9
+    x, y = np.linspace(0.4, 1.2, dim), np.linspace(-0.7, 0.1, dim)
+    normals = RngSeed(13).generator(0).standard_normal((n_paths, n_steps, dim))
 
-    pos = np.random.default_rng(dim).standard_normal((40, 17, dim))
-    pos[:, 0] = 0.0
-    pos[:, 1] = -0.0
-    for quad, lin, const in itertools.product((0.5, -0.3), (0.7, -1.2, -0.0), (0.4, 0.0, -0.0)):
-        form = QuadraticForm(quad, (lin,) * dim, const)
-        # whole position arrays, and the strided views of a restricted grid
-        for p in (pos, pos[:, ::2]):
-            got, want = backend.form_values(p, form), reference(p, form)
-            # compared as integers, so even the sign of a zero must agree
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    def reference(alpha):
+        return np.array([_reference_weights(alpha[:, ::s], x, y, t,
+                                            dataclasses.replace(form, floor=f))
+                         for s in strides for f in floors])
+
+    plus, minus = reference(bridge_values(normals)), reference(bridge_values(-normals))
+    # both finite floors bind on some paths and not on others
+    for k in range(2):
+        assert 0 < np.count_nonzero(plus[k] != plus[2]) < n_paths
+    even, odd = np.empty((2, n_steps + 1, n_paths))
+    backend.form_parts(bridge_values(normals).transpose(1, 0, 2), [(x, y, 0, n_paths)], t, form,
+                       even, odd)
+    for values, want in ((even + odd, plus), (even - odd, minus)):
+        np.testing.assert_allclose(backend.floored_weights(values, floors, t, strides), want,
+                                   rtol=1e-12)
+    # a chunk of 39 paths draws these 20: 19 pairs of a path and its mirror, the last alone
+    V = dataclasses.replace(harmonic(dim=dim), form=form)
+    units = _chunk_weights(RngSeed(13).generator(0), 2 * n_paths - 1, n_steps, x, y, t, V,
+                           strides, floors)
+    want = plus.copy()
+    want[:, :-1] = 0.5 * (plus[:, :-1] + minus[:, :-1])
+    np.testing.assert_allclose(units, want, rtol=1e-12)

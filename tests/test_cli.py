@@ -342,3 +342,14 @@ def test_main_truncation_study_rejects_nan_levels(tmp_path, capsys):
     assert main(["truncation-study", "--config", cfg, "--output", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: levels: levels must be positive")
     assert not out.exists()
+
+
+def test_main_truncation_study_rejects_oracle_tolerance(tmp_path, capsys):
+    # the study's agreement has its own rule, so a tolerance here would be silently ignored
+    cfg = _write(tmp_path, "ts.cfg", "potential = inverted-quadratic\npotential.c = 0.5\n"
+                                     "oracle.tolerance = 0.5\n")
+    out = tmp_path / "ts.csv"
+    assert main(["truncation-study", "--config", cfg, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: oracle.tolerance: only oracle-crosscheck uses it")
+    assert not out.exists()

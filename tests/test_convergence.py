@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -325,6 +326,24 @@ def test_truncation_study_right_values_monotone_at_the_benchmark_config(seed):
     # no path reaches -c x^2 = -8 from the bumps' supports: the control is exact there
     assert report.right_std_errors[3:] == (0.0, 0.0, 0.0)
     assert 0.0 < report.right_std_errors[0] < 3e-5
+
+
+def test_truncation_study_memory_stays_within_a_few_blocks():
+    # the truncation-cli benchmark's study: the grid oracle's 600 x 600 matrices take
+    # about 6 MB; the Monte Carlo weighs 64 node pairs in groups of shared row blocks,
+    # whose buffers hold about one block of 1 MB together, besides the groups' units
+    tracemalloc.start()
+    try:
+        report = truncation_study(
+            inverted_quadratic(0.5), bump(), bump(), 1.0, [1.0, 2.0, 4.0, 8.0, 16.0, 32.0],
+            McConfig(n_samples=1000, n_steps=32), RngSeed(3), quadrature=QuadratureConfig(8),
+            oracle=OracleConfig(n_points=600),
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_agree
+    assert peak < 8e6
 
 
 def test_truncation_study_does_not_count_exact_levels_as_divergent():

@@ -7,7 +7,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from bridgekac import feynman_kac
+from bridgekac import backend, feynman_kac
 from bridgekac.backend import path_positions, quadratic_weights
 from bridgekac.feynman_kac import (
     McConfig,
@@ -31,7 +31,6 @@ from bridgekac.feynman_kac import (
     _Stats,
     _sums_weights,
     _tensor_gauss_legendre,
-    _weights,
 )
 from bridgekac.oracles import mehler_kernel, stark_q
 from bridgekac.potentials import (
@@ -352,24 +351,31 @@ def test_bridge_sums_match_trapezoid_sums_of_the_bridge(dim, n_steps, strides, n
 
 @pytest.mark.parametrize("ends", [False, True])
 def test_bridge_blocks_are_the_rows_of_the_one_shot_bridge(monkeypatch, ends):
-    # 13 rows per block: 100 paths are seven full blocks and a ragged one of 9
-    monkeypatch.setattr(feynman_kac, "_BLOCK_ELEMENTS", 13 * 16 * 2)
-    normals = RngSeed(47).generator().standard_normal((100, 16, 2))
-    alpha = bridge_values(normals)
+    # 13 rows per block: two draws of 60 and 40 paths are seven full blocks and a
+    # ragged one of 9, and the first draw ends inside the fifth block
+    monkeypatch.setattr(feynman_kac, "_BLOCK_ELEMENTS", 13 * feynman_kac._WALK_BUFFERS * 17 * 2)
+    normals = [RngSeed(47).generator(k).standard_normal((n, 16, 2))
+               for k, n in ((0, 60), (1, 40))]
+    alpha = np.concatenate([bridge_values(n) for n in normals]).transpose(1, 0, 2)
+    draws = [(RngSeed(47).generator(k), n) for k, n in ((0, 60), (1, 40))]
     if ends:
-        # nodes 0..n: the positions of pin-to-pin paths from 0 to 0 at t = 1; the
-        # mirrors of the first 95 are the positions of the bridges of the negated normals
+        # nodes 0..n: the positions of pin-to-pin paths from 0 to 0 at t = 1; their
+        # mirrors are the positions of the bridges of the negated normals
         blocks, mirrors = [], []
-        for pos, reflect in _position_blocks(RngSeed(47).generator(), 100, 16, np.zeros(2),
-                                             np.zeros(2), 1.0, 95):
+        for pos, reflect in _position_blocks([(gen, n, np.zeros(2), np.zeros(2))
+                                              for gen, n in draws], 16, 1.0):
             blocks.append(pos.copy())
             mirrors.append(reflect().copy())
-        assert [len(m) for m in mirrors] == [13] * 7 + [4]
-        assert np.array_equal(np.concatenate(mirrors), bridge_values(-normals[:95]))
+        mirrored = np.concatenate([bridge_values(-n) for n in normals]).transpose(1, 0, 2)
+        assert np.array_equal(np.concatenate(mirrors, axis=1), mirrored)
     else:
-        blocks = [b.copy() for b in _bridge_blocks(RngSeed(47).generator(), 100, 16, 2)]
-    assert [len(b) for b in blocks] == [13] * 7 + [9]
-    assert np.array_equal(np.concatenate(blocks), alpha if ends else alpha[:, 1:])
+        blocks, spans = [], []
+        for block, where in _bridge_blocks(draws, 16, 2):
+            blocks.append(block.copy())
+            spans.append(where)
+        assert spans[4] == [(0, 0, 8), (1, 8, 13)] and spans[-1] == [(1, 0, 9)]
+    assert [b.shape[1] for b in blocks] == [13] * 7 + [9]
+    assert np.array_equal(np.concatenate(blocks, axis=1), alpha)
 
 
 def test_callable_may_return_a_read_only_view():
@@ -414,20 +420,36 @@ def _pair_units(plus, minus, paired):
     return units
 
 
+def _one_shot_weights(alpha, x, y, t, V, strides, floors=None):
+    """Weights of whole bridges alpha (n_paths, n_steps + 1, dim) in one pass of the
+    node-major kernel, one row per stride and then per floor: a callable at the
+    positions, a quadratic form from its even and odd parts."""
+    if V.form is None:
+        pos = path_positions(alpha, x, y, t).transpose(1, 0, 2)
+        return [w for s in strides
+                for w in backend.floored_weights(np.array(V.evaluate(pos[::s].copy())),
+                                                 (-math.inf,) if floors is None else floors, t)]
+    nodes = alpha.transpose(1, 0, 2)
+    even, odd = np.empty((2,) + nodes.shape[:2])
+    backend.form_parts(nodes, [(x, y, 0, len(alpha))], t, V.form, even, odd)
+    return backend.floored_weights(even + odd, (V.form.floor,) if floors is None else floors, t,
+                                   strides)
+
+
 @pytest.mark.parametrize("case", list(_STREAMED))
 def test_streamed_weights_equal_one_shot_weights(monkeypatch, case):
     V, strides, floors = _STREAMED[case]
     # 199 paths: 100 drawn, 13 per block (seven full blocks and a ragged one of 9), the
     # first 99 weighed with their mirrors and the last a unit of its own
     n_paths, n_steps, t = 199, 16, 0.8
-    monkeypatch.setattr(feynman_kac, "_BLOCK_ELEMENTS", 13 * n_steps * V.dim)
+    monkeypatch.setattr(feynman_kac, "_BLOCK_ELEMENTS",
+                        13 * feynman_kac._WALK_BUFFERS * (n_steps + 1) * V.dim)
     x, y = np.full(V.dim, 0.4), np.full(V.dim, -0.3)
     got = _chunk_weights(RngSeed(3).generator(5), n_paths, n_steps, x, y, t, V, strides, floors)
     normals = RngSeed(3).generator(5).standard_normal((100, n_steps, V.dim))
 
     def one_shot(alpha):
-        return [w for s in strides
-                for w in _weights(path_positions(alpha[:, ::s], x, y, t), t, V, floors)]
+        return _one_shot_weights(alpha, x, y, t, V, strides, floors)
 
     want = _pair_units(one_shot(bridge_values(normals)), one_shot(bridge_values(-normals)), 99)
     assert got.shape == want.shape == (len(strides) * (1 if floors is None else len(floors)), 100)
@@ -454,9 +476,9 @@ def _drawn_weights(gen, n_paths, n_steps, x, y, t, V, strides):
             [[_sums_weights(sums, x[None], y[None], t, V.form, line)[0, 0]
               for sums, line in zip(levels, lines)]
              for levels in _bridge_sums(gen, n_paths, n_steps, V.dim, strides)], axis=1)
-    return np.concatenate(
-        [[w for s in strides for w in _weights(pos[:, ::s].copy(), t, V)]
-         for pos, _ in _position_blocks(gen, n_paths, n_steps, x, y, t)], axis=1)
+    normals = np.empty((n_paths, n_steps, V.dim))
+    gen.standard_normal(out=normals)
+    return np.array(_one_shot_weights(bridge_values(normals), x, y, t, V, strides))
 
 
 @pytest.mark.parametrize("V, strides", [
@@ -557,6 +579,38 @@ def test_shared_path_units_pair_as_the_pointwise_units(monkeypatch):
                * estimate_Q(xp[i], yp[j], stark(0.7), 0.6, mc.n_samples, 4, RngSeed(8)).mean
                for i in range(2) for j in range(2))
     assert me.value == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("V", [truncate(inverted_quadratic(0.5), 1.0),
+                               custom(_callable_harmonic, lambda eps: 0.0)],
+                         ids=["truncated", "callable"])
+def test_batched_node_pairs_equal_their_own_estimates(monkeypatch, V, workers):
+    # _CHUNK + 1 paths: per pair, chunk 0 draws 16 384 paths and chunk 1 one path alone.
+    # The truncation (two rows: its floor and the control) weighs pairs 0-2 together and
+    # pair 3 alone, the callable all four; a walk block of 3276 paths holds the end of
+    # pair 0 and the start of pair 1, and each pair's paths span several blocks
+    n_steps = 4
+    monkeypatch.setattr(feynman_kac, "_BLOCK_ELEMENTS", 3 * 2 * 16384)
+    assert feynman_kac._walk_rows(10**6, n_steps, 1) == 3276
+    pair_estimates = feynman_kac._pair_estimates
+    recorded = []
+
+    def record(*args, **kwargs):
+        recorded.append(pair_estimates(*args, **kwargs))
+        return recorded[-1]
+
+    monkeypatch.setattr(feynman_kac, "_pair_estimates", record)
+    phi, psi = bump(width=0.8), bump(0.3, 0.8)
+    mc = McConfig(feynman_kac._CHUNK + 1, n_steps)
+    matrix_element(phi, psi, V, 0.7, QuadratureConfig(2), mc, RngSeed(6), workers=workers)
+    xp, _ = _tensor_gauss_legendre(phi.support_box, 2)
+    yp, _ = _tensor_gauss_legendre(psi.support_box, 2)
+    (pairs,) = recorded
+    assert len(pairs) == 4
+    for (i, j), (est,) in zip([(i, j) for i in range(2) for j in range(2)], pairs):
+        assert est == estimate_Q(xp[i], yp[j], V, 0.7, mc.n_samples, n_steps, RngSeed(6),
+                                 key=(i, j))
 
 
 def test_callable_estimate_memory_stays_within_a_few_blocks():
@@ -925,10 +979,11 @@ def test_clipped_form_reads_the_exact_grid_value_where_no_floor_binds():
     est = estimate_Q(0.3, 0.2, truncate(harmonic(), 1.0), 1.0, 500, 16, RngSeed(2))
     assert est.mean == exact
     assert est.std_error == 0.0
-    # the flag and the heavy-mass fraction still come from the plain weights
+    # the flag and the heavy-mass fraction still come from the plain weights (the
+    # callable's positions and the form's even and odd parts round differently)
     plain = estimate_Q(0.3, 0.2, truncate(custom(_callable_harmonic, lambda eps: 0.0), 1.0),
                        1.0, 500, 16, RngSeed(2))
-    assert est.heavy_mass_fraction == plain.heavy_mass_fraction
+    assert est.heavy_mass_fraction == pytest.approx(plain.heavy_mass_fraction, rel=1e-12)
     assert est.divergence_suspected == plain.divergence_suspected
     # far out, the plain mean underflows in its squares; the control does not
     far = estimate_Q(30.0, 30.0, truncate(harmonic(), 1.0), 1.0, 2000, 64, RngSeed(1))
@@ -958,7 +1013,8 @@ def test_clipped_form_control_variate_agrees_with_plain_weights():
         same_paths = estimate_Q(x, y, truncate(_inverted_callable(0.5), level), t, 4000,
                                 n_steps, RngSeed(4))
         assert est.std_error < same_paths.std_error / 5.0
-        assert est.heavy_mass_fraction == same_paths.heavy_mass_fraction
+        assert est.heavy_mass_fraction == pytest.approx(same_paths.heavy_mass_fraction,
+                                                        rel=1e-12)
 
 
 @pytest.mark.parametrize("t", [2.0, 3.0])
@@ -970,7 +1026,11 @@ def test_clipped_form_keeps_plain_weights_where_the_control_has_infinite_varianc
                      RngSeed(4))
     plain = estimate_Q(0.2, -0.1, truncate(_inverted_callable(1.0), 4.0), t, 3000, 32,
                        RngSeed(4))
-    assert est == plain
+    # the same weights up to rounding: the form is weighed from its even and odd parts
+    assert (est.n_samples, est.n_steps, est.divergence_suspected) == (
+        plain.n_samples, plain.n_steps, plain.divergence_suspected)
+    for field in ("mean", "std_error", "heavy_mass_fraction"):
+        assert getattr(est, field) == pytest.approx(getattr(plain, field), rel=1e-12)
 
 
 @pytest.mark.parametrize("n_steps, threshold", [(16, 2.21787), (128, 2.22139)])
