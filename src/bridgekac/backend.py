@@ -124,7 +124,7 @@ def floored_weights(v: np.ndarray, floors, t: float, strides=(1,),
     needed.
     """
     # a NaN makes every finite floor bind, so its column is clipped explicitly
-    low = v.min() if any(f > -math.inf for f in floors) else -math.inf
+    low = v.min(initial=math.inf) if any(f > -math.inf for f in floors) else -math.inf
     weights = []
     last = len(strides) - 1
     for level, s in enumerate(strides):

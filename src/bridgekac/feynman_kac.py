@@ -68,13 +68,14 @@ Truncations max(V, -n) of one potential share the other way: V is
 evaluated along a path once and each level clips the values, so a
 truncation study draws and evaluates each path once for all levels.
 The node pairs of a matrix element draw their own streams, but
-consecutive pairs share row blocks, and their records come from one
-reduction (`_pair_estimates`).  A clipped form also carries its own
-control variate: the unclipped form's weight w_ref of the same path,
-whose mean on the time grid, `stochastic.gaussian_q`, is a Gaussian
-integral known exactly.  Each level then averages w - w_ref, which is
-zero on every pair whose path and mirror its floor does not touch,
-provided w_ref has finite variance (see `_pair_estimates`).
+consecutive pairs of one chunk of paths each share row blocks, and
+their records come from one reduction (`_pair_estimates`).  A clipped
+form also carries its own control variate: the unclipped form's weight
+w_ref of the same path, whose mean on the time grid,
+`stochastic.gaussian_q`, is a Gaussian integral known exactly.  Each
+level then averages w - w_ref, which is zero on every pair whose path
+and mirror its floor does not touch, provided w_ref has finite variance
+(see `_pair_estimates`).
 
 Each chunk reduces each row of pair units to one record, `_Stats`:
 count, mean, centred sum of squares, total and the top_k heaviest units,
@@ -328,26 +329,18 @@ def _bridge_blocks(draws, n_steps: int, dim: int):
     shape (n_steps + 1, rows, dim), holds node k of every path in row k,
     bit for bit `bridge_values` of the normals with the first two axes
     swapped (nodes 0 and n_steps are zero); spans lists (draw index,
-    first column, end column) of the draws in the block.  The walk's
-    cumulative sum runs node by node, over whole rows, unless a path has
-    more nodes than the block has numbers per node.  The next block
+    first column, end column) of the draws in the block.  The next block
     overwrites alpha.
     """
     rows = _walk_rows(sum(n for _, n in draws), n_steps, dim)
     normals = np.empty((rows, n_steps, dim))
     alpha = np.zeros((n_steps + 1, rows, dim))
-    # once a block is copied into alpha, its normals buffer holds the detrend term
+    # once a block is summed into alpha, its normals buffer holds the detrend term
     work = normals.reshape(n_steps, rows, dim)
     u = np.arange(1, n_steps + 1, dtype=np.float64) / n_steps
 
     def walk(filled: int) -> np.ndarray:
-        b = alpha[1:, :filled]
-        if n_steps <= filled * dim:
-            np.copyto(b, normals[:filled].transpose(1, 0, 2))
-            for k in range(1, n_steps):
-                b[k] += b[k - 1]
-        else:
-            np.cumsum(normals[:filled].transpose(1, 0, 2), axis=0, out=b)
+        b = np.cumsum(normals[:filled].transpose(1, 0, 2), axis=0, out=alpha[1:, :filled])
         b *= np.sqrt(1.0 / n_steps)
         b -= np.multiply(u[:, None, None], b[-1], out=work[:, :filled])
         return alpha[:, :filled]
@@ -412,11 +405,12 @@ def _walk_units(draws, n_steps: int, t: float, V: PotentialSpec, strides=(1,),
     one pass for all the draws in it.  A quadratic form (clipped at
     `floors`, or at its own floor for None) takes its even and odd parts
     from each draw's bridge values (`backend.form_parts`), and a path
-    and its mirror read E + O and E - O.  A callable is evaluated at the
-    positions of `_position_blocks` and then at those of the mirrors;
-    every stride but the last gets a copy of its view, so no stride sees
-    what a callable left in another's positions.  Each unit depends on
-    its own path alone, bit for bit, whatever block it sits in.
+    and its mirror read E + O and E - O.  A callable is evaluated once at
+    all the nodes of `_position_blocks` and then once at those of the
+    mirrors.  Every stride reads strided rows of the same values
+    (`backend.floored_weights`), whose nodes include the coarser grids'.
+    Each unit depends on its own path alone, bit for bit, whatever block
+    it sits in.
     """
     form = V.form
     if floors is None:
@@ -426,29 +420,24 @@ def _walk_units(draws, n_steps: int, t: float, V: PotentialSpec, strides=(1,),
     ends = np.cumsum([drawn for drawn, _ in sizes])
     lone = ends[[drawn > paired for drawn, paired in sizes]] - 1
     units = np.empty((len(strides) * len(floors), ends[-1]))
+    rows = _walk_rows(int(ends[-1]), n_steps, V.dim)
+    spare = np.empty((n_steps + 1, rows))
+
+    def weigh(v: np.ndarray) -> np.ndarray:
+        return np.array(_backend.floored_weights(v, floors, t, strides, spare[:, :v.shape[1]]))
+
     if form is None:
-        last = len(strides) - 1
-
-        def evaluate(pos: np.ndarray) -> np.ndarray:
-            views = (pos[::s].copy() if level < last else pos[::s]
-                     for level, s in enumerate(strides))
-            return np.array([w for view in views
-                             for w in _backend.floored_weights(_values(V, view), floors, t)])
-
-        weighed = ((evaluate(pos), evaluate(reflect()))
+        weighed = ((weigh(_values(V, pos)), weigh(_values(V, reflect())))
                    for pos, reflect in _position_blocks(paths, n_steps, t))
     else:
-        rows = _walk_rows(int(ends[-1]), n_steps, V.dim)
-        even, odd, values, spare = np.empty((4, n_steps + 1, rows))
+        even, odd, values = np.empty((3, n_steps + 1, rows))
 
         def parts(alpha: np.ndarray, spans):
             r = alpha.shape[1]
             e, o = even[:, :r], odd[:, :r]
             _backend.form_parts(alpha, [(*draws[i][2:], a, b) for i, a, b in spans], t, form,
                                 e, o)
-            return [np.array(_backend.floored_weights(combine(e, o, out=values[:, :r]), floors,
-                                                      t, strides, spare[:, :r]))
-                    for combine in (np.add, np.subtract)]
+            return [weigh(combine(e, o, out=values[:, :r])) for combine in (np.add, np.subtract)]
 
         weighed = (parts(alpha, spans) for alpha, spans
                    in _bridge_blocks([(gen, n) for gen, n, _, _ in paths], n_steps, V.dim))
@@ -795,16 +784,17 @@ def _over_chunks(rng: RngSeed, keys, n_samples: int, workers: int, chunk):
     in chunk order.
 
     Chunk i holds `_CHUNK` paths (the last one the rest), drawn for each
-    key from stream (*key, i).  The streams open key by key, in chunk
-    order, before any is drawn, and `chunk(gens, count)` reduces chunk i,
-    given its generators in key order, to a tuple of `_Stats`.  The
-    chunks run on `workers` threads but merge element by element in
-    chunk order, so a fixed seed gives bit-identical results for any
-    workers.
+    key from stream (*key, i).  The job of chunk i opens its streams key
+    by key and `chunk(gens, count)` reduces the chunk, given its
+    generators in key order, to a tuple of `_Stats`.  The chunks run on
+    `workers` threads but merge element by element in chunk order, so a
+    fixed seed gives bit-identical results for any workers.
     """
-    counts = [min(_CHUNK, n_samples - i) for i in range(0, n_samples, _CHUNK)]
-    gens = [[rng.generator(*key, i) for i in range(len(counts))] for key in keys]
-    jobs = [partial(chunk, [g[i] for g in gens], count) for i, count in enumerate(counts)]
+    def job(i: int):
+        count = min(_CHUNK, n_samples - i * _CHUNK)
+        return chunk([rng.generator(*key, i) for key in keys], count)
+
+    jobs = [partial(job, i) for i in range(-(-n_samples // _CHUNK))]
     return _merged(_run_ordered(jobs, workers))
 
 
@@ -856,21 +846,24 @@ def _pair_estimates(xs: np.ndarray, ys: np.ndarray, keys, V: PotentialSpec, t: f
     Pair p draws its paths from the keyed chunks (*keys[p], chunk) once
     for all floors; `floors=None` estimates V itself (the sums path of
     `_chunk_weights` for an unclipped form, which must then be one pair).
-    Consecutive pairs whose units of one chunk fit in `_BLOCK_ELEMENTS`
-    together form a group: chunk by chunk, they share the row blocks of
-    `_walk_units` and one `_Stats.of` over (floors x pairs) rows.
-    `workers` threads split the groups, or the chunks of the only group.
-    Streams open pair by pair, in chunk order, and each record row
-    depends on its own pair's paths alone, so every pair's estimates
-    equal its own one-pair call bit for bit, for any workers.
+    When `n_samples` fits in one chunk, consecutive pairs whose units fit
+    in `_BLOCK_ELEMENTS` together form a group: they share the row blocks
+    of `_walk_units` and one `_Stats.of` over (floors x pairs) rows.  A
+    pair of more paths, whose chunks fill many blocks on their own, is a
+    group alone.  `workers` threads split the groups, or the chunks of
+    the only group.  With one worker, streams open pair by pair, in
+    chunk order, each when its chunk is drawn.  Each record row depends
+    on its own pair's paths alone, so every pair's estimates equal its
+    own one-pair call bit for bit, for any workers.
 
     A clipped quadratic form is estimated with the unclipped form as
     control variate wherever that form's weights have finite variance
     (see `_form_floors`): one more floor, -inf, gives each path its
     reference weight w_ref, whose mean Q_ref on the grid is known
     exactly, and each level reports max(Q_ref + mean(w - w_ref), 0) with
-    the standard error of the differences.  The coefficient is fixed at
-    1, so each level depends on its own floor alone and stays
+    the standard error of the differences; a group none of whose pairs
+    has a Q_ref weighs no control row.  The coefficient is fixed at 1,
+    so each level depends on its own floor alone and stays
     non-decreasing path by path; a path that no floor touches adds
     exactly zero.  The divergence flag and the heavy-mass fraction come
     from the plain weights.
@@ -881,26 +874,31 @@ def _pair_estimates(xs: np.ndarray, ys: np.ndarray, keys, V: PotentialSpec, t: f
     q_refs = [_control_mean(x, y, V.form, t, n_steps) if control else None
               for x, y in zip(xs, ys)]
     n_rows = 1 if floors is None else len(floors)
-    size = max(1, _BLOCK_ELEMENTS // (n_rows * _pairs(min(n_samples, _CHUNK))[0]))
+    drawn = _pairs(n_samples)[0]
+    size = 1 if n_samples > _CHUNK else max(1, _BLOCK_ELEMENTS // (n_rows * drawn))
     groups = [range(a, min(a + size, len(keys))) for a in range(0, len(keys), size)]
 
-    def chunk(pairs: range, gens, count: int):
+    def chunk(pairs: range, levels, controlled: bool, gens, count: int):
         if floors is None and _unclipped(V):
             (gen,), (p,) = gens, pairs
             w = _chunk_weights(gen, count, n_steps, xs[p], ys[p], t, V)
         else:
             w = _walk_units([(gen, count, xs[p], ys[p]) for gen, p in zip(gens, pairs)],
-                            n_steps, t, V, floors=floors)
-        w = w.reshape(n_rows, len(pairs), -1)
-        if not control:
+                            n_steps, t, V, floors=levels)
+        w = w.reshape(len(w), len(pairs), -1)
+        if not controlled:
             return (_Stats.of(w, top_k),)
         plain = _Stats.of(w[:-1], top_k)
         w[:-1] -= w[-1]
         return plain, _Stats.of(w[:-1])
 
     def group(pairs: range):
+        controlled = control and any(q_refs[p] is not None for p in pairs)
+        # the control's floor, the last, is weighed only where a pair reads it
+        levels = floors[:-1] if control and not controlled else floors
         return _over_chunks(rng, [keys[p] for p in pairs], n_samples,
-                            workers if len(groups) == 1 else 1, partial(chunk, pairs))
+                            workers if len(groups) == 1 else 1,
+                            partial(chunk, pairs, levels, controlled))
 
     estimates = []
     for pairs, (plain, *diffs) in zip(groups, _run_ordered([partial(group, g) for g in groups],
@@ -1066,10 +1064,11 @@ def matrix_element(
     ratio is about 2.9 for the harmonic form at 6 x 6 nodes and t = 0.5,
     and about 3.6 for truncate(inverted_quadratic(0.5), 1.0) at 8 x 8
     nodes and t = 1.  What the node pairs share is their row blocks:
-    consecutive pairs draw their own paths into the same blocks of the
-    walk, which are weighed in one pass, and their records come from one
-    reduction (`_pair_estimates`), while each pair's estimate stays bit
-    for bit that of `estimate_Q` at the pair with key=(i, j).
+    when `mc.n_samples` fits in one chunk, consecutive pairs draw their
+    own paths into the same blocks of the walk, which are weighed in one
+    pass, and their records come from one reduction (`_pair_estimates`),
+    while each pair's estimate stays bit for bit that of `estimate_Q` at
+    the pair with key=(i, j).
     `mc_samples_per_node` counts paths, each weighed with its mirror (see
     `_chunk_weights`).  Either way a fixed seed gives bit-identical
     results for any worker count.

@@ -84,6 +84,13 @@ def test_weights_respect_floor_clipping():
     assert np.any(w_clip < w_deep)
 
 
+@pytest.mark.parametrize("floor", [-math.inf, -0.5])
+def test_an_empty_batch_has_no_weights(floor):
+    form = QuadraticForm(-1.0, (0.0,), 0.0, floor=floor)
+    got = backend.quadratic_weights(np.zeros((0, 5, 1)), 0.0, 0.0, 1.0, form)
+    assert got.shape == (0,)
+
+
 def test_out_argument_is_used():
     alpha = _paths(n_paths=8)
     form = QuadraticForm(0.5, (0.0,), 0.0)

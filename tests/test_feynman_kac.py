@@ -581,15 +581,18 @@ def test_shared_path_units_pair_as_the_pointwise_units(monkeypatch):
     assert me.value == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("n_samples", [feynman_kac._CHUNK - 1, feynman_kac._CHUNK + 1],
+                         ids=["one chunk", "two chunks"])
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("V", [truncate(inverted_quadratic(0.5), 1.0),
                                custom(_callable_harmonic, lambda eps: 0.0)],
                          ids=["truncated", "callable"])
-def test_batched_node_pairs_equal_their_own_estimates(monkeypatch, V, workers):
-    # _CHUNK + 1 paths: per pair, chunk 0 draws 16 384 paths and chunk 1 one path alone.
-    # The truncation (two rows: its floor and the control) weighs pairs 0-2 together and
-    # pair 3 alone, the callable all four; a walk block of 3276 paths holds the end of
-    # pair 0 and the start of pair 1, and each pair's paths span several blocks
+def test_batched_node_pairs_equal_their_own_estimates(monkeypatch, V, workers, n_samples):
+    # _CHUNK - 1 paths: each pair draws 16 384 paths, the last alone.  The truncation (two
+    # rows: its floor and the control) weighs pairs 0-2 together and pair 3 alone, the
+    # callable all four; a walk block of 3276 paths holds the end of pair 0 and the start
+    # of pair 1, and each pair's paths span several blocks.  _CHUNK + 1 paths: chunk 0
+    # draws 16 384 paths and chunk 1 one path alone, and each pair is weighed alone
     n_steps = 4
     monkeypatch.setattr(feynman_kac, "_BLOCK_ELEMENTS", 3 * 2 * 16384)
     assert feynman_kac._walk_rows(10**6, n_steps, 1) == 3276
@@ -602,7 +605,7 @@ def test_batched_node_pairs_equal_their_own_estimates(monkeypatch, V, workers):
 
     monkeypatch.setattr(feynman_kac, "_pair_estimates", record)
     phi, psi = bump(width=0.8), bump(0.3, 0.8)
-    mc = McConfig(feynman_kac._CHUNK + 1, n_steps)
+    mc = McConfig(n_samples, n_steps)
     matrix_element(phi, psi, V, 0.7, QuadratureConfig(2), mc, RngSeed(6), workers=workers)
     xp, _ = _tensor_gauss_legendre(phi.support_box, 2)
     yp, _ = _tensor_gauss_legendre(psi.support_box, 2)
@@ -819,6 +822,38 @@ def test_shared_path_matrix_element_is_worker_and_block_invariant(monkeypatch):
     assert c.divergence_nodes == a.divergence_nodes
 
 
+class _DrawLoggingGenerator:
+    """Generator proxy that logs ("draw", key) before every draw."""
+
+    def __init__(self, gen, key, events):
+        self.gen, self.key, self.events = gen, key, events
+
+    def standard_normal(self, *, out):
+        self.events.append(("draw", self.key))
+        return self.gen.standard_normal(out=out)
+
+
+@dataclasses.dataclass(frozen=True)
+class _DrawLoggingSeed(RngSeed):
+    """RngSeed that logs ("open", key) for every generator it opens, and its draws."""
+
+    events: list = dataclasses.field(default_factory=list, compare=False)
+
+    def generator(self, *key):
+        self.events.append(("open", key))
+        return _DrawLoggingGenerator(super().generator(*key), key, self.events)
+
+
+@pytest.mark.parametrize("V", [harmonic(), truncate(inverted_quadratic(0.5), 1.0)],
+                         ids=["sums", "walk"])
+def test_a_chunk_opens_its_stream_when_it_is_drawn(V):
+    # no stream is held open while earlier chunks are drawn
+    rng = _DrawLoggingSeed(3)
+    estimate_Q(0.3, -0.2, V, 1.0, 2 * feynman_kac._CHUNK + 1, 2, rng)
+    events = [e for k, e in enumerate(rng.events) if k == 0 or e != rng.events[k - 1]]
+    assert events == [(kind, (c,)) for c in range(3) for kind in ("open", "draw")]
+
+
 def test_shared_path_matrix_element_opens_one_stream_per_chunk(counting_seed):
     phi = bump(width=1.0)
     args = (phi, phi, stark(0.7), 0.5, QuadratureConfig(8))
@@ -1031,6 +1066,21 @@ def test_clipped_form_keeps_plain_weights_where_the_control_has_infinite_varianc
         plain.n_samples, plain.n_steps, plain.divergence_suspected)
     for field in ("mean", "std_error", "heavy_mass_fraction"):
         assert getattr(est, field) == pytest.approx(getattr(plain, field), rel=1e-12)
+
+
+@pytest.mark.parametrize("t, weighed", [(1.0, [-4.0, -math.inf]), (2.5, [-4.0])])
+def test_the_control_row_is_weighed_only_where_a_reference_exists(monkeypatch, t, weighed):
+    # above the doubled form's threshold w_ref has infinite variance: no Q_ref, no control
+    walk_units = feynman_kac._walk_units
+    floors = []
+
+    def record(*args, **kwargs):
+        floors.append(list(kwargs["floors"]))
+        return walk_units(*args, **kwargs)
+
+    monkeypatch.setattr(feynman_kac, "_walk_units", record)
+    estimate_Q(0.2, -0.1, truncate(inverted_quadratic(1.0), 4.0), t, 100, 8, RngSeed(4))
+    assert floors == [weighed]
 
 
 @pytest.mark.parametrize("n_steps, threshold", [(16, 2.21787), (128, 2.22139)])
