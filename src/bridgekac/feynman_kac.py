@@ -593,8 +593,13 @@ def _sums_weights(sums, xs: np.ndarray, ys: np.ndarray, t: float,
     y_odd = (-2.0 * q * s * t) * (ys @ B.T) + (-s * t) * (A @ g)
     path_even = (-q * t * t) * C
     line = -t * line
-    part = line[:, :, None] + x_odd[:, None, :]
-    w = np.add(part, (path_even + y_odd)[None, :, :])
+    # w and the mirrors' scratch share one allocation.  As two, glibc gave the
+    # heap they leave back to the system after each matrix element of 256 node
+    # pairs x 500 paths and faulted it in again on the next: 470 page faults,
+    # 2.4 -> 3.4 ms per call (2-core x86-64 host, fresh process)
+    both = np.empty((2, len(xs), len(ys), len(C)))
+    part = np.add(line[:, :, None], x_odd[:, None, :], out=both[1])
+    w = np.add(part, (path_even + y_odd)[None, :, :], out=both[0])
     np.exp(w, out=w)
     if paired:
         mirror = np.subtract(line[:, :, None], x_odd[:, None, :paired], out=part[..., :paired])
@@ -744,30 +749,26 @@ def _merged(records):
 
 
 def _finalize(stats: _Stats, heavy_fraction: float, steps, n_samples: int, q_ref=None,
-              diffs: _Stats | None = None) -> list[QEstimate]:
-    """One estimate per row of `stats`, of `steps` steps and `n_samples` paths each
-    (`stats` counts pair units, about half as many).  With a control,
-    Q_ref and the record of the differences w - w_ref, a row reads
-    max(Q_ref + mean difference, 0) with the differences' standard error; the
-    flag and heavy-mass fraction stay the weights', but a row whose differences
-    are all zero is the exact grid value (no floor touched a path): unflagged."""
+              diffs: _Stats | None = None) -> np.ndarray:
+    """An object array of estimates, one per entry of `stats.mean`, of `steps`
+    steps (broadcast against it) and `n_samples` paths each (`stats` counts pair
+    units, about half as many).  With a control, `q_ref` (NaN where a column has
+    none, broadcast against the last axis) and the record of the differences
+    w - w_ref, an entry reads max(Q_ref + mean difference, 0) with the
+    differences' standard error; the flag and heavy-mass fraction stay the
+    weights', but an entry whose differences are all zero is the exact grid
+    value (no floor touched a path): unflagged."""
     fraction, suspected = stats.heavy(heavy_fraction)
     means, std_error = stats.mean, stats.std_error
     if diffs is not None:
-        means = np.maximum(q_ref + diffs.mean, 0.0)
-        std_error = diffs.std_error
-        suspected &= (diffs.mean != 0.0) | (diffs.m2 != 0.0)
-    return [
-        QEstimate(
-            mean=float(mean),
-            std_error=float(err),
-            n_samples=n_samples,
-            n_steps=int(n),
-            divergence_suspected=bool(flag),
-            heavy_mass_fraction=float(frac),
-        )
-        for mean, err, flag, frac, n in zip(means, std_error, suspected, fraction, steps)
-    ]
+        controlled = ~np.isnan(q_ref)
+        means = np.where(controlled, np.maximum(q_ref + diffs.mean, 0.0), means)
+        std_error = np.where(controlled, diffs.std_error, std_error)
+        suspected &= ~controlled | (diffs.mean != 0.0) | (diffs.m2 != 0.0)
+    estimate = np.frompyfunc(lambda mean, err, flag, frac, n: QEstimate(
+        mean=mean, std_error=err, n_samples=n_samples, n_steps=n, divergence_suspected=flag,
+        heavy_mass_fraction=frac), 5, 1)
+    return estimate(means, std_error, suspected, fraction, steps)
 
 
 def _run_ordered(jobs, workers: int):
@@ -871,8 +872,8 @@ def _pair_estimates(xs: np.ndarray, ys: np.ndarray, keys, V: PotentialSpec, t: f
     _check_time(t)
     _check_sampling(n_samples, n_steps, top_k, heavy_fraction, workers)
     floors, control = _form_floors(V, floors)
-    q_refs = [_control_mean(x, y, V.form, t, n_steps) if control else None
-              for x, y in zip(xs, ys)]
+    q_refs = np.array([_control_mean(x, y, V.form, t, n_steps) if control else math.nan
+                       for x, y in zip(xs, ys)])
     n_rows = 1 if floors is None else len(floors)
     drawn = _pairs(n_samples)[0]
     size = 1 if n_samples > _CHUNK else max(1, _BLOCK_ELEMENTS // (n_rows * drawn))
@@ -893,7 +894,7 @@ def _pair_estimates(xs: np.ndarray, ys: np.ndarray, keys, V: PotentialSpec, t: f
         return plain, _Stats.of(w[:-1])
 
     def group(pairs: range):
-        controlled = control and any(q_refs[p] is not None for p in pairs)
+        controlled = not np.isnan(q_refs[pairs]).all()
         # the control's floor, the last, is weighed only where a pair reads it
         levels = floors[:-1] if control and not controlled else floors
         return _over_chunks(rng, [keys[p] for p in pairs], n_samples,
@@ -903,10 +904,8 @@ def _pair_estimates(xs: np.ndarray, ys: np.ndarray, keys, V: PotentialSpec, t: f
     estimates = []
     for pairs, (plain, *diffs) in zip(groups, _run_ordered([partial(group, g) for g in groups],
                                                           workers)):
-        for k, p in enumerate(pairs):
-            controlled = [d[:, k] for d in diffs if q_refs[p] is not None]
-            estimates.append(_finalize(plain[:, k], heavy_fraction, [n_steps] * len(plain.mean),
-                                       n_samples, q_refs[p], *controlled))
+        estimates += _finalize(plain, heavy_fraction, n_steps, n_samples,
+                               q_refs[pairs], *diffs).T.tolist()
     return estimates
 
 
@@ -927,13 +926,13 @@ def _form_floors(V: PotentialSpec, floors):
 
 
 def _control_mean(x: np.ndarray, y: np.ndarray, form: QuadraticForm, t: float, n_steps: int):
-    """Q_ref, the exact grid value of the unclipped `form` from x to y, or None if w_ref
+    """Q_ref, the exact grid value of the unclipped `form` from x to y, or NaN if w_ref
     has infinite variance: if the doubled form (2q, 2g, 2c), whose grid Q is
     E(w_ref^2), has no finite exact value, no control is used."""
     doubled = QuadraticForm(2.0 * form.quad, tuple(2.0 * g for g in form.lin), 2.0 * form.const)
     second = gaussian_q(x, y, doubled, t, n_steps)
     if is_divergent(second) or not math.isfinite(second):
-        return None
+        return math.nan
     return gaussian_q(x, y, QuadraticForm(form.quad, form.lin, form.const), t, n_steps)
 
 
@@ -1159,7 +1158,8 @@ def _shared_path_element(x_pts: np.ndarray, y_pts: np.ndarray, coef: np.ndarray,
     def block_stats(sums, paired: int):
         w = _sums_weights(sums, x_pts, y_pts, t, V.form, line, paired).reshape(coef.size, -1)
         nodes = _Stats.of(w, mc.top_k)
-        spread = coef @ (w - nodes.mean[:, None])
+        w -= nodes.mean[:, None]
+        spread = coef @ w
         scale = float(_tiny_scale(np.abs(spread).max()))
         spread /= scale
         return nodes, _Stats(w.shape[1], float(coef @ nodes.mean), float(spread @ spread),
@@ -1268,7 +1268,7 @@ def refine_steps(
             return levels, _Stats.of(weights[1:])
 
         levels, diffs = _over_chunks(rng, [()], n_samples, workers, chunk)
-        estimates = _finalize(levels, heavy_fraction, schedule, n_samples)
+        estimates = _finalize(levels, heavy_fraction, schedule, n_samples).tolist()
         diff_means, diff_errs = diffs.mean, diffs.std_error
     return RefinementReport(
         mode=mode,

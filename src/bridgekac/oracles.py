@@ -7,9 +7,8 @@ its continuation to the inverted oscillator (`inverted_mehler_kernel`).
 The exact value of Q on the estimators' own time grid for an unclipped
 quadratic form (`gaussian_q`, `log_gaussian_q`, from `stochastic`), which
 separates grid bias from Monte Carlo error.  And a finite-difference
-spectral solver: a dense Dirichlet Hamiltonian on a truncated interval
-whose eigendecomposition realizes e^{-tH} through the functional
-calculus.
+grid oracle: the Dirichlet Hamiltonian H of a truncated interval, whose
+semigroup e^{-tH} is applied to the test vectors.
 
 The closed forms are not taken on faith.  The linear-potential exponent
 coefficients follow from Gaussian integration of the bridge action (the
@@ -18,18 +17,17 @@ variance fixed by the bridge covariance: Var(integral_0^1 alpha) =
 1/12), and the tests cross-validate both kernels against the grid
 solver before they are used as ground truth anywhere else.
 
-The grid oracle is one-dimensional.  Its Hamiltonian is tridiagonal,
-and e^{-tH} needs only the eigenpairs below a cut a few multiples of 1/t
-above the test vectors' energy, since the rest carry weight below 1e-16
-of the value.  `decompose(op, upper)` computes just those, from dense
-solves on blocks of about 150 rows plus one Rayleigh-Ritz step, and
-certifies them: a Sturm count must find no eigenvalue below the cut that
-the Ritz values miss, and every residual must sit at rounding level.
-`semigroup_matrix_element` and `semigroup_kernel` pick the cut, check
-the spectral tail above it against the value, and guard against deep
-wells, where a tiny Ritz-vector error is amplified by e^{-t lambda}.
-Whenever a check fails they use the dense `eigh` of the whole spectrum,
-so no value is less exact than the dense oracle's.
+The grid oracle is one-dimensional and its Hamiltonian tridiagonal.
+`semigroup_matrix_element` and `semigroup_kernel` evaluate f^T e^{-tH} g
+by uniformization (`_uniformized`): a Poisson-weighted series of
+matrix-vector products with a nonnegative matrix, which adds only
+nonnegative terms.  Its relative error therefore does not grow with
+||e^{-tH}||, which is the regime the paper is about: a deep well makes
+||e^{-tH}|| huge while <phi, e^{-tH} psi> stays moderate, and an
+eigendecomposition would multiply its eigenvector rounding by that
+norm.  `decompose` gives the dense eigendecomposition, which the tests
+take as their reference and a caller may pass as `decomp` to reuse
+across many t.
 
 Domain truncation to [-L, L] is valid when the kernel mass outside the
 box is negligible at the given t; for potentials unbounded below, use
@@ -40,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -65,6 +64,17 @@ __all__ = [
 ]
 
 
+def _check_positive(name: str, value) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive")
+
+
+def _check_n_points(n_points) -> None:
+    _check_integer("n_points", n_points)
+    if n_points < 3:
+        raise ValueError("n_points must be at least 3")
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     """Grid-oracle parameters: box half-width, interior points, tolerance."""
@@ -74,81 +84,63 @@ class OracleConfig:
     tolerance: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.domain_half_width <= 0.0:
-            raise ValueError("domain_half_width must be positive")
-        _check_integer("n_points", self.n_points)
-        if self.n_points < 3:
-            raise ValueError("n_points must be at least 3")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        _check_positive("domain_half_width", self.domain_half_width)
+        _check_n_points(self.n_points)
+        _check_positive("tolerance", self.tolerance)
 
 
 @dataclass(frozen=True)
 class GridOperator:
-    """Dense Dirichlet discretization of -(1/2) d^2/dx^2 + V on [-L, L].
+    """Dirichlet discretization of -(1/2) d^2/dx^2 + V on [-L, L].
 
     Interior grid x_i = -L + h (i + 1), i = 0..n_points-1, with spacing
     h = 2L / (n_points + 1); the standard 3-point stencil puts
-    1/h^2 + V(x_i) on the diagonal and -1/(2 h^2) beside it.
+    `diagonal` = 1/h^2 + V(x_i) on the diagonal and `off_diagonal` =
+    -1/(2 h^2) beside it.  Only the tridiagonal is stored; `hamiltonian`
+    assembles the dense matrix.
     """
 
     domain_half_width: float
     n_points: int
     h: float
-    hamiltonian: np.ndarray
-    dim: int = 1
-    boundary: str = "dirichlet"
+    diagonal: np.ndarray
 
     @property
     def grid(self) -> np.ndarray:
         L = self.domain_half_width
         return -L + self.h * np.arange(1, self.n_points + 1)
 
+    @property
+    def off_diagonal(self) -> float:
+        return -0.5 / (self.h * self.h)
+
+    @property
+    def hamiltonian(self) -> np.ndarray:
+        H = np.diag(self.diagonal)
+        idx = np.arange(self.n_points - 1)
+        H[idx, idx + 1] = self.off_diagonal
+        H[idx + 1, idx] = self.off_diagonal
+        return H
+
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Ascending eigenvalues and orthonormal eigenvector columns.
-
-    Every eigenpair with eigenvalue <= `upper` is present; `upper = inf`
-    marks the whole spectrum.
-    """
+    """Ascending eigenvalues and orthonormal eigenvector columns."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    upper: float = math.inf
-
-
-# Partial spectra (`decompose` with a finite `upper`): rows per block,
-# Chebyshev shifts for the coupling correction, the residual certificate
-# in units of eps * ||H||, and the largest share of the spectrum solved
-# for in part; beyond it the projected problem nears the dense one in
-# size (harmonic at t = 0.05 needs 213 of 600 modes).
-_BLOCK_ROWS = 150
-_SHIFTS = 12
-_RESIDUAL_ULPS = 64.0
-_MAX_KEPT_SHARE = 1.0 / 3.0
-
-# Semigroup values from a partial spectrum: the first cut lies this many
-# units of 1/t above the test vectors' energy (e^{-40} = 4e-18); the
-# spectral tail above the cut and the amplified Ritz-vector error must
-# stay below these shares of the value.
-_CUT_MARGIN = 40.0
-_TAIL_REL = 1e-16
-_RITZ_REL = 1e-11
 
 
 def build_grid_operator(V: PotentialSpec, L: float, n_points: int) -> GridOperator:
-    """Assemble the stencil matrix with V sampled at the grid nodes.
+    """Assemble the stencil with V sampled at the grid nodes.
 
-    A value of V that is not finite would turn the whole spectrum into
-    NaN, so the first grid point where V is NaN or infinite raises.
+    A value of V that is not finite would make every semigroup value NaN,
+    so the first grid point where V is NaN or infinite raises.
     """
     if V.dim != 1:
         raise ValueError("the grid oracle supports dim=1 only")
-    if L <= 0.0:
-        raise ValueError("L must be positive")
-    if n_points < 3:
-        raise ValueError("n_points must be at least 3")
+    _check_positive("L", L)
+    _check_n_points(n_points)
     h = 2.0 * L / (n_points + 1)
     x = -L + h * np.arange(1, n_points + 1)
     v = np.asarray(V.evaluate(x[:, None]), dtype=np.float64)
@@ -157,150 +149,112 @@ def build_grid_operator(V: PotentialSpec, L: float, n_points: int) -> GridOperat
         i = int(bad[0])
         raise ValueError(f"potential is not finite on the grid: V({float(x[i])!r}) = "
                          f"{float(v[i])!r} at grid point {i}")
-    H = np.zeros((n_points, n_points))
-    idx = np.arange(n_points)
-    H[idx, idx] = 1.0 / (h * h) + v
-    off = -0.5 / (h * h)
-    H[idx[:-1], idx[:-1] + 1] = off
-    H[idx[:-1] + 1, idx[:-1]] = off
-    return GridOperator(domain_half_width=float(L), n_points=int(n_points),
-                        h=float(h), hamiltonian=H)
+    return GridOperator(domain_half_width=float(L), n_points=int(n_points), h=float(h),
+                        diagonal=1.0 / (h * h) + v)
 
 
-def decompose(op: GridOperator, upper: float | None = None) -> SpectralDecomposition:
-    """Symmetric eigendecomposition of the grid Hamiltonian.
+def decompose(op: GridOperator) -> SpectralDecomposition:
+    """Dense symmetric eigendecomposition (`eigh`) of the grid Hamiltonian.
 
-    `upper=None` gives the dense `eigh` of the whole spectrum.  A finite
-    `upper` asks for the ascending eigenpairs with eigenvalue <= upper
-    only.  They come from dense solves on blocks of about 150 rows and a
-    Rayleigh-Ritz step (`_block_ritz`), and are returned only when
-    certified: the Sturm count of eigenvalues <= upper equals the number
-    of Ritz values kept, and every residual |H u - theta u| is at most
-    64 eps ||H||.  With fewer than two blocks, no eigenvalue or more than
-    a third of the spectrum below `upper`, or a failed certificate, the
-    result is the dense decomposition of the whole spectrum
-    (`upper = inf`).
+    The semigroup oracles do not need it.  Passed to them as `decomp`, it
+    gives e^{-tH} for many t from one O(n^3) solve; its eigenvector
+    rounding is then multiplied by e^{-t lambda_0}, so it is exact only
+    while that factor is moderate.
     """
-    if upper is not None:
-        upper = float(upper)
-        if math.isnan(upper):
-            raise ValueError("upper must not be NaN")
-        if upper < math.inf:
-            partial = _block_ritz(op, upper)
-            if partial is not None:
-                return partial
     eigenvalues, eigenvectors = np.linalg.eigh(op.hamiltonian)
     return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
-def _tridiagonal(op: GridOperator) -> tuple[np.ndarray, np.ndarray]:
-    H = op.hamiltonian
-    return np.diagonal(H), np.diagonal(H, 1)
+# the uniformized series stops once its remaining terms are at most this share of the value
+_SERIES_REL = 1e-16
 
 
-def _count_at_most(d: np.ndarray, e: np.ndarray, sigma: float) -> int:
-    """Number of eigenvalues <= sigma: the negative pivots of LDL^T of H - sigma."""
-    e2 = (e * e).tolist()
-    pivmin = np.finfo(np.float64).tiny * max(1.0, max(e2, default=0.0))
-    count = 0
-    coupling = 0.0
-    for i, di in enumerate(d.tolist()):
-        q = di - sigma - coupling
-        if abs(q) < pivmin:
-            q = -pivmin
-        if q < 0.0:
-            count += 1
-        if i < len(e2):
-            coupling = e2[i] / q
-    return count
+def _poisson(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Poisson probabilities of k = 0..K at each mean of `mu`, as (K + 1, means),
+    and the probability of exceeding each k.
 
-
-def _residual_norms(d: np.ndarray, e: np.ndarray, eigenvalues: np.ndarray,
-                    eigenvectors: np.ndarray) -> np.ndarray:
-    """Column norms of H U - U diag(eigenvalues) for tridiagonal H."""
-    U = eigenvectors
-    R = (d[:, None] - eigenvalues) * U
-    R[:-1] += e[:, None] * U[1:]
-    R[1:] += e[:, None] * U[:-1]
-    return np.linalg.norm(R, axis=0)
-
-
-def _block_ritz(op: GridOperator, upper: float) -> SpectralDecomposition | None:
-    """Certified eigenpairs with eigenvalue <= upper, or None.
-
-    The rows are cut into blocks, each coupled to the next by one
-    off-diagonal entry.  An exact eigenvector u with eigenvalue lambda
-    solves (B - lambda) u = -C u, with B the block diagonal and C the
-    couplings, so per block it lies in the span of the block's modes kept
-    below the cut plus Q_R (D_R - lambda)^{-1} Q_R^T e_c, where R are the
-    modes left out and e_c the block's coupled rows.  That function of
-    lambda is smooth on [Gershgorin lower bound, upper], because D_R lies
-    a margin above the cut, so its values at Chebyshev shifts span it.
-    Rayleigh-Ritz on the union of these bases then gives the pairs, and
-    the Sturm count and the residuals certify them.
+    K lies 40 standard deviations (plus 40) above the largest mean, where
+    the mass left is far below the smallest double.  The probabilities
+    are built outwards from the mode by running products of their ratios
+    k / mu, and normalized by their sum, so neither e^{-mu} nor k! is
+    formed: both over- or underflow for the means of a fine grid.
     """
-    n = op.n_points
-    n_blocks = n // _BLOCK_ROWS
-    if n_blocks < 2:
-        return None
-    d, e = _tridiagonal(op)
-    count = _count_at_most(d, e, upper)
-    if not 0 < count <= _MAX_KEPT_SHARE * n:
-        return None
-    radius = np.zeros(n)
-    radius[:-1] += np.abs(e)
-    radius[1:] += np.abs(e)
-    lower = float(np.min(d - radius))
-    norm = max(abs(lower), abs(float(np.max(d + radius))))
-    width = upper - lower
-    k = np.arange(_SHIFTS)
-    shifts = lower + 0.5 * width * (1.0 - np.cos((k + 0.5) * math.pi / _SHIFTS))
-
-    cuts = np.arange(n_blocks + 1) * n // n_blocks
-    bases, diagonals = [], []
-    for b in range(n_blocks):
-        first, stop = cuts[b], cuts[b + 1]
-        D, Q = np.linalg.eigh(op.hamiltonian[first:stop, first:stop])
-        kept = D <= upper + 0.5 * width
-        rest, D_rest = Q[:, ~kept], D[~kept]
-        coupled = [r for r, linked in ((0, b > 0), (stop - first - 1, b < n_blocks - 1)) if linked]
-        W = np.concatenate([rest[r][:, None] / (D_rest[:, None] - shifts) for r in coupled],
-                           axis=1)
-        C = np.linalg.qr(W)[0]
-        n_kept = int(np.count_nonzero(kept))
-        block = np.diag(np.concatenate([D[kept], np.zeros(C.shape[1])]))
-        block[n_kept:, n_kept:] = (C.T * D_rest) @ C
-        bases.append(np.concatenate([Q[:, kept], rest @ C], axis=1))
-        diagonals.append(block)
-
-    offsets = np.concatenate(([0], np.cumsum([z.shape[1] for z in bases])))
-    projected = np.zeros((offsets[-1], offsets[-1]))
-    for b in range(n_blocks):
-        this = slice(offsets[b], offsets[b + 1])
-        projected[this, this] = diagonals[b]
-        if b + 1 < n_blocks:
-            after = slice(offsets[b + 1], offsets[b + 2])
-            coupling = e[cuts[b + 1] - 1] * np.outer(bases[b][-1], bases[b + 1][0])
-            projected[this, after] = coupling
-            projected[after, this] = coupling.T
-    theta, Y = np.linalg.eigh(projected)
-    if int(np.searchsorted(theta, upper, side="right")) != count:
-        return None
-    theta = theta[:count]
-    U = np.empty((n, count))
-    for b in range(n_blocks):
-        U[cuts[b]:cuts[b + 1]] = bases[b] @ Y[offsets[b]:offsets[b + 1], :count]
-    residuals = _residual_norms(d, e, theta, U)
-    if not np.max(residuals) <= _RESIDUAL_ULPS * np.finfo(np.float64).eps * norm:
-        return None
-    return SpectralDecomposition(eigenvalues=theta, eigenvectors=U, upper=upper)
+    K = int(np.max(mu + 40.0 * np.sqrt(mu))) + 40
+    k = np.arange(1, K + 1)[:, None]
+    mode = np.floor(mu)
+    # p_k / p_mode: the product of j / mu over k < j <= mode, or of mu / j over mode < j <= k
+    below = np.cumprod(np.where(k <= mode, k / mu, 1.0)[::-1], axis=0)[::-1]
+    above = np.cumprod(np.where(k > mode, mu / k, 1.0), axis=0)
+    one = np.ones((1, len(mu)))
+    weights = np.concatenate([below, one]) * np.concatenate([one, above])
+    weights /= weights.sum(axis=0)
+    tail = np.concatenate([np.cumsum(weights[:0:-1], axis=0)[::-1], np.zeros_like(one)])
+    return weights, tail
 
 
-def _check_support(op: GridOperator, wf: Wavefunction) -> None:
-    L = op.domain_half_width
-    (lower,), (upper,) = wf.support_box[0], wf.support_box[1]
-    if lower < -L or upper > L:
-        raise ValueError("wavefunction support exceeds the oracle domain")
+def _parts(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The signs (+1, -1) whose part max(sign * v, 0) is not zero, and those parts as rows."""
+    signs = [s for s in (1.0, -1.0) if np.any(s * v > 0.0)]
+    return np.array(signs), np.array([np.maximum(s * v, 0.0) for s in signs]).reshape(-1, v.size)
+
+
+def _uniformized(ops: Sequence[GridOperator], t: float, f: np.ndarray,
+                 g: np.ndarray) -> np.ndarray:
+    """f^T e^{-tH} g for the Hamiltonian H of each of `ops`, which share one grid.
+
+    Uniformization (Xue & Ye, Numer. Math. 2008): with d the diagonal
+    of H and e its off-diagonal, s = max d, Lambda = s - min d + 2|e|
+    and B = (sI - H) / Lambda, whose entries are nonnegative and whose
+    row sums are at most 1,
+
+        f^T e^{-tH} g = e^{t (Lambda - s)} sum_k Pois(k; t Lambda) f^T B^k g.
+
+    f and g are split into their positive and negative parts, so each of
+    the (up to four) series adds nonnegative terms only and keeps a small
+    relative error however large ||e^{-tH}|| is.  The parts of g of every
+    operator are the rows of one batch, and each step is one tridiagonal
+    product on all of them.  For nonnegative g, B^j g <= max B^k g for
+    j >= k, so the terms past k add at most (the Poisson mass past k)
+    * ||f||_1 * max B^k g: once every operator is past its mode, the
+    series stops where that is at most 1e-16 of every partial sum.  At
+    t = 0 the value is f^T g.
+    """
+    if t == 0.0:
+        return np.full(len(ops), float(f @ g))
+    f_signs, F = _parts(f)
+    g_signs, G = _parts(g)
+    d = np.stack([op.diagonal for op in ops])
+    e = abs(ops[0].off_diagonal)
+    s = d.max(axis=1)
+    lam = s - d.min(axis=1) + 2.0 * e
+    mu = t * lam
+    weights, tail = _poisson(mu)
+    # B: diagonal a, off-diagonal b; the state keeps a zero column at each end
+    a = ((s[:, None] - d) / lam[:, None])[:, None, :]
+    b = (e / lam)[:, None, None]
+    n = d.shape[1]
+    F_padded = np.zeros((n + 2, len(F)))
+    F_padded[1:-1] = F.T
+    state = np.zeros((len(ops), len(G), n + 2))
+    state[:, :, 1:-1] = G
+    spare = np.zeros_like(state)
+    products = np.empty((len(ops), len(G), n))
+    f_mass = F.sum(axis=1)
+    sums = np.zeros((len(ops), len(G), len(F)))
+    past_modes = int(np.max(mu))
+    for k in range(len(weights)):
+        sums += weights[k][:, None, None] * (state @ F_padded)
+        if k >= past_modes and np.all(tail[k][:, None, None] * f_mass
+                                      * state.max(axis=2)[..., None] <= _SERIES_REL * sums):
+            break
+        inner = spare[:, :, 1:-1]
+        np.add(state[:, :, :-2], state[:, :, 2:], out=inner)
+        inner *= b
+        inner += np.multiply(a, state[:, :, 1:-1], out=products)
+        state, spare = spare, state
+    with np.errstate(divide="ignore"):
+        terms = np.exp((t * (lam - s))[:, None, None] + np.log(sums))
+    return terms @ f_signs @ g_signs
 
 
 def _check_t(t: float) -> None:
@@ -308,64 +262,27 @@ def _check_t(t: float) -> None:
         raise ValueError("t must be finite and nonnegative")
 
 
+def _on_grid(op: GridOperator, wf: Wavefunction) -> np.ndarray:
+    """wf at the grid nodes, once its support is checked to lie in the box."""
+    if wf.dim != 1:
+        raise ValueError("the grid oracle supports dim=1 only")
+    (lower,), (upper,) = wf.support_box
+    if lower < -op.domain_half_width or upper > op.domain_half_width:
+        raise ValueError("wavefunction support exceeds the oracle domain")
+    v = np.asarray(wf.evaluate(op.grid[:, None]), dtype=np.float64)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("wavefunction is not finite on the grid")
+    return v
+
+
 def _semigroup_value(op: GridOperator, t: float, f: np.ndarray, g: np.ndarray, scale: float,
-                     upper: float, decomp: SpectralDecomposition | None) -> float:
-    """scale * f^T e^{-tH} g for grid vectors f and g.
-
-    With no `decomp`, the eigenpairs up to `upper` are tried first.  The
-    spectrum above the cut adds at most e^{-t upper} scale |f| |g|; when
-    that exceeds 1e-16 of the value the cut is raised once, to where it
-    would not.  A deep well makes e^{-t theta} huge, and Ritz vectors are
-    accurate only to residual / gap, gap >= upper - theta.  So the
-    first- and second-order error that causes,
-    sum_i e^{-t theta_i} s_i (|f||b_i| + |a_i||g| + s_i |f||g|) with
-    s_i = residual_i / gap_i and a, b the overlaps, must stay below
-    1e-11 of the value.  A value that is zero or not finite, a failed
-    check, t = 0 or `upper = inf` takes the dense decomposition instead.
-    A partial `decomp` passed in must meet the tail bound.
-    """
-    f_norm = float(np.linalg.norm(f))
-    g_norm = float(np.linalg.norm(g))
-    bound = abs(scale) * f_norm * g_norm
-
-    def value_of(dec: SpectralDecomposition):
-        weights = np.exp(-t * dec.eigenvalues)
-        a = dec.eigenvectors.T @ f
-        b = dec.eigenvectors.T @ g
-        return float(scale * (a * weights) @ b), a, b, weights
-
-    def tail_ok(dec: SpectralDecomposition, value: float) -> bool:
-        # e^{-t upper} bound <= 1e-16 |value|, in logarithms so that nothing overflows
-        if bound == 0.0:
-            return True
-        return value != 0.0 and math.log(bound) - t * dec.upper <= math.log(_TAIL_REL * abs(value))
-
-    if decomp is not None:
-        value = value_of(decomp)[0]
-        if decomp.upper < math.inf and not tail_ok(decomp, value):
-            raise ValueError(f"decomp holds the spectrum only up to {decomp.upper!r}; "
-                             f"the tail above it is not negligible at t={t!r}")
-        return value
-    if upper < math.inf:
-        for _ in range(2):
-            decomp = decompose(op, upper)
-            value, a, b, weights = value_of(decomp)
-            if decomp.upper == math.inf:
-                return value
-            if not (math.isfinite(value) and value != 0.0):
-                break
-            d, e = _tridiagonal(op)
-            s = (_residual_norms(d, e, decomp.eigenvalues, decomp.eigenvectors)
-                 / (decomp.upper - decomp.eigenvalues))
-            error = abs(scale) * float(np.sum(
-                weights * s * (f_norm * np.abs(b) + np.abs(a) * g_norm + s * f_norm * g_norm)))
-            if not error <= _RITZ_REL * abs(value):
-                break
-            if tail_ok(decomp, value):
-                return value
-            # e^{-5}: room for the value to move as more modes join
-            upper = (math.log(bound) - math.log(_TAIL_REL * abs(value)) + 5.0) / t
-    return value_of(decompose(op))[0]
+                     decomp: SpectralDecomposition | None) -> float:
+    """scale * f^T e^{-tH} g: by uniformization, or through the functional calculus of `decomp`."""
+    if decomp is None:
+        return float(scale * _uniformized([op], t, f, g)[0])
+    a = decomp.eigenvectors.T @ f
+    b = decomp.eigenvectors.T @ g
+    return float(scale * (a * np.exp(-t * decomp.eigenvalues)) @ b)
 
 
 def semigroup_matrix_element(
@@ -375,29 +292,25 @@ def semigroup_matrix_element(
     t: float,
     decomp: SpectralDecomposition | None = None,
 ) -> float:
-    """<phi, e^{-tH} psi> through the grid spectral decomposition.
+    """<phi, e^{-tH} psi> on the grid, inner products as grid sums with weight h.
 
-    Inner products are grid sums with weight h.  Without a `decomp`, the
-    eigenpairs up to the larger Rayleigh quotient of phi and psi plus
-    40/t are computed, checked and, where needed, widened or replaced by
-    the dense spectrum (see `_semigroup_value`).  Pass a precomputed
-    `decomp` to reuse one eigendecomposition across many t; a partial one
-    whose `upper` leaves a tail above 1e-16 of the value raises
-    ValueError.
+    Without a `decomp` the value comes from uniformization
+    (`_uniformized`), whose relative error does not grow with
+    ||e^{-tH}||.  A `decomp` from `decompose(op)` is used as given
+    instead, to reuse one eigendecomposition across many t.
     """
     _check_t(t)
-    if phi.dim != 1 or psi.dim != 1:
-        raise ValueError("the grid oracle supports dim=1 only")
-    _check_support(op, phi)
-    _check_support(op, psi)
-    x = op.grid[:, None]
-    f = np.asarray(phi.evaluate(x), dtype=np.float64)
-    g = np.asarray(psi.evaluate(x), dtype=np.float64)
-    upper = math.inf
-    if decomp is None and t > 0.0 and f.any() and g.any():
-        H = op.hamiltonian
-        upper = max(float(v @ (H @ v) / (v @ v)) for v in (f, g)) + _CUT_MARGIN / t
-    return _semigroup_value(op, t, f, g, op.h, upper, decomp)
+    f, g = _on_grid(op, phi), _on_grid(op, psi)
+    return _semigroup_value(op, t, f, g, op.h, decomp)
+
+
+def _semigroup_matrix_elements(ops: Sequence[GridOperator], phi: Wavefunction,
+                               psi: Wavefunction, t: float) -> np.ndarray:
+    """`semigroup_matrix_element` at each of `ops`, built on one grid (the same
+    L and n_points), from one batched uniformization."""
+    _check_t(t)
+    f, g = _on_grid(ops[0], phi), _on_grid(ops[0], psi)
+    return ops[0].h * _uniformized(ops, t, f, g)
 
 
 def semigroup_kernel(
@@ -411,29 +324,19 @@ def semigroup_kernel(
 
     The matrix element between grid delta functions carries a 1/h
     normalization; x and y are snapped to the nearest nodes (at most h/2
-    away), so compare against smooth references only.  Without a
-    `decomp`, the first cut is max V at the two nodes plus (40 + ln(1/h))/t:
-    the kernel there is about p_t(x, y) e^{-t V}, and the tail bound
-    carries the delta functions' norm 1/h.  (Their Rayleigh quotient,
-    1/h^2 + V, would keep half the spectrum.)  The cut is then checked as
-    in `semigroup_matrix_element`.
+    away), so compare against smooth references only.  It is evaluated
+    as in `semigroup_matrix_element`: by uniformization, or through a
+    `decomp` passed in.
     """
     _check_t(t)
     grid = op.grid
     if not (grid[0] <= x <= grid[-1]) or not (grid[0] <= y <= grid[-1]):
         raise ValueError("kernel points must lie inside the oracle domain")
-    i = int(np.argmin(np.abs(grid - x)))
-    j = int(np.argmin(np.abs(grid - y)))
     f = np.zeros(op.n_points)
     g = np.zeros(op.n_points)
-    f[i] = 1.0
-    g[j] = 1.0
-    upper = math.inf
-    if decomp is None and t > 0.0:
-        H = op.hamiltonian
-        potential = max(H[i, i], H[j, j]) - 1.0 / (op.h * op.h)
-        upper = float(potential) + (_CUT_MARGIN + math.log(1.0 / op.h)) / t
-    return _semigroup_value(op, t, f, g, 1.0 / op.h, upper, decomp)
+    f[int(np.argmin(np.abs(grid - x)))] = 1.0
+    g[int(np.argmin(np.abs(grid - y)))] = 1.0
+    return _semigroup_value(op, t, f, g, 1.0 / op.h, decomp)
 
 
 def stark_q(x: float, y: float, F: float, t: float) -> float:

@@ -16,7 +16,7 @@ from bridgekac.convergence import (
     stabilization_level,
     truncation_study,
 )
-from bridgekac import feynman_kac, oracles
+from bridgekac import convergence, feynman_kac, oracles
 from bridgekac.feynman_kac import McConfig, QuadratureConfig, bump, estimate_Q, matrix_element
 from bridgekac.oracles import OracleConfig, build_grid_operator
 from bridgekac.potentials import custom, harmonic, inverted_quadratic, truncate, zero
@@ -193,23 +193,23 @@ def test_truncation_study_bounded_potential_is_flat(monkeypatch):
     # levels beyond the range of V leave every truncation inactive
     V = inverted_quadratic(0.05)
     phi = bump(width=1.0)
-    decompositions = []
-    real = oracles.decompose
-    monkeypatch.setattr(oracles, "decompose",
-                        lambda op, upper=None: decompositions.append(op) or real(op, upper))
+    batches = []
+    real = convergence._semigroup_matrix_elements
+    monkeypatch.setattr(convergence, "_semigroup_matrix_elements",
+                        lambda ops, *args: batches.append(len(ops)) or real(ops, *args))
     report = truncation_study(
         V, phi, phi, 1.0, [8.0, 16.0, 32.0, 64.0, 128.0],
         McConfig(n_samples=400, n_steps=16),
         RngSeed(2), quadrature=QuadratureConfig(8),
         oracle=OracleConfig(domain_half_width=8.0, n_points=400),
     )
-    assert report.left_values[0] == pytest.approx(report.left_values[-1], rel=1e-9)
+    assert report.left_values[0] == report.left_values[-1]
     assert report.right_values[0] == report.right_values[-1]
     assert report.left_monotone and report.right_monotone
     assert report.all_agree
     assert report.right_stabilized_at == 64.0
-    # the five grid Hamiltonians are identical, so one eigendecomposition serves
-    assert len(decompositions) == 1
+    # the five grid Hamiltonians are identical, so the oracle evaluates one
+    assert batches == [1]
 
 
 def test_truncation_study_validation():
@@ -329,8 +329,8 @@ def test_truncation_study_right_values_monotone_at_the_benchmark_config(seed):
 
 
 def test_truncation_study_memory_stays_within_a_few_blocks():
-    # the truncation-cli benchmark's study: the grid oracle's 600 x 600 matrices take
-    # about 6 MB; the Monte Carlo weighs 64 node pairs in groups of shared row blocks,
+    # the truncation-cli benchmark's study: the grid oracle keeps only the six levels'
+    # diagonals; the Monte Carlo weighs 64 node pairs in groups of shared row blocks,
     # whose buffers hold about one block of 1 MB together, besides the groups' units
     tracemalloc.start()
     try:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from bridgekac import oracles
-from bridgekac.feynman_kac import bump, estimate_Q, free_kernel, _tensor_gauss_legendre
+from bridgekac.feynman_kac import (
+    Wavefunction, bump, estimate_Q, free_kernel, _tensor_gauss_legendre,
+)
 from bridgekac.oracles import (
     OracleConfig,
     build_grid_operator,
@@ -181,20 +183,8 @@ def test_oracles_reject_a_time_that_is_not_finite(t):
         stark_kernel(0.0, 0.0, 1.0, t)
 
 
-@pytest.fixture
-def decompositions(monkeypatch):
-    """Every decomposition the oracle functions compute, in call order."""
-    made = []
-    real = oracles.decompose
-
-    def recording(op, upper=None):
-        made.append(real(op, upper))
-        return made[-1]
-
-    monkeypatch.setattr(oracles, "decompose", recording)
-    return made
-
-
+# only the low part of the spectrum carries these values, so the dense eigenvectors are
+# accurate enough to serve as the reference
 _TRUNCATION_LEVELS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 _PARTIAL_CASES = [
     *[pytest.param(truncate(inverted_quadratic(0.5), n), 600, 1.0, 0.0, id=f"truncated-{n:g}")
@@ -207,32 +197,55 @@ _PARTIAL_CASES = [
 ]
 
 
-@pytest.mark.parametrize("V, n_points, t, psi_center", _PARTIAL_CASES)
-def test_partial_spectrum_agrees_with_the_dense_one(decompositions, V, n_points, t, psi_center):
-    op = build_grid_operator(V, 8.0, n_points)
-    dense = np.linalg.eigh(op.hamiltonian)
-    phi, psi = bump(0.0, 1.0), bump(psi_center, 1.0)
+def _assert_agrees_with_the_dense_spectrum(op, phi, psi, t, kernel_abs=0.0):
+    dense = decompose(op)
     value = semigroup_matrix_element(op, phi, psi, t)
-    # one certified partial solve, not the dense fallback
-    (partial,) = decompositions
-    assert partial.upper < math.inf
-    reference = semigroup_matrix_element(op, phi, psi, t, decompose(op))
-    assert value == pytest.approx(reference, rel=1e-11, abs=0.0)
-
-    count = int(np.sum(dense[0] <= partial.upper))
-    assert partial.eigenvalues.shape == (count,)
-    assert partial.eigenvectors.shape == (n_points, count)
-    norm = float(np.max(np.abs(dense[0])))
-    np.testing.assert_allclose(partial.eigenvalues, dense[0][:count], rtol=0.0, atol=1e-12 * norm)
-    U = partial.eigenvectors
-    np.testing.assert_allclose(U.T @ U, np.eye(count), rtol=0.0, atol=1e-12)
-
+    assert value == pytest.approx(semigroup_matrix_element(op, phi, psi, t, dense),
+                                  rel=1e-11, abs=0.0)
     for x, y in [(0.0, 0.0), (0.3, -0.2)]:
-        decompositions.clear()
-        kernel = semigroup_kernel(op, x, y, t)
-        assert all(d.upper < math.inf for d in decompositions)
-        assert kernel == pytest.approx(semigroup_kernel(op, x, y, t, decompose(op)),
-                                       rel=1e-11, abs=0.0)
+        assert semigroup_kernel(op, x, y, t) == pytest.approx(
+            semigroup_kernel(op, x, y, t, dense), rel=1e-11, abs=kernel_abs)
+
+
+@pytest.mark.parametrize("V, n_points, t, psi_center", _PARTIAL_CASES)
+def test_partial_spectrum_agrees_with_the_dense_one(V, n_points, t, psi_center):
+    op = build_grid_operator(V, 8.0, n_points)
+    _assert_agrees_with_the_dense_spectrum(op, bump(0.0, 1.0), bump(psi_center, 1.0), t)
+
+
+@pytest.mark.parametrize("V, n_points, t", [
+    pytest.param(harmonic(), 300, 0.0, id="t-zero"),
+    pytest.param(harmonic(), 600, 0.05, id="too-many-modes"),
+    pytest.param(harmonic(), 40, 1.0, id="one-block"),
+])
+def test_every_fallback_returns_the_dense_value(V, n_points, t):
+    # where many modes count, the dense spectrum is the natural evaluator: t = 0 weighs
+    # every mode alike, t = 0.05 a third of them, and 40 points are few.  At t = 0 the
+    # kernel between distinct nodes is 0, and the dense one its rounding
+    op = build_grid_operator(V, 8.0, n_points)
+    _assert_agrees_with_the_dense_spectrum(op, bump(0.0, 1.0), bump(0.3, 1.0), t, 1e-12)
+
+
+def test_uniformization_of_signed_wavefunctions_agrees_with_the_dense_spectrum():
+    # phi changes sign: its positive and negative parts run as separate series
+    odd = Wavefunction(dim=1, evaluate=lambda p: (bump(-0.5, 1.0).evaluate(p)
+                                                  - bump(0.5, 1.0).evaluate(p)),
+                       support_box=((-1.5,), (1.5,)), kind="compact")
+    op = build_grid_operator(harmonic(), 8.0, 600)
+    for psi in (odd, bump(0.3, 1.0)):
+        value = semigroup_matrix_element(op, odd, psi, 1.0)
+        assert value == pytest.approx(semigroup_matrix_element(op, odd, psi, 1.0, decompose(op)),
+                                      rel=1e-11, abs=0.0)
+    assert semigroup_matrix_element(op, odd, odd, 1.0) > 0.0
+
+
+def test_uniformization_at_t_zero_is_the_grid_inner_product():
+    op = build_grid_operator(inverted_quadratic(1.0), 8.0, 600)
+    phi, psi = bump(-0.2, 1.0), bump(0.3, 1.0)
+    f, g = (wf.evaluate(op.grid[:, None]) for wf in (phi, psi))
+    assert semigroup_matrix_element(op, phi, psi, 0.0) == op.h * float(f @ g)
+    assert semigroup_kernel(op, 0.0, 0.0, 0.0) == 1.0 / op.h
+    assert semigroup_kernel(op, 0.0, 0.5, 0.0) == 0.0
 
 
 def test_partial_truncation_ladder_stays_monotone():
@@ -245,66 +258,85 @@ def test_partial_truncation_ladder_stays_monotone():
     assert all(b >= a - 1e-12 * max(1.0, abs(b)) for a, b in zip(values, values[1:]))
 
 
-@pytest.mark.parametrize("V, n_points, t", [
-    pytest.param(harmonic(), 300, 0.0, id="t-zero"),
-    pytest.param(harmonic(), 600, 0.05, id="too-many-modes"),
-    pytest.param(harmonic(), 40, 1.0, id="one-block"),
-    pytest.param(inverted_quadratic(1.0), 600, 2.0, id="deep-well"),
-])
-def test_every_fallback_returns_the_dense_value(decompositions, V, n_points, t):
-    op = build_grid_operator(V, 8.0, n_points)
-    dense = decompose(op)
-    phi, psi = bump(0.0, 1.0), bump(0.3, 1.0)
-    assert semigroup_matrix_element(op, phi, psi, t) == semigroup_matrix_element(
-        op, phi, psi, t, dense)
-    assert decompositions[-1].upper == math.inf
-    decompositions.clear()
-    assert semigroup_kernel(op, 0.0, 0.3, t) == semigroup_kernel(op, 0.0, 0.3, t, dense)
-    assert decompositions[-1].upper == math.inf
+def _squaring_reference(op, t, f, g):
+    """h f^T e^{-tH} g from e^{t(sI - H)}, s = max diag H: a nonnegative matrix, so
+    its Taylor series and repeated squaring add no signed terms.  Each square is
+    scaled by its largest entry, and the scales are kept in logarithms."""
+    s = float(np.max(op.diagonal))
+    M = t * (s * np.eye(op.n_points) - op.hamiltonian)
+    squarings = max(0, math.ceil(math.log2(np.abs(M).sum(axis=0).max())) + 1)
+    A = M / 2.0 ** squarings
+    E, term = np.eye(op.n_points), np.eye(op.n_points)
+    for i in range(1, 30):
+        term = term @ A / i
+        E += term
+    log_scale = 0.0
+    for _ in range(squarings):
+        E = E @ E
+        peak = E.max()
+        E /= peak
+        log_scale = 2.0 * log_scale + math.log(peak)
+    return op.h * math.exp(log_scale - t * s) * float(f @ E @ g)
 
 
-def test_deep_well_guard_rejects_a_partial_spectrum_it_would_trust_wrongly(decompositions):
-    # inverted_quadratic(1.0) at t = 2: the wall modes near -52 get weight
-    # e^{104}, and their Ritz vectors miss the dense value by a factor 5e12
+def test_deep_well_matches_a_nonnegative_squaring_reference():
+    # inverted_quadratic(1.0) at t = 2: the wall modes near -52 carry weight
+    # e^{104}, which an eigendecomposition multiplies into its rounding
     op = build_grid_operator(inverted_quadratic(1.0), 8.0, 600)
+    phi, psi = bump(0.0, 1.0), bump(0.3, 1.0)
+    f, g = (wf.evaluate(op.grid[:, None]) for wf in (phi, psi))
+    reference = _squaring_reference(op, 2.0, f, g)
+    assert semigroup_matrix_element(op, phi, psi, 2.0) == pytest.approx(reference, rel=1e-10)
+    i, j = (int(np.argmin(np.abs(op.grid - x))) for x in (0.0, 0.3))
+    delta = np.eye(op.n_points)
+    assert semigroup_kernel(op, 0.0, 0.3, 2.0) == pytest.approx(
+        _squaring_reference(op, 2.0, delta[i], delta[j]) / op.h ** 2, rel=1e-10)
+
+
+def test_far_kernel_matches_a_nonnegative_squaring_reference():
+    # at (-3, 3) the kernel (1.3e-8) is a sum over modes with heavy cancellation:
+    # the dense spectrum misses it by 2.6e-8 relative
+    op = build_grid_operator(truncate(inverted_quadratic(0.5), 1.0), 8.0, 600)
+    i, j = (int(np.argmin(np.abs(op.grid - x))) for x in (-3.0, 3.0))
+    delta = np.eye(op.n_points)
+    reference = _squaring_reference(op, 1.0, delta[i], delta[j]) / op.h ** 2
+    assert semigroup_kernel(op, -3.0, 3.0, 1.0) == pytest.approx(reference, rel=1e-11)
+
+
+@pytest.mark.parametrize("L, n_points, expected", [
+    pytest.param(8.0, 1201, 0.69667, id="L8"),
+    pytest.param(10.0, 1501, 0.70324, id="L10"),
+    pytest.param(12.0, 1801, 0.70338, id="L12"),
+])
+def test_deep_well_value_settles_below_the_whole_line_bound(L, n_points, expected):
+    # the box value lies below the whole-line value 0.698565 at t = 2, up to the
+    # grid's spatial bias of about 0.7 %; an eigendecomposition gives 1.76e8 at
+    # L = 10 and 1.21e22 at L = 12, while ||e^{-tH}|| grows like e^{2 L^2}
+    op = build_grid_operator(inverted_quadratic(1.0), L, n_points)
     phi = bump(0.0, 1.0)
-    semigroup_matrix_element(op, phi, phi, 2.0)
-    first, last = decompositions
-    assert first.upper < math.inf and last.upper == math.inf
-    partial = first.eigenvectors.T @ phi.evaluate(op.grid[:, None])
-    naive = op.h * float((partial * np.exp(-2.0 * first.eigenvalues)) @ partial)
-    exact = semigroup_matrix_element(op, phi, phi, 2.0, last)
-    assert abs(naive - exact) > 1e-6 * abs(exact)
+    value = semigroup_matrix_element(op, phi, phi, 2.0)
+    assert value == pytest.approx(expected, abs=1e-5)
+    assert value <= 0.7035
 
 
-def test_decompose_upper_contract():
-    op = build_grid_operator(harmonic(), 8.0, 600)
-    whole = decompose(op)
-    assert whole.upper == math.inf and whole.eigenvalues.shape == (600,)
-    assert decompose(op, math.inf).upper == math.inf
-    part = decompose(op, 10.0)
-    assert part.upper == 10.0
-    assert part.eigenvalues.shape == (int(np.sum(whole.eigenvalues <= 10.0)),)
-    with pytest.raises(ValueError):
-        decompose(op, math.nan)
-
-
-def test_a_partial_decomposition_must_cover_the_tail():
-    op = build_grid_operator(harmonic(), 8.0, 600)
-    phi = bump(0.0, 1.0)
-    short = decompose(op, 5.0)
-    assert short.upper == 5.0
-    with pytest.raises(ValueError, match="tail"):
-        semigroup_matrix_element(op, phi, phi, 1.0, short)
-    with pytest.raises(ValueError, match="tail"):
-        semigroup_kernel(op, 0.0, 0.0, 1.0, short)
-    enough = decompose(op, 60.0)
-    assert enough.upper == 60.0
-    assert semigroup_matrix_element(op, phi, phi, 1.0, enough) == pytest.approx(
-        semigroup_matrix_element(op, phi, phi, 1.0, decompose(op)), rel=1e-11)
-    # at t = 0 no finite cut bounds the tail
-    with pytest.raises(ValueError, match="tail"):
-        semigroup_matrix_element(op, phi, phi, 0.0, enough)
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: OracleConfig(domain_half_width=math.nan), id="config-L-nan"),
+    pytest.param(lambda: OracleConfig(domain_half_width=math.inf), id="config-L-inf"),
+    pytest.param(lambda: OracleConfig(tolerance=math.nan), id="config-tolerance-nan"),
+    pytest.param(lambda: OracleConfig(tolerance=math.inf), id="config-tolerance-inf"),
+    pytest.param(lambda: build_grid_operator(zero(), math.nan, 50), id="build-L-nan"),
+    pytest.param(lambda: build_grid_operator(zero(), math.inf, 50), id="build-L-inf"),
+    pytest.param(lambda: build_grid_operator(zero(), 2.0, 50.0), id="build-n-points-float"),
+    pytest.param(lambda: semigroup_matrix_element(
+        build_grid_operator(zero(), 2.0, 50), bump(),
+        Wavefunction(dim=1, evaluate=lambda p: np.full(p.shape[:-1], np.nan),
+                     support_box=((-1.0,), (1.0,)), kind="compact"), 1.0), id="psi-nan"),
+])
+def test_grid_oracle_rejects_inputs_that_are_not_finite_or_not_integers(make):
+    # a NaN or infinite box used to reach the potential as V(nan)
+    with pytest.raises(ValueError, match="must be finite and positive|must be an integer|"
+                                         "wavefunction is not finite"):
+        make()
 
 
 @pytest.mark.parametrize("form, x, y, t, n_steps, expected, rel", [

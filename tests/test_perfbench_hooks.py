@@ -61,14 +61,18 @@ def test_instrument_wraps_live_attributes_and_restore_undoes_it(perfbench_module
 
 
 def test_traced_truncation_study_decomposes_each_distinct_level_once(perfbench_modules):
-    # the benchmark's oracles.decompose span must keep counting the grid solves:
-    # one per distinct level Hamiltonian, called through the module attribute
+    # the grid oracle solves the study's distinct level Hamiltonians in one batched
+    # call, inside the traced truncation_study span: the benchmark's
+    # oracles.decompose and oracles.semigroup_matrix_element spans stay empty
     harness, workloads = perfbench_modules
     from bridgekac import convergence, feynman_kac, oracles, potentials, stochastic
 
     phi = feynman_kac.bump(0.0, 1.0)
     tracer = harness.Tracer()
     workloads.instrument(tracer)
+    batches = []
+    tracer.wrap(oracles, "_uniformized", "oracles.uniformized",
+                lambda args, values: batches.append(len(args[0])))
     try:
         tracer.op = 0
         tracer.active = True
@@ -82,8 +86,10 @@ def test_traced_truncation_study_decomposes_each_distinct_level_once(perfbench_m
         tracer.active = False
         tracer.restore()
     names = [span.name for span in tracer.spans]
-    assert names.count("oracles.decompose") == 3
-    assert names.count("oracles.semigroup_matrix_element") == 3
+    assert batches == [3]
+    assert names.count("oracles.uniformized") == 1
+    assert names.count("oracles.decompose") == 0
+    assert names.count("oracles.semigroup_matrix_element") == 0
 
 
 def test_traced_estimate_spans_every_row_block_of_normals(perfbench_modules):
