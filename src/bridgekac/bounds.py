@@ -161,11 +161,7 @@ def verify_bound_sweep(
     points = []
     n_passed = 0
     for idx, (px, py) in enumerate(pts):
-        q = estimate_Q(
-            px, py, V, t, mc.n_samples, mc.n_steps, rng,
-            top_k=mc.top_k, heavy_fraction=mc.heavy_fraction,
-            workers=workers, key=(idx,),
-        )
+        q = estimate_Q(px, py, V, t, mc.n_samples, mc.n_steps, rng, workers=workers, key=(idx,))
         bound = theorem21_bound(px, py, params)
         jensen = jensen_chain_bound(px, py, V, t, eps)
         jensen_value = math.inf if is_divergent(jensen) else jensen
@@ -178,11 +174,8 @@ def verify_bound_sweep(
         passed = verdict(q)
         if not passed:
             # a true violation is systematic; doubled samples keep it
-            q = estimate_Q(
-                px, py, V, t, 2 * mc.n_samples, mc.n_steps, rng,
-                top_k=mc.top_k, heavy_fraction=mc.heavy_fraction,
-                workers=workers, key=(idx, 1),
-            )
+            q = estimate_Q(px, py, V, t, 2 * mc.n_samples, mc.n_steps, rng,
+                           workers=workers, key=(idx, 1))
             passed = verdict(q)
             rechecked = True
         n_passed += int(passed)

@@ -105,24 +105,6 @@ def _coerce_float(v):
     return float(v), None
 
 
-def _coerce_pos_float(v):
-    val, err = _coerce_float(v)
-    if err:
-        return None, err
-    if val <= 0.0:
-        return None, "expected a positive number"
-    return val, None
-
-
-def _coerce_field(v):
-    val, err = _coerce_float(v)
-    if err:
-        return None, err
-    if val == 0.0:
-        return None, "expected a nonzero field strength"
-    return val, None
-
-
 def _coerce_int(v):
     if isinstance(v, bool) or not isinstance(v, int):
         return None, "expected an integer"
@@ -142,6 +124,24 @@ def _int_at_least(minimum: int):
 
 
 _coerce_pos_int = _int_at_least(1)
+
+
+def _float_where(ok: Callable[[float], bool], expected: str):
+    """Coercer of a finite number for which `ok` holds; others are 'expected <expected>'."""
+    def coerce(v):
+        val, err = _coerce_float(v)
+        if err:
+            return None, err
+        if not ok(val):
+            return None, f"expected {expected}"
+        return val, None
+
+    return coerce
+
+
+_coerce_pos_float = _float_where(lambda v: v > 0.0, "a positive number")
+_coerce_field = _float_where(lambda v: v != 0.0, "a nonzero field strength")
+_coerce_tail_mass = _float_where(lambda v: 0.0 < v <= 0.5, "a number in (0, 0.5]")
 
 
 def _coerce_seed(v):
@@ -172,24 +172,6 @@ def _choice(options: frozenset):
         return v, None
 
     return coerce
-
-
-def _coerce_unit_fraction(v):
-    val, err = _coerce_float(v)
-    if err:
-        return None, err
-    if not 0.0 < val < 1.0:
-        return None, "expected a number in (0, 1)"
-    return val, None
-
-
-def _coerce_tail_mass(v):
-    val, err = _coerce_float(v)
-    if err:
-        return None, err
-    if not 0.0 < val <= 0.5:
-        return None, "expected a number in (0, 0.5]"
-    return val, None
 
 
 def _increasing_list(listed: str, noun: str, min_len: int, kind: str):
@@ -255,12 +237,9 @@ _KEY_SPECS: dict[str, _KeySpec] = {
     "psi.tail_mass": _KeySpec(_coerce_tail_mass, 1e-8),
     "mc.n_samples": _KeySpec(_coerce_pos_int, 20000),
     "mc.n_steps": _KeySpec(_coerce_pos_int, 64),
-    "mc.top_k": _KeySpec(_coerce_pos_int, 10),
-    "mc.heavy_fraction": _KeySpec(_coerce_unit_fraction, 0.5),
     "quadrature.nodes_per_axis": _KeySpec(_coerce_pos_int, 32),
     "oracle.L": _KeySpec(_coerce_pos_float, 8.0),
     "oracle.n_points": _KeySpec(_int_at_least(3), 1200),
-    "oracle.tolerance": _KeySpec(_coerce_pos_float, 1e-3),
     "point.x": _KeySpec(_coerce_float, 0.0),
     "point.y": _KeySpec(_coerce_float, 0.0),
     "levels": _KeySpec(_coerce_levels, (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)),
@@ -284,9 +263,9 @@ _POTENTIAL = frozenset(
 )
 _PHI = frozenset({"phi", "phi.center", "phi.width", "phi.sigma", "phi.tail_mass"})
 _PSI = frozenset({"psi", "psi.center", "psi.width", "psi.sigma", "psi.tail_mass"})
-_MC = frozenset({"mc.n_samples", "mc.n_steps", "mc.top_k", "mc.heavy_fraction"})
+_MC = frozenset({"mc.n_samples", "mc.n_steps"})
 _QUAD = frozenset({"quadrature.nodes_per_axis"})
-_ORACLE = frozenset({"oracle.L", "oracle.n_points", "oracle.tolerance"})
+_ORACLE = frozenset({"oracle.L", "oracle.n_points"})
 _POINT = frozenset({"point.x", "point.y"})
 
 _ALLOWED: dict[str, frozenset] = {
@@ -365,9 +344,6 @@ def _cross_checks(exp: str, raw: dict, params: dict, errors: list[str]) -> None:
         else:
             for key in sorted(present & _POINT):
                 errors.append(f"{key}: only used in pointwise mode")
-            if "oracle.tolerance" in present:
-                errors.append("oracle.tolerance: only oracle-crosscheck uses it; the study's "
-                              "agreement is max(3 standard errors, 1 % relative)")
     if exp == "oracle-crosscheck":
         if "potential.truncation" in present:
             errors.append("potential.truncation: crosscheck needs a closed-form kernel")
@@ -465,12 +441,7 @@ def _build_wavefunction(p: dict, prefix: str) -> Wavefunction:
 
 
 def _mc_config(p: dict) -> McConfig:
-    return McConfig(
-        n_samples=p["mc.n_samples"],
-        n_steps=p["mc.n_steps"],
-        top_k=p["mc.top_k"],
-        heavy_fraction=p["mc.heavy_fraction"],
-    )
+    return McConfig(n_samples=p["mc.n_samples"], n_steps=p["mc.n_steps"])
 
 
 def _fmt(value) -> str:
@@ -493,8 +464,7 @@ def _run_q_estimate(p: dict):
     V = _build_potential(p)
     est = estimate_Q(
         p["point.x"], p["point.y"], V, p["t"], p["mc.n_samples"], p["mc.n_steps"],
-        RngSeed(p["seed"]), top_k=p["mc.top_k"], heavy_fraction=p["mc.heavy_fraction"],
-        workers=p["workers"],
+        RngSeed(p["seed"]), workers=p["workers"],
     )
     header = ["x", "y", "t", "n_steps", "n_samples", "q_mean", "q_stderr",
               "divergence_suspected", "heavy_mass_fraction"]
@@ -634,13 +604,15 @@ def _run_theorem31_demo(p: dict):
     return header, rows, summary
 
 
+# the relative agreement every oracle-crosscheck row must reach to pass
+_CROSSCHECK_TOL = 1e-3
+
+
 def _run_oracle_crosscheck(p: dict):
     V = _build_potential(p)
     name = p["potential"]
     t = p["t"]
-    oracle_cfg = OracleConfig(p["oracle.L"], p["oracle.n_points"], p["oracle.tolerance"])
-    op = build_grid_operator(V, oracle_cfg.domain_half_width, oracle_cfg.n_points)
-    tol = oracle_cfg.tolerance
+    op = build_grid_operator(V, p["oracle.L"], p["oracle.n_points"])
 
     if name == "zero":
         def kern(a, b):
@@ -661,7 +633,8 @@ def _run_oracle_crosscheck(p: dict):
 
     def add(check: str, x, y, value_a: float, value_b: float):
         rel = abs(value_a - value_b) / max(abs(value_a), abs(value_b), 1e-300)
-        rows.append([check, x, y, t, value_a, value_b, rel, tol, rel <= tol])
+        rows.append([check, x, y, t, value_a, value_b, rel, _CROSSCHECK_TOL,
+                     rel <= _CROSSCHECK_TOL])
 
     add("kernel", xg, yg, float(kern(xg, yg)), semigroup_kernel(op, xg, yg, t))
 
@@ -686,7 +659,7 @@ def _run_oracle_crosscheck(p: dict):
     n_pass = sum(1 for r in rows if r[-1])
     summary = (
         f"oracle-crosscheck[{V.name}]: {n_pass}/{len(rows)} checks within "
-        f"relative tolerance {tol:g}"
+        f"relative tolerance {_CROSSCHECK_TOL:g}"
     )
     return header, rows, summary
 
@@ -695,8 +668,7 @@ def _run_refine_steps(p: dict):
     V = _build_potential(p)
     report = refine_steps(
         p["point.x"], p["point.y"], V, p["t"], p["mc.n_samples"], p["schedule"],
-        RngSeed(p["seed"]), mode=p["refine.mode"], top_k=p["mc.top_k"],
-        heavy_fraction=p["mc.heavy_fraction"], workers=p["workers"],
+        RngSeed(p["seed"]), mode=p["refine.mode"], workers=p["workers"],
     )
     header = ["n_steps", "q_mean", "q_stderr", "diff_mean", "diff_stderr",
               "sigma_ratio"]

@@ -428,7 +428,6 @@ def q_truncation_study(
     """
     levels = _checked_levels(levels)
     estimates = _estimates(x, y, V, t, mc.n_samples, mc.n_steps, rng, [-n for n in levels],
-                           top_k=mc.top_k, heavy_fraction=mc.heavy_fraction,
                            workers=workers)
     values = [e.mean for e in estimates]
     errs = [e.std_error for e in estimates]

@@ -78,16 +78,15 @@ and mirror its floor does not touch, provided w_ref has finite variance
 (see `_pair_estimates`).
 
 Each chunk reduces each row of pair units to one record, `_Stats`:
-count, mean, centred sum of squares, total and the top_k heaviest units,
+count, mean, centred sum of squares, total and the 10 heaviest units,
 merged pairwise in chunk order (Chan, Golub & LeVeque 1979).  A row
 whose largest |w| lies below 1e-100 holds its squares in units of that
 |w|, so the error bar of weights near 1e-185 does not underflow to 0;
-other rows sum as plain floats.  When the top_k heaviest units hold
-more than `heavy_fraction` of the total weight, the estimate is flagged
-`divergence_suspected` if it has more than top_k / heavy_fraction units
-(the top_k of fewer hold that much of any sample).  Monte Carlo cannot
-certify an infinite expectation; the flag marks estimates that behave
-like one.
+other rows sum as plain floats.  When the 10 heaviest units hold more
+than half of the total weight, the estimate is flagged
+`divergence_suspected` if it has more than 10 / 0.5 = 20 units (the
+10 of fewer hold that much of any sample).  Monte Carlo cannot certify
+an infinite expectation; the flag marks estimates that behave like one.
 """
 
 from __future__ import annotations
@@ -144,6 +143,10 @@ _BLOCK_ELEMENTS = 2**17
 # neither its time nor that of a callable q-point op (65 536 paths x 128
 # steps) rose.
 _WALK_BUFFERS = 6
+# The heavy-tail rule (see the module docstring): the `_TOP_K` heaviest units
+# of a record holding more than `_HEAVY_FRACTION` of its total flag it.
+_TOP_K = 10
+_HEAVY_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -152,23 +155,17 @@ class McConfig:
 
     n_samples: int = 20000
     n_steps: int = 64
-    top_k: int = 10
-    heavy_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        _check_sampling(self.n_samples, self.n_steps, self.top_k, self.heavy_fraction)
+        _check_sampling(self.n_samples, self.n_steps)
 
 
-def _check_sampling(n_samples, n_steps, top_k, heavy_fraction, workers=1) -> None:
+def _check_sampling(n_samples, n_steps, workers=1) -> None:
     """Reject sampling parameters that no estimate can run with."""
-    for name, value in (("n_samples", n_samples), ("n_steps", n_steps), ("top_k", top_k)):
+    for name, value in (("n_samples", n_samples), ("n_steps", n_steps)):
         _check_integer(name, value)
     if n_samples < 1 or n_steps < 1:
         raise ValueError("n_samples and n_steps must be positive")
-    if top_k < 1:
-        raise ValueError("top_k must be positive")
-    if not 0.0 < heavy_fraction < 1.0:
-        raise ValueError("heavy_fraction must lie in (0, 1)")
     _check_workers(workers)
 
 
@@ -675,9 +672,9 @@ def _tiny_scale(peak):
 @dataclass(frozen=True, eq=False)
 class _Stats:
     """Count, mean, centred sum of squares m2, total and top_k largest
-    weights of each row of weights (pair units, in an estimator), m2 in
-    units of `scale` squared; `a + b` merges the records of two sets of
-    samples (see the module docstring)."""
+    weights (top_k 0 or `_TOP_K`) of each row of weights (pair units, in
+    an estimator), m2 in units of `scale` squared; `a + b` merges the
+    records of two sets of samples (see the module docstring)."""
 
     n: int
     mean: np.ndarray
@@ -721,24 +718,19 @@ class _Stats:
         return _Stats(n, self.mean + delta * (other.n / n), m2, self.total + other.total, top,
                       self.top_k, scale)
 
-    def __getitem__(self, index) -> _Stats:
-        """The record of the rows that `index` picks out of mean's shape."""
-        return _Stats(self.n, self.mean[index], self.m2[index], self.total[index],
-                      self.top[index], self.top_k, self.scale[index])
-
     @property
     def std_error(self):
         if self.n > 1:
             return np.sqrt(np.maximum(self.m2, 0.0) / (self.n - 1)) / math.sqrt(self.n) * self.scale
         return np.zeros(np.shape(self.m2))
 
-    def heavy(self, heavy_fraction: float):
+    def heavy(self):
         """Heavy-mass fraction and divergence flag of each row.  A zero total
         (every weight underflowed) is no evidence of a heavy tail: 0."""
         top_sum = np.sort(self.top, axis=-1).sum(axis=-1)
         fraction = np.divide(top_sum, self.total, out=np.zeros(np.shape(self.total)),
                              where=self.total > 0.0)
-        suspected = (self.n * heavy_fraction > self.top_k) & (fraction > heavy_fraction)
+        suspected = (self.n * _HEAVY_FRACTION > self.top_k) & (fraction > _HEAVY_FRACTION)
         suspected |= ~np.isfinite(self.mean) | ~np.isfinite(self.std_error)
         return fraction, suspected
 
@@ -748,7 +740,7 @@ def _merged(records):
     return reduce(lambda a, b: tuple(map(operator.add, a, b)), records)
 
 
-def _finalize(stats: _Stats, heavy_fraction: float, steps, n_samples: int, q_ref=None,
+def _finalize(stats: _Stats, steps, n_samples: int, q_ref=None,
               diffs: _Stats | None = None) -> np.ndarray:
     """An object array of estimates, one per entry of `stats.mean`, of `steps`
     steps (broadcast against it) and `n_samples` paths each (`stats` counts pair
@@ -758,7 +750,7 @@ def _finalize(stats: _Stats, heavy_fraction: float, steps, n_samples: int, q_ref
     differences' standard error; the flag and heavy-mass fraction stay the
     weights', but an entry whose differences are all zero is the exact grid
     value (no floor touched a path): unflagged."""
-    fraction, suspected = stats.heavy(heavy_fraction)
+    fraction, suspected = stats.heavy()
     means, std_error = stats.mean, stats.std_error
     if diffs is not None:
         controlled = ~np.isnan(q_ref)
@@ -808,8 +800,6 @@ def estimate_Q(
     n_steps: int,
     rng: RngSeed,
     *,
-    top_k: int = 10,
-    heavy_fraction: float = 0.5,
     workers: int = 1,
     key: tuple[int, ...] = (),
 ) -> QEstimate:
@@ -823,25 +813,23 @@ def estimate_Q(
     weight and Q_ref its exact grid value, whenever w_ref has finite
     variance; see `_pair_estimates`.
     """
-    return _estimates(x, y, V, t, n_samples, n_steps, rng, None, top_k=top_k,
-                      heavy_fraction=heavy_fraction, workers=workers, key=key)[0]
+    return _estimates(x, y, V, t, n_samples, n_steps, rng, None, workers=workers, key=key)[0]
 
 
 def _estimates(x, y, V: PotentialSpec, t: float, n_samples: int, n_steps: int,
-               rng: RngSeed, floors, *, top_k: int, heavy_fraction: float, workers: int,
+               rng: RngSeed, floors, *, workers: int,
                key: tuple[int, ...] = ()) -> list[QEstimate]:
     """Q estimates of max(V, floor) for each floor, from one draw of the paths: the
     one-pair case of `_pair_estimates`, with the keyed chunks of `estimate_Q`."""
     xp = _point(x, V.dim)
     yp = _point(y, V.dim)
     return _pair_estimates(xp[None], yp[None], [tuple(key)], V, t, n_samples, n_steps, rng,
-                           floors, top_k=top_k, heavy_fraction=heavy_fraction,
-                           workers=workers)[0]
+                           floors, workers=workers)[0]
 
 
 def _pair_estimates(xs: np.ndarray, ys: np.ndarray, keys, V: PotentialSpec, t: float,
-                    n_samples: int, n_steps: int, rng: RngSeed, floors, *, top_k: int,
-                    heavy_fraction: float, workers: int) -> list[list[QEstimate]]:
+                    n_samples: int, n_steps: int, rng: RngSeed, floors, *,
+                    workers: int) -> list[list[QEstimate]]:
     """Q estimates of max(V, floor) for each floor at each node pair (xs[p], ys[p]).
 
     Pair p draws its paths from the keyed chunks (*keys[p], chunk) once
@@ -870,7 +858,7 @@ def _pair_estimates(xs: np.ndarray, ys: np.ndarray, keys, V: PotentialSpec, t: f
     from the plain weights.
     """
     _check_time(t)
-    _check_sampling(n_samples, n_steps, top_k, heavy_fraction, workers)
+    _check_sampling(n_samples, n_steps, workers)
     floors, control = _form_floors(V, floors)
     q_refs = np.array([_control_mean(x, y, V.form, t, n_steps) if control else math.nan
                        for x, y in zip(xs, ys)])
@@ -888,8 +876,8 @@ def _pair_estimates(xs: np.ndarray, ys: np.ndarray, keys, V: PotentialSpec, t: f
                             n_steps, t, V, floors=levels)
         w = w.reshape(len(w), len(pairs), -1)
         if not controlled:
-            return (_Stats.of(w, top_k),)
-        plain = _Stats.of(w[:-1], top_k)
+            return (_Stats.of(w, _TOP_K),)
+        plain = _Stats.of(w[:-1], _TOP_K)
         w[:-1] -= w[-1]
         return plain, _Stats.of(w[:-1])
 
@@ -904,8 +892,7 @@ def _pair_estimates(xs: np.ndarray, ys: np.ndarray, keys, V: PotentialSpec, t: f
     estimates = []
     for pairs, (plain, *diffs) in zip(groups, _run_ordered([partial(group, g) for g in groups],
                                                           workers)):
-        estimates += _finalize(plain, heavy_fraction, n_steps, n_samples,
-                               q_refs[pairs], *diffs).T.tolist()
+        estimates += _finalize(plain, n_steps, n_samples, q_refs[pairs], *diffs).T.tolist()
     return estimates
 
 
@@ -1121,8 +1108,7 @@ def _matrix_elements(phi: Wavefunction, psi: Wavefunction, V: PotentialSpec, t: 
 
     keys = [(i, j) for i in range(n_x) for j in range(n_y)]
     pairs = _pair_estimates(x_pts.repeat(n_y, axis=0), np.tile(y_pts, (n_x, 1)), keys, V, t,
-                            mc.n_samples, mc.n_steps, rng, floors, top_k=mc.top_k,
-                            heavy_fraction=mc.heavy_fraction, workers=workers)
+                            mc.n_samples, mc.n_steps, rng, floors, workers=workers)
     elements = []
     for level in zip(*pairs):
         value = 0.0
@@ -1157,7 +1143,7 @@ def _shared_path_element(x_pts: np.ndarray, y_pts: np.ndarray, coef: np.ndarray,
 
     def block_stats(sums, paired: int):
         w = _sums_weights(sums, x_pts, y_pts, t, V.form, line, paired).reshape(coef.size, -1)
-        nodes = _Stats.of(w, mc.top_k)
+        nodes = _Stats.of(w, _TOP_K)
         w -= nodes.mean[:, None]
         spread = coef @ w
         scale = float(_tiny_scale(np.abs(spread).max()))
@@ -1180,7 +1166,7 @@ def _shared_path_element(x_pts: np.ndarray, y_pts: np.ndarray, coef: np.ndarray,
         return _merged(records())
 
     nodes, totals = _over_chunks(rng, [()], mc.n_samples, workers, chunk)
-    _, suspected = nodes.heavy(mc.heavy_fraction)
+    _, suspected = nodes.heavy()
     return float(totals.mean), float(totals.std_error), int(suspected.sum())
 
 
@@ -1206,8 +1192,6 @@ def refine_steps(
     rng: RngSeed,
     *,
     mode: str = "restricted",
-    top_k: int = 10,
-    heavy_fraction: float = 0.5,
     workers: int = 1,
 ) -> RefinementReport:
     """Rerun the Q estimate over a schedule of grid resolutions.
@@ -1237,15 +1221,11 @@ def refine_steps(
     if mode not in ("restricted", "independent"):
         raise ValueError("mode must be 'restricted' or 'independent'")
     _check_time(t)
-    _check_sampling(n_samples, schedule[-1], top_k, heavy_fraction, workers)
+    _check_sampling(n_samples, schedule[-1], workers)
 
     if mode == "independent":
         estimates = [
-            estimate_Q(
-                x, y, V, t, n_samples, n, rng,
-                top_k=top_k, heavy_fraction=heavy_fraction,
-                workers=workers, key=(idx,),
-            )
+            estimate_Q(x, y, V, t, n_samples, n, rng, workers=workers, key=(idx,))
             for idx, n in enumerate(schedule)
         ]
         diff_means = [b.mean - a.mean for a, b in zip(estimates, estimates[1:])]
@@ -1261,14 +1241,14 @@ def refine_steps(
         def chunk(gens, count: int):
             weights = _chunk_weights(gens[0], count, n_max, xp, yp, t, V,
                                      [n_max // n for n in schedule])
-            levels = _Stats.of(weights, top_k)
+            levels = _Stats.of(weights, _TOP_K)
             # successive differences in place, from the finest level down
             for level in range(len(schedule) - 1, 0, -1):
                 weights[level] -= weights[level - 1]
             return levels, _Stats.of(weights[1:])
 
         levels, diffs = _over_chunks(rng, [()], n_samples, workers, chunk)
-        estimates = _finalize(levels, heavy_fraction, schedule, n_samples).tolist()
+        estimates = _finalize(levels, schedule, n_samples).tolist()
         diff_means, diff_errs = diffs.mean, diffs.std_error
     return RefinementReport(
         mode=mode,

@@ -77,16 +77,14 @@ def _check_n_points(n_points) -> None:
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Grid-oracle parameters: box half-width, interior points, tolerance."""
+    """Grid-oracle parameters: box half-width and interior points."""
 
     domain_half_width: float = 8.0
     n_points: int = 1200
-    tolerance: float = 1e-3
 
     def __post_init__(self) -> None:
         _check_positive("domain_half_width", self.domain_half_width)
         _check_n_points(self.n_points)
-        _check_positive("tolerance", self.tolerance)
 
 
 @dataclass(frozen=True)
@@ -350,6 +348,8 @@ def stark_q(x: float, y: float, F: float, t: float) -> float:
     """
     if not (math.isfinite(t) and t > 0.0):
         raise ValueError("t must be positive and finite")
+    if not math.isfinite(F):
+        raise ValueError("F must be finite")
     return float(math.exp(-t * F * (x + y) / 2.0 + F * F * t ** 3 / 24.0))
 
 
@@ -367,8 +367,7 @@ def mehler_kernel(x: float, y: float, omega: float, t: float) -> float:
     """
     if not (math.isfinite(t) and t > 0.0):
         raise ValueError("t must be positive and finite")
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
+    _check_positive("omega", omega)
     s = math.sinh(omega * t)
     c = math.cosh(omega * t)
     pref = math.sqrt(omega / (2.0 * math.pi * s))

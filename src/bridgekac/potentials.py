@@ -95,8 +95,8 @@ def zero(dim: int = 1) -> PotentialSpec:
 def harmonic(omega: float = 1.0, dim: int = 1) -> PotentialSpec:
     """V(x) = (omega^2 / 2) |x|^2."""
     _check_dim(dim)
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
+    if not 0.0 < omega < math.inf:
+        raise ValueError("omega must be positive and finite")
     half_om2 = 0.5 * omega * omega
 
     def evaluate(points):
@@ -121,6 +121,8 @@ def stark(field, dim: int = 1) -> PotentialSpec:
     _check_dim(dim)
     lin = _lin_coeffs(field, dim)
     f = np.asarray(lin)
+    if not np.isfinite(f).all():
+        raise ValueError("field must be finite")
     fnorm2 = float(f @ f)
     if fnorm2 == 0.0:
         raise ValueError("field must be nonzero; use zero() instead")
@@ -144,8 +146,8 @@ def inverted_quadratic(c: float, dim: int = 1) -> PotentialSpec:
     eps >= c (then C_eps = 0); below c the certificate returns inf.
     """
     _check_dim(dim)
-    if c <= 0.0:
-        raise ValueError("c must be positive")
+    if not 0.0 < c < math.inf:
+        raise ValueError("c must be positive and finite")
 
     def evaluate(points):
         return -c * _sqnorm(np.asarray(points, dtype=np.float64))

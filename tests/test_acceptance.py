@@ -234,7 +234,7 @@ def test_criterion_08_truncation_study_converges_both_sides():
         V, phi, phi, 1.0, [1.0, 2.0, 4.0, 8.0, 16.0, 32.0],
         McConfig(n_samples=2000, n_steps=32), RngSeed(1008),
         quadrature=QuadratureConfig(24),
-        oracle=OracleConfig(8.0, 1000, 1e-3),
+        oracle=OracleConfig(8.0, 1000),
     )
     assert report.right_monotone  # common random numbers make this pathwise
     assert report.left_monotone

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from bridgekac.cli import main, parse_config_text, validate_config
+from bridgekac.cli import _ALLOWED, _KEY_SPECS, main, parse_config_text, validate_config
 
 
 def _write(tmp_path, name, text):
@@ -270,11 +270,27 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     assert err.startswith("config error: mc.n_samples:")
 
 
-def test_main_rejects_heavy_fraction_one_as_a_config_error(tmp_path, capsys):
-    cfg = _write(tmp_path, "q.cfg", "potential = zero\nmc.heavy_fraction = 1\n")
-    assert main(["q-estimate", "--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: mc.heavy_fraction: expected a number in (0, 1)")
+@pytest.mark.parametrize("experiment, line", [
+    ("q-estimate", "mc.top_k = 10"),
+    ("q-estimate", "mc.heavy_fraction = 0.5"),
+    ("truncation-study", "oracle.tolerance = 0.001"),
+    ("oracle-crosscheck", "oracle.tolerance = 0.001"),
+], ids=["top-k", "heavy-fraction", "study-tolerance", "crosscheck-tolerance"])
+def test_main_rejects_verdict_constants_as_keys(tmp_path, capsys, experiment, line):
+    # the heavy-tail rule and the crosscheck tolerance are constants, not config keys
+    potential = "harmonic" if experiment == "oracle-crosscheck" else "zero"
+    cfg = _write(tmp_path, "c.cfg", f"potential = {potential}\n{line}\n")
+    out = tmp_path / "c.csv"
+    assert main([experiment, "--config", cfg, "--output", str(out)]) == 2
+    key = line.partition(" =")[0]
+    assert capsys.readouterr().err.startswith(
+        f"config error: {key}: not recognized for experiment '{experiment}'")
+    assert not out.exists()
+
+
+def test_every_key_spec_is_allowed_somewhere_and_every_allowed_key_has_one():
+    allowed = frozenset().union(*_ALLOWED.values())
+    assert set(_KEY_SPECS) == allowed
 
 
 def test_main_unreadable_config_exit_code(tmp_path, capsys):
@@ -343,13 +359,3 @@ def test_main_truncation_study_rejects_nan_levels(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: levels: levels must be positive")
     assert not out.exists()
 
-
-def test_main_truncation_study_rejects_oracle_tolerance(tmp_path, capsys):
-    # the study's agreement has its own rule, so a tolerance here would be silently ignored
-    cfg = _write(tmp_path, "ts.cfg", "potential = inverted-quadratic\npotential.c = 0.5\n"
-                                     "oracle.tolerance = 0.5\n")
-    out = tmp_path / "ts.csv"
-    assert main(["truncation-study", "--config", cfg, "--output", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: oracle.tolerance: only oracle-crosscheck uses it")
-    assert not out.exists()

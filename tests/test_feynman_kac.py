@@ -103,8 +103,7 @@ def test_time_must_be_positive_and_finite(counting_seed, t):
     rng = counting_seed(1)
     calls = [
         lambda: estimate_Q(0.0, 0.0, harmonic(), t, 100, 8, rng),
-        lambda: _estimates(0.0, 0.0, harmonic(), t, 100, 8, rng, [-1.0], top_k=10,
-                           heavy_fraction=0.5, workers=1),
+        lambda: _estimates(0.0, 0.0, harmonic(), t, 100, 8, rng, [-1.0], workers=1),
         lambda: matrix_element(phi, phi, harmonic(), t, QuadratureConfig(2), McConfig(10, 4), rng),
         lambda: refine_steps(0.0, 0.0, harmonic(), t, 100, [4, 8], rng),
         lambda: refine_steps(0.0, 0.0, truncate(harmonic(), 1.0), t, 100, [4, 8], rng),
@@ -117,7 +116,7 @@ def test_time_must_be_positive_and_finite(counting_seed, t):
 
 
 @pytest.mark.parametrize("bad", [
-    {"top_k": 0}, {"top_k": 2.5}, {"heavy_fraction": 1.5}, {"heavy_fraction": math.nan},
+    {"n_samples": 0}, {"n_samples": -5}, {"n_steps": 0}, {"workers": 2.5},
     {"workers": 0}, {"workers": -3}, {"workers": True},
     {"n_samples": 2.5}, {"n_samples": True}, {"n_steps": 100.7}, {"n_steps": True},
 ])
@@ -542,10 +541,10 @@ def test_n_samples_counts_paths(V):
 
 
 def test_heavy_tail_rule_counts_units():
-    # the top 10 of n units hold at least 10/n of any positive total, so at the default
-    # heavy_fraction 0.5 a row needs more than 20 units (40 paths) to be flagged for it
+    # the top 10 of n units hold at least 10/n of any positive total, so at the heavy
+    # fraction 0.5 a row needs more than 20 units (40 paths) to be flagged for it
     for n_paths in (20, 22, 30):
-        exact = estimate_Q(0.0, 0.0, zero(), 1.0, n_paths, 8, RngSeed(3), top_k=10)
+        exact = estimate_Q(0.0, 0.0, zero(), 1.0, n_paths, 8, RngSeed(3))
         assert (exact.mean, exact.std_error) == (1.0, 0.0)
         assert exact.heavy_mass_fraction >= 10.0 / math.ceil(n_paths / 2)
         assert not exact.divergence_suspected
@@ -553,13 +552,13 @@ def test_heavy_tail_rule_counts_units():
     heavy[0] = 1e6
     for units, flagged in ((heavy[1:], False), (heavy[:20], False), (np.ones(21), False),
                            (heavy, True)):
-        fraction, suspected = _Stats.of(units[None, :], top_k=10).heavy(0.5)
+        fraction, suspected = _Stats.of(units[None, :], top_k=10).heavy()
         assert bool(suspected[0]) is flagged
     assert fraction[0] > 0.99
     # at (30, 30) the harmonic weights are heavy-tailed: 40 paths (20 units) cannot be
     # flagged, 42 paths (21 units) are
-    below = estimate_Q(30, 30, harmonic(), 1.0, 40, 64, RngSeed(1), top_k=10)
-    above = estimate_Q(30, 30, harmonic(), 1.0, 42, 64, RngSeed(1), top_k=10)
+    below = estimate_Q(30, 30, harmonic(), 1.0, 40, 64, RngSeed(1))
+    above = estimate_Q(30, 30, harmonic(), 1.0, 42, 64, RngSeed(1))
     assert min(below.heavy_mass_fraction, above.heavy_mass_fraction) > 0.99
     assert not below.divergence_suspected
     assert above.divergence_suspected
@@ -694,8 +693,6 @@ def test_mc_config_validation():
         McConfig(n_samples=0)
     with pytest.raises(ValueError):
         McConfig(n_steps=0)
-    with pytest.raises(ValueError):
-        McConfig(heavy_fraction=0.0)
     with pytest.raises(ValueError):
         McConfig(n_samples=2.5)
     with pytest.raises(ValueError):

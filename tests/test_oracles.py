@@ -145,8 +145,6 @@ def test_oracle_config_validation():
     for n_points in (600.5, 8.0, True):
         with pytest.raises(ValueError, match="n_points"):
             OracleConfig(8.0, n_points)
-    with pytest.raises(ValueError):
-        OracleConfig(tolerance=0.0)
 
 
 def test_build_grid_operator_validation():
@@ -186,7 +184,7 @@ def test_oracles_reject_a_time_that_is_not_finite(t):
 # only the low part of the spectrum carries these values, so the dense eigenvectors are
 # accurate enough to serve as the reference
 _TRUNCATION_LEVELS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-_PARTIAL_CASES = [
+_UNIFORMIZATION_CASES = [
     *[pytest.param(truncate(inverted_quadratic(0.5), n), 600, 1.0, 0.0, id=f"truncated-{n:g}")
       for n in _TRUNCATION_LEVELS],
     pytest.param(harmonic(), 1200, 0.5, 0.5, id="harmonic-1200"),
@@ -207,7 +205,7 @@ def _assert_agrees_with_the_dense_spectrum(op, phi, psi, t, kernel_abs=0.0):
             semigroup_kernel(op, x, y, t, dense), rel=1e-11, abs=kernel_abs)
 
 
-@pytest.mark.parametrize("V, n_points, t, psi_center", _PARTIAL_CASES)
+@pytest.mark.parametrize("V, n_points, t, psi_center", _UNIFORMIZATION_CASES)
 def test_partial_spectrum_agrees_with_the_dense_one(V, n_points, t, psi_center):
     op = build_grid_operator(V, 8.0, n_points)
     _assert_agrees_with_the_dense_spectrum(op, bump(0.0, 1.0), bump(psi_center, 1.0), t)
@@ -219,8 +217,8 @@ def test_partial_spectrum_agrees_with_the_dense_one(V, n_points, t, psi_center):
     pytest.param(harmonic(), 40, 1.0, id="one-block"),
 ])
 def test_every_fallback_returns_the_dense_value(V, n_points, t):
-    # where many modes count, the dense spectrum is the natural evaluator: t = 0 weighs
-    # every mode alike, t = 0.05 a third of them, and 40 points are few.  At t = 0 the
+    # uniformization against the dense eigh where many modes count: t = 0 weighs every
+    # mode alike, t = 0.05 a third of them, and 40 points are few.  At t = 0 the
     # kernel between distinct nodes is 0, and the dense one its rounding
     op = build_grid_operator(V, 8.0, n_points)
     _assert_agrees_with_the_dense_spectrum(op, bump(0.0, 1.0), bump(0.3, 1.0), t, 1e-12)
@@ -322,8 +320,6 @@ def test_deep_well_value_settles_below_the_whole_line_bound(L, n_points, expecte
 @pytest.mark.parametrize("make", [
     pytest.param(lambda: OracleConfig(domain_half_width=math.nan), id="config-L-nan"),
     pytest.param(lambda: OracleConfig(domain_half_width=math.inf), id="config-L-inf"),
-    pytest.param(lambda: OracleConfig(tolerance=math.nan), id="config-tolerance-nan"),
-    pytest.param(lambda: OracleConfig(tolerance=math.inf), id="config-tolerance-inf"),
     pytest.param(lambda: build_grid_operator(zero(), math.nan, 50), id="build-L-nan"),
     pytest.param(lambda: build_grid_operator(zero(), math.inf, 50), id="build-L-inf"),
     pytest.param(lambda: build_grid_operator(zero(), 2.0, 50.0), id="build-n-points-float"),

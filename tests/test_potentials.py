@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bridgekac.oracles import mehler_kernel, stark_q
 from bridgekac.potentials import (
     QuadraticForm,
     TruncatedPotential,
@@ -125,3 +126,17 @@ def test_truncate_rejects_nan_and_negative_levels():
         with pytest.raises(ValueError):
             truncate(V, level)
     assert truncate(V, math.inf).form.floor == -math.inf
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("make", [
+    harmonic,
+    stark,
+    inverted_quadratic,
+    lambda v: mehler_kernel(0.3, -0.2, v, 1.0),
+    lambda v: stark_q(0.3, -0.2, v, 1.0),
+], ids=["harmonic", "stark", "inverted-quadratic", "mehler-omega", "stark-q-F"])
+def test_catalog_and_closed_forms_reject_non_finite_parameters(make, bad):
+    # a NaN or infinite parameter used to yield NaN forms, estimates and kernels
+    with pytest.raises(ValueError, match="finite"):
+        make(bad)
