@@ -25,9 +25,16 @@ nonnegative terms.  Its relative error therefore does not grow with
 ||e^{-tH}||, which is the regime the paper is about: a deep well makes
 ||e^{-tH}|| huge while <phi, e^{-tH} psi> stays moderate, and an
 eigendecomposition would multiply its eigenvector rounding by that
-norm.  `decompose` gives the dense eigendecomposition, which the tests
-take as their reference and a caller may pass as `decomp` to reuse
-across many t.
+norm.  The truncation study's level Hamiltonians, which share one grid,
+run as one batch at one uniformization rate: the state holds a column
+for each of them, node-major, so a step is a few operations on
+contiguous memory, and a block of consecutive steps is summed at once.
+Each block rescales the state by powers of two and keeps the partial
+sums as logarithms, so the value stays finite and accurate at any
+depth of the well, where the series' prefactor e^{-t min V} alone
+leaves the doubles past t |min V| = 709.  `decompose` gives the dense
+eigendecomposition, which the tests take as their reference and a
+caller may pass as `decomp` to reuse across many t.
 
 Domain truncation to [-L, L] is valid when the kernel mass outside the
 box is negligible at the given t; for potentials unbounded below, use
@@ -167,26 +174,24 @@ def decompose(op: GridOperator) -> SpectralDecomposition:
 _SERIES_REL = 1e-16
 
 
-def _poisson(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Poisson probabilities of k = 0..K at each mean of `mu`, as (K + 1, means),
-    and the probability of exceeding each k.
+def _poisson(mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Poisson probabilities of k = 0..K at mean `mu`, and the probability of exceeding each k.
 
-    K lies 40 standard deviations (plus 40) above the largest mean, where
-    the mass left is far below the smallest double.  The probabilities
-    are built outwards from the mode by running products of their ratios
+    K lies 40 standard deviations (plus 40) above the mean, where the
+    mass left is far below the smallest double.  The probabilities are
+    built outwards from the mode by running products of their ratios
     k / mu, and normalized by their sum, so neither e^{-mu} nor k! is
     formed: both over- or underflow for the means of a fine grid.
     """
-    K = int(np.max(mu + 40.0 * np.sqrt(mu))) + 40
-    k = np.arange(1, K + 1)[:, None]
-    mode = np.floor(mu)
+    K = int(mu + 40.0 * math.sqrt(mu)) + 40
+    k = np.arange(1, K + 1)
+    mode = math.floor(mu)
     # p_k / p_mode: the product of j / mu over k < j <= mode, or of mu / j over mode < j <= k
-    below = np.cumprod(np.where(k <= mode, k / mu, 1.0)[::-1], axis=0)[::-1]
-    above = np.cumprod(np.where(k > mode, mu / k, 1.0), axis=0)
-    one = np.ones((1, len(mu)))
-    weights = np.concatenate([below, one]) * np.concatenate([one, above])
-    weights /= weights.sum(axis=0)
-    tail = np.concatenate([np.cumsum(weights[:0:-1], axis=0)[::-1], np.zeros_like(one)])
+    below = np.cumprod(np.where(k <= mode, k / mu, 1.0)[::-1])[::-1]
+    above = np.cumprod(np.where(k > mode, mu / k, 1.0))
+    weights = np.append(below, 1.0) * np.insert(above, 0, 1.0)
+    weights /= weights.sum()
+    tail = np.append(np.cumsum(weights[:0:-1])[::-1], 0.0)
     return weights, tail
 
 
@@ -196,63 +201,98 @@ def _parts(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(signs), np.array([np.maximum(s * v, 0.0) for s in signs]).reshape(-1, v.size)
 
 
+# the ring of consecutive series states holds at most this many numbers
+_RING_NUMBERS = 1 << 16
+# within a block the states are kept unscaled by b^j, and a block spans at most this many
+# e-folds of b, so neither they nor b^j leave the range of a double
+_BLOCK_E_FOLDS = 600.0
+
+
 def _uniformized(ops: Sequence[GridOperator], t: float, f: np.ndarray,
                  g: np.ndarray) -> np.ndarray:
     """f^T e^{-tH} g for the Hamiltonian H of each of `ops`, which share one grid.
 
-    Uniformization (Xue & Ye, Numer. Math. 2008): with d the diagonal
-    of H and e its off-diagonal, s = max d, Lambda = s - min d + 2|e|
-    and B = (sI - H) / Lambda, whose entries are nonnegative and whose
-    row sums are at most 1,
+    Uniformization (Xue & Ye, Numer. Math. 2008): with d the diagonals
+    of the Hamiltonians and e their off-diagonal, s = max d over every
+    operator, Lambda = s - min d + 2|e| and B = (sI - H) / Lambda, whose
+    entries are nonnegative and whose row sums are at most 1,
 
         f^T e^{-tH} g = e^{t (Lambda - s)} sum_k Pois(k; t Lambda) f^T B^k g.
 
-    f and g are split into their positive and negative parts, so each of
-    the (up to four) series adds nonnegative terms only and keeps a small
-    relative error however large ||e^{-tH}|| is.  The parts of g of every
-    operator are the rows of one batch, and each step is one tridiagonal
-    product on all of them.  For nonnegative g, B^j g <= max B^k g for
-    j >= k, so the terms past k add at most (the Poisson mass past k)
-    * ||f||_1 * max B^k g: once every operator is past its mode, the
-    series stops where that is at most 1e-16 of every partial sum.  At
-    t = 0 the value is f^T g.
+    One rate serves the whole batch, so b = |e| / Lambda, the Poisson
+    weights and the prefactor are shared.  f and g are split into their
+    positive and negative parts, so each of the (up to four) series adds
+    nonnegative terms only and keeps a small relative error however large
+    ||e^{-tH}|| is.  The state B^k g is node-major, (nodes + 2, rows)
+    with zero end rows, one row for each part of g under each operator,
+    so a step adds two contiguous blocks and a scaled third.  A ring of
+    consecutive states (at most `_RING_NUMBERS` numbers) forms a block:
+    one matrix product gives f^T B^k g for all of it, and cumulative sums
+    the partial sums.  At each block's start every row is scaled by the
+    power of two that brings its maximum into [1/2, 1), which is exact,
+    and its exponent is kept; the partial sums are kept as logarithms.
+    So no term underflows however deep the well, although
+    e^{t (Lambda - s)} = e^{-t min V} alone leaves the doubles past
+    t |min V| = 709.  For nonnegative g, B^j g <= max B^k g for j >= k,
+    so the terms past k add at most (the Poisson mass past k) * ||f||_1
+    * max B^k g; the maximum at the block's start bounds it within the
+    block.  Past the mode the series stops at the first k where that is
+    at most 1e-16 of every partial sum.  At t = 0 the value is f^T g.
     """
     if t == 0.0:
         return np.full(len(ops), float(f @ g))
     f_signs, F = _parts(f)
     g_signs, G = _parts(g)
-    d = np.stack([op.diagonal for op in ops])
     e = abs(ops[0].off_diagonal)
-    s = d.max(axis=1)
-    lam = s - d.min(axis=1) + 2.0 * e
-    mu = t * lam
-    weights, tail = _poisson(mu)
-    # B: diagonal a, off-diagonal b; the state keeps a zero column at each end
-    a = ((s[:, None] - d) / lam[:, None])[:, None, :]
-    b = (e / lam)[:, None, None]
-    n = d.shape[1]
-    F_padded = np.zeros((n + 2, len(F)))
-    F_padded[1:-1] = F.T
-    state = np.zeros((len(ops), len(G), n + 2))
-    state[:, :, 1:-1] = G
-    spare = np.zeros_like(state)
-    products = np.empty((len(ops), len(G), n))
-    f_mass = F.sum(axis=1)
-    sums = np.zeros((len(ops), len(G), len(F)))
-    past_modes = int(np.max(mu))
-    for k in range(len(weights)):
-        sums += weights[k][:, None, None] * (state @ F_padded)
-        if k >= past_modes and np.all(tail[k][:, None, None] * f_mass
-                                      * state.max(axis=2)[..., None] <= _SERIES_REL * sums):
-            break
-        inner = spare[:, :, 1:-1]
-        np.add(state[:, :, :-2], state[:, :, 2:], out=inner)
-        inner *= b
-        inner += np.multiply(a, state[:, :, 1:-1], out=products)
-        state, spare = spare, state
+    s = max(float(op.diagonal.max()) for op in ops)
+    lam = s - min(float(op.diagonal.min()) for op in ops) + 2.0 * e
+    b = e / lam
+    weights, tail = _poisson(t * lam)
+    n, rows = ops[0].n_points, len(ops) * len(G)
+    # a block keeps U^j x = B^j x / b^j: (s - d) / e on the diagonal and ones beside it
+    diagonal = np.repeat(np.stack([(s - op.diagonal) / e for op in ops], axis=1), len(G), axis=1)
+    block = max(1, min(_RING_NUMBERS // ((n + 2) * rows) - 1,
+                       int(_BLOCK_E_FOLDS / -math.log(b))))
+    # slot m holds the state after a block of m, the next block's start
+    ring = np.zeros((block + 1, n + 2, rows))
+    ring[-1, 1:-1] = np.tile(G.T, len(ops))
+    steps = [(ring[j, :-2], ring[j, 2:], ring[j, 1:-1], ring[j + 1, 1:-1]) for j in range(block)]
+    product = np.empty((n, rows))
+    F_padded = np.zeros((len(F), n + 2))
+    F_padded[:, 1:-1] = F
+    b_powers = b ** np.arange(block + 1)
+    log_rel = math.log(_SERIES_REL)
+    past_mode = int(t * lam)
+    m, scale, exponent = block, 1.0, np.zeros(rows)
+    log_sums = np.full((len(F), rows), -np.inf)
     with np.errstate(divide="ignore"):
-        terms = np.exp((t * (lam - s))[:, None, None] + np.log(sums))
-    return terms @ f_signs @ g_signs
+        log_tail = np.log(tail, out=tail)
+        log_mass = np.log(F.sum(axis=1))[:, None]
+        for k in range(0, len(weights), block):
+            # rescale by 2^-shift, and by b^m after a block; peak: the row maxima after it
+            # (a transposed copy makes the reduction contiguous, several times faster)
+            peak, shift = np.frexp(ring[m].T.copy().max(axis=1) * scale)
+            np.multiply(ring[m], np.ldexp(scale, -shift), out=ring[0])
+            exponent += shift
+            m = min(block, len(weights) - k)
+            for below, above, middle, out in steps[:m]:
+                np.add(below, above, out=out)
+                out += np.multiply(diagonal, middle, out=product)
+            # the log of the prefactor times each row's scale
+            offset = t * (lam - s) + math.log(2.0) * exponent
+            terms = (weights[k:k + m] * b_powers[:m])[:, None, None] * (F_padded @ ring[:m])
+            partial = np.logaddexp(log_sums, np.log(np.cumsum(terms, axis=0)) + offset)
+            log_sums = partial[-1]
+            if k + m > past_mode:
+                bound = log_tail[k:k + m, None, None] + log_mass + np.log(peak) + offset
+                done = np.all(bound <= log_rel + partial, axis=(1, 2))
+                done[:max(0, past_mode - k)] = False
+                if done.any():
+                    log_sums = partial[np.argmax(done)]
+                    break
+            scale = b_powers[m]
+    values = np.exp(log_sums).reshape(len(F), len(ops), len(G)).transpose(1, 2, 0)
+    return values @ f_signs @ g_signs
 
 
 def _check_t(t: float) -> None:
@@ -363,15 +403,20 @@ def mehler_kernel(x: float, y: float, omega: float, t: float) -> float:
 
     (omega / (2 pi sinh(omega t)))^{1/2}
       * exp(-omega [(x^2 + y^2) cosh(omega t) - 2 x y] / (2 sinh(omega t))).
-    Reduces to the free kernel as omega -> 0.
+    Reduces to the free kernel as omega -> 0.  sinh and cosh are written
+    as e^{omega t} times (1 -+ e^{-2 omega t}) / 2 and e^{omega t} is taken
+    into the exponent, so a stiff oscillator (omega t past 710, where
+    sinh overflows) still gives its small but representable value.
     """
     if not (math.isfinite(t) and t > 0.0):
         raise ValueError("t must be positive and finite")
     _check_positive("omega", omega)
-    s = math.sinh(omega * t)
-    c = math.cosh(omega * t)
+    q = math.exp(-omega * t)
+    s = -0.5 * math.expm1(-2.0 * omega * t)  # sinh(omega t) e^{-omega t}
+    c = 0.5 * (1.0 + q * q)                  # cosh(omega t) e^{-omega t}
     pref = math.sqrt(omega / (2.0 * math.pi * s))
-    return float(pref * math.exp(-omega * ((x * x + y * y) * c - 2.0 * x * y) / (2.0 * s)))
+    return float(pref * math.exp(-0.5 * omega * t
+                                 - omega * ((x * x + y * y) * c - 2.0 * x * y * q) / (2.0 * s)))
 
 
 def inverted_mehler_kernel(x: float, y: float, c: float, t: float):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,20 @@ def test_mehler_kernel_closed_form_values():
     )
     assert mehler_kernel(x, y, omega, t) == pytest.approx(want, rel=1e-15)
     assert mehler_kernel(x, y, omega, t) == mehler_kernel(y, x, omega, t)
+
+
+def test_mehler_kernel_stays_finite_for_a_stiff_oscillator():
+    # at omega t = 800 sinh and cosh overflow, but the kernel, about 3e-173, is a double;
+    # the reference is the closed form taken in logarithms
+    omega, t = 800.0, 1.0
+    q = math.exp(-2.0 * omega * t)
+    log_sinh = omega * t - math.log(2.0) + math.log1p(-q)
+    coth, csch = (1.0 + q) / (1.0 - q), 2.0 * math.exp(-omega * t) / (1.0 - q)
+    for x, y in [(0.0, 0.0), (0.05, -0.03)]:
+        log_want = (0.5 * (math.log(omega / (2.0 * math.pi)) - log_sinh)
+                    - 0.5 * omega * ((x * x + y * y) * coth - 2.0 * x * y * csch))
+        assert mehler_kernel(x, y, omega, t) == pytest.approx(math.exp(log_want), rel=1e-12)
+    assert mehler_kernel(0.0, 0.0, omega, t) == pytest.approx(3.06e-173, rel=1e-3)
 
 
 def test_mehler_approaches_free_kernel_for_small_t():
@@ -213,10 +228,10 @@ def test_partial_spectrum_agrees_with_the_dense_one(V, n_points, t, psi_center):
 
 @pytest.mark.parametrize("V, n_points, t", [
     pytest.param(harmonic(), 300, 0.0, id="t-zero"),
-    pytest.param(harmonic(), 600, 0.05, id="too-many-modes"),
-    pytest.param(harmonic(), 40, 1.0, id="one-block"),
+    pytest.param(harmonic(), 600, 0.05, id="t-0.05"),
+    pytest.param(harmonic(), 40, 1.0, id="40-points"),
 ])
-def test_every_fallback_returns_the_dense_value(V, n_points, t):
+def test_uniformization_agrees_with_the_dense_eigh_where_many_modes_count(V, n_points, t):
     # uniformization against the dense eigh where many modes count: t = 0 weighs every
     # mode alike, t = 0.05 a third of them, and 40 points are few.  At t = 0 the
     # kernel between distinct nodes is 0, and the dense one its rounding
@@ -224,11 +239,14 @@ def test_every_fallback_returns_the_dense_value(V, n_points, t):
     _assert_agrees_with_the_dense_spectrum(op, bump(0.0, 1.0), bump(0.3, 1.0), t, 1e-12)
 
 
+# changes sign: its positive and negative parts run as separate series
+_ODD = Wavefunction(dim=1, evaluate=lambda p: (bump(-0.5, 1.0).evaluate(p)
+                                                - bump(0.5, 1.0).evaluate(p)),
+                    support_box=((-1.5,), (1.5,)), kind="compact")
+
+
 def test_uniformization_of_signed_wavefunctions_agrees_with_the_dense_spectrum():
-    # phi changes sign: its positive and negative parts run as separate series
-    odd = Wavefunction(dim=1, evaluate=lambda p: (bump(-0.5, 1.0).evaluate(p)
-                                                  - bump(0.5, 1.0).evaluate(p)),
-                       support_box=((-1.5,), (1.5,)), kind="compact")
+    odd = _ODD
     op = build_grid_operator(harmonic(), 8.0, 600)
     for psi in (odd, bump(0.3, 1.0)):
         value = semigroup_matrix_element(op, odd, psi, 1.0)
@@ -246,7 +264,7 @@ def test_uniformization_at_t_zero_is_the_grid_inner_product():
     assert semigroup_kernel(op, 0.0, 0.5, 0.0) == 0.0
 
 
-def test_partial_truncation_ladder_stays_monotone():
+def test_uniformization_truncation_ladder_stays_monotone():
     # lower truncation levels only raise the potential, so <phi, e^{-tH} phi>
     # cannot fall as the level grows; the truncation study allows 1e-12 slack
     phi = bump(0.0, 1.0)
@@ -254,6 +272,71 @@ def test_partial_truncation_ladder_stays_monotone():
         build_grid_operator(truncate(inverted_quadratic(0.5), n), 8.0, 600), phi, phi, 1.0)
         for n in _TRUNCATION_LEVELS]
     assert all(b >= a - 1e-12 * max(1.0, abs(b)) for a, b in zip(values, values[1:]))
+
+
+def test_batched_uniformization_matches_single_calls_and_the_dense_eigh():
+    # the truncation-cli ladder in one batch, which runs at the rate of its deepest level
+    ops = [build_grid_operator(truncate(inverted_quadratic(0.5), n), 8.0, 600)
+           for n in _TRUNCATION_LEVELS]
+    phi = bump(0.0, 1.0)
+    for value, op in zip(oracles._semigroup_matrix_elements(ops, phi, phi, 1.0), ops):
+        assert value == pytest.approx(semigroup_matrix_element(op, phi, phi, 1.0),
+                                      rel=1e-12, abs=0.0)
+        assert value == pytest.approx(semigroup_matrix_element(op, phi, phi, 1.0, decompose(op)),
+                                      rel=1e-11, abs=0.0)
+    # a signed phi: up to four series for each of two levels
+    ops = ops[::5]
+    for psi in (_ODD, bump(0.3, 1.0)):
+        for value, op in zip(oracles._semigroup_matrix_elements(ops, _ODD, psi, 1.0), ops):
+            assert value == pytest.approx(semigroup_matrix_element(op, _ODD, psi, 1.0),
+                                          rel=1e-12, abs=0.0)
+            assert value == pytest.approx(
+                semigroup_matrix_element(op, _ODD, psi, 1.0, decompose(op)), rel=1e-11, abs=0.0)
+
+
+def test_batched_uniformization_memory_stays_bounded():
+    # at the truncation-cli size the ring of states is about 0.52 MB of the peak
+    ops = [build_grid_operator(truncate(inverted_quadratic(0.5), n), 8.0, 600)
+           for n in _TRUNCATION_LEVELS]
+    phi = bump(0.0, 1.0)
+    oracles._semigroup_matrix_elements(ops, phi, phi, 1.0)
+    tracing = tracemalloc.is_tracing()
+    if tracing:
+        tracemalloc.reset_peak()
+    else:
+        tracemalloc.start()
+    try:
+        oracles._semigroup_matrix_elements(ops, phi, phi, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 0.8e6
+
+
+def test_deep_well_value_stays_finite_and_rises_with_the_box():
+    # spacing 0.05 on every box, so the grids nest and Dirichlet domain monotonicity makes
+    # the value nondecreasing in L.  The series' prefactor e^{-t min V} passes e^{709} from
+    # L = 19 on; unscaled, its sums lie below the value by as much: subnormal, or 0 from L = 20
+    phi = bump(0.0, 1.0)
+    values = [semigroup_matrix_element(
+        build_grid_operator(inverted_quadratic(1.0), float(L), 40 * L - 1), phi, phi, 2.0)
+        for L in (18, 19, 20, 21)]
+    assert all(math.isfinite(v) and v > 0.0 for v in values)
+    assert all(b >= a for a, b in zip(values, values[1:]))
+    assert values == pytest.approx([0.7870473, 0.7870640, 0.7871122, 0.7873769], abs=1e-7)
+
+
+def test_batched_deep_well_ladder_matches_single_calls():
+    # the batch runs at the rate of level 400: the sums of its level-1 row lie about e^{796}
+    # below the value
+    phi = bump(0.0, 1.0)
+    ops = [build_grid_operator(truncate(inverted_quadratic(1.0), n), 20.0, 799)
+           for n in (1.0, 4.0, 16.0, 64.0, 400.0)]
+    batched = oracles._semigroup_matrix_elements(ops, phi, phi, 2.0)
+    singles = [semigroup_matrix_element(op, phi, phi, 2.0) for op in ops]
+    assert batched == pytest.approx(singles, rel=1e-12, abs=0.0)
+    assert all(b >= a for a, b in zip(batched, batched[1:]))
 
 
 def _squaring_reference(op, t, f, g):
