@@ -24,9 +24,9 @@ per core on the host measured, where op times were 6-7 % lower than
 with 4 MB blocks); the walk below keeps six buffers per block, so its
 blocks are a sixth of that.  Every per-path intermediate of an
 estimate, the trapezoid sums, bridge values, positions and potential
-values, exists for one block only, and only the chunk's weights span
-all its paths; a shared-path matrix element cuts each block's sums into
-(node pairs x paths) weight blocks under the same cap.
+values, exists for one block only; the pair units of the walk span a
+chunk, and those of an unclipped form fill one reused buffer under the
+same cap, reduced each time it fills.
 
 The bridge law is centred, so a path alpha and its mirror -alpha are
 equally likely.  Every estimator draws ceil(count / 2) of a chunk's
@@ -53,6 +53,8 @@ ever forming node values (`_bridge_sums`); this lets `matrix_element`
 reuse one set of paths at every quadrature node pair, and `refine_steps`
 gets the sums of every grid of its schedule from the same pass.
 A mirror's sums are -A, -B and C, so it needs no further products.
+One function reduces every estimate of such a form (`_sums_records`),
+at one node pair or all quadrature nodes, on one grid or several.
 Callables and clipped forms need the values at the nodes: they draw
 n_steps increments per path and coordinate and turn each block into the
 bridge node-major, node k of every path in row k, by the walk, whose
@@ -67,11 +69,11 @@ weight is bit for bit the same whatever other paths share its block.
 Truncations max(V, -n) of one potential share the other way: V is
 evaluated along a path once and each level clips the values, so a
 truncation study draws and evaluates each path once for all levels.
-The node pairs of a matrix element draw their own streams, but
-consecutive pairs of one chunk of paths each share row blocks, and
-their records come from one reduction (`_pair_estimates`).  A clipped
-form also carries its own control variate: the unclipped form's weight
-w_ref of the same path, whose mean on the time grid,
+Along the walk the node pairs of a matrix element draw their own
+streams, but consecutive pairs of one chunk of paths each share row
+blocks, and their records come from one reduction (`_pair_estimates`).
+A clipped form also carries its own control variate: the unclipped
+form's weight w_ref of the same path, whose mean on the time grid,
 `stochastic.gaussian_q`, is a Gaussian integral known exactly.  Each
 level then averages w - w_ref, which is zero on every pair whose path
 and mirror its floor does not touch, provided w_ref has finite variance
@@ -127,12 +129,12 @@ __all__ = [
 
 _CHUNK = 32768
 # Cap on the row block of sine coordinates that `_bridge_sums` draws at
-# once, and on the buffers of the walk together: 1 MB of float64.  The
-# block and the buffers reused beside it then fit in one core's 2 MB L2
-# on the 2-core x86-64 host measured, where a 4 MB block alone did not:
-# q-point and refine-long ops (one BLAS thread) took 6-7 % less time at
-# 2**17 than at 2**19; 2**16 was within the noise of 2**17 and 2**15
-# slower.
+# once, on the unit buffer of `_sums_units` and on the walk's buffers
+# together: 1 MB of float64.  The block and the buffers reused beside it
+# then fit in one core's 2 MB L2 on the 2-core x86-64 host measured, where
+# a 4 MB block alone did not: q-point and refine-long ops (one BLAS
+# thread) took 6-7 % less time at 2**17 than at 2**19; 2**16 was within
+# the noise of 2**17 and 2**15 slower.
 _BLOCK_ELEMENTS = 2**17
 # The walk (`_bridge_blocks`) keeps six block buffers at once: the normals
 # and the bridge values, then a clipped form's even and odd parts, values
@@ -398,7 +400,7 @@ def _walk_units(draws, n_steps: int, t: float, V: PotentialSpec, strides=(1,),
 
     `draws` is a list of (gen, count, x, y): `count` paths pinned from x
     to y, of which ceil(count / 2) are drawn from gen and weighed with
-    their mirrors as in `_chunk_weights`.  Each row block is weighed in
+    their mirrors (`_pairs`).  Each row block is weighed in
     one pass for all the draws in it.  A quadratic form (clipped at
     `floors`, or at its own floor for None) takes its even and odd parts
     from each draw's bridge values (`backend.form_parts`), and a path
@@ -407,7 +409,7 @@ def _walk_units(draws, n_steps: int, t: float, V: PotentialSpec, strides=(1,),
     mirrors.  Every stride reads strided rows of the same values
     (`backend.floored_weights`), whose nodes include the coarser grids'.
     Each unit depends on its own path alone, bit for bit, whatever block
-    it sits in.
+    it sits in.  (Unclipped forms weighed alone use `_sums_units`.)
     """
     form = V.form
     if floors is None:
@@ -567,7 +569,8 @@ def _line_action(xs: np.ndarray, ys: np.ndarray, form: QuadraticForm,
 
 
 def _sums_weights(sums, xs: np.ndarray, ys: np.ndarray, t: float,
-                  form: QuadraticForm, line: np.ndarray, paired: int = 0) -> np.ndarray:
+                  form: QuadraticForm, line: np.ndarray, paired: int = 0,
+                  out=None) -> np.ndarray:
     """exp(-trapezoid action) of an unclipped form from per-path sums, the first
     `paired` paths weighed together with their mirrors.
 
@@ -579,7 +582,9 @@ def _sums_weights(sums, xs: np.ndarray, ys: np.ndarray, t: float,
     mirror -alpha has the sums -A, -B and C, so it flips the sign of the
     odd terms alone, exactly: its weight is bit for bit the one its own
     sums would give.  Each of the first `paired` paths reads the unit
-    (w(alpha) + w(-alpha)) / 2; the others read w(alpha).
+    (w(alpha) + w(-alpha)) / 2; the others read w(alpha).  `out`, if
+    given, is a pair of arrays of the result's shape: the result is
+    written into the first, and the second is scratch.
     """
     A, B, C = sums
     q = form.quad
@@ -590,13 +595,9 @@ def _sums_weights(sums, xs: np.ndarray, ys: np.ndarray, t: float,
     y_odd = (-2.0 * q * s * t) * (ys @ B.T) + (-s * t) * (A @ g)
     path_even = (-q * t * t) * C
     line = -t * line
-    # w and the mirrors' scratch share one allocation.  As two, glibc gave the
-    # heap they leave back to the system after each matrix element of 256 node
-    # pairs x 500 paths and faulted it in again on the next: 470 page faults,
-    # 2.4 -> 3.4 ms per call (2-core x86-64 host, fresh process)
-    both = np.empty((2, len(xs), len(ys), len(C)))
-    part = np.add(line[:, :, None], x_odd[:, None, :], out=both[1])
-    w = np.add(part, (path_even + y_odd)[None, :, :], out=both[0])
+    w, part = np.empty((2, len(xs), len(ys), len(C))) if out is None else out
+    np.add(line[:, :, None], x_odd[:, None, :], out=part)
+    np.add(part, (path_even + y_odd)[None, :, :], out=w)
     np.exp(w, out=w)
     if paired:
         mirror = np.subtract(line[:, :, None], x_odd[:, None, :paired], out=part[..., :paired])
@@ -613,49 +614,87 @@ def _unclipped(V: PotentialSpec) -> bool:
 
 def _pairs(count: int) -> tuple[int, int]:
     """The paths drawn for a chunk of `count` paths, ceil(count / 2), and how many of
-    them are weighed with their mirrors, count // 2 (see `_chunk_weights`)."""
+    them are weighed with their mirrors, count // 2 (see the module docstring): the
+    pair units of `_sums_units` and `_walk_units` alike, in draw order."""
     return -(-count // 2), count // 2
 
 
-def _chunk_weights(gen: np.random.Generator, count: int, n_steps: int, x: np.ndarray,
-                   y: np.ndarray, t: float, V: PotentialSpec, strides=(1,),
-                   floors=None) -> np.ndarray:
-    """Pair units of a chunk of `count` paths drawn from `gen`, one row per stride and
-    then per floor.
+def _sums_units(gen: np.random.Generator, count: int, xs: np.ndarray, ys: np.ndarray,
+                t: float, form: QuadraticForm, n_steps: int, strides=(1,)):
+    """Pair units of an unclipped form at the node pairs (xs[i], ys[j]), x-major, on
+    the grid of each stride, from the sums (`_bridge_sums`) of a chunk of `count`
+    paths drawn from `gen`.
 
-    The bridge law is centred, so a path alpha and its mirror -alpha are
-    equally likely: the chunk draws ceil(count / 2) paths and weighs
-    each with its mirror, without drawing it.  A drawn path and its
-    mirror give one unit (w(alpha) + w(-alpha)) / 2; when `count` is
-    odd, the last drawn path has no mirror and is a unit of its own.
-    The result has shape (rows, ceil(count / 2)), one column per unit in
-    draw order.
-
-    A stride s restricts the paths to the nodes that are multiples of s,
-    a grid of n_steps / s steps.  An unclipped form estimated alone is
-    weighed from the trapezoid sums of `_bridge_sums`, whose paths are
-    drawn in sine coordinates, and a mirror's sums are -A, -B and C.
-    Anything else is drawn as the walk and weighed by `_walk_units`: a
-    quadratic form from the even and odd parts of each path, a callable
-    at the positions of the paths and then of their mirrors.  Either way
-    the chunk is streamed block by block, and for a callable or a
-    clipped form the units are bit for bit those of the whole chunk at
-    once.
+    The units fill, in draw order, one reused buffer of shape (strides,
+    node pairs, units) and at most `_BLOCK_ELEMENTS` numbers (one unit
+    per row if there are more rows).  A full buffer is yielded when more units
+    arrive and the last one after the chunk's last sums, so that reducing
+    it keeps no buffer of `_bridge_sums` alive for nothing; the next
+    buffer overwrites it.
     """
-    if floors is None and _unclipped(V):
-        drawn, paired = _pairs(count)
-        weights = np.empty((len(strides), drawn))
-        xs, ys = x[None], y[None]
-        lines = [_line_action(xs, ys, V.form, n_steps // s) for s in strides]
-        start = 0
-        for levels in _bridge_sums(gen, drawn, n_steps, V.dim, strides):
-            stop = start + len(levels[0][2])
-            for row, (sums, line) in enumerate(zip(levels, lines)):
-                weights[row, start:stop] = _sums_weights(sums, xs, ys, t, V.form, line,
-                                                         max(0, paired - start))[0, 0]
-            start = stop
-        return weights
-    return _walk_units([(gen, count, x, y)], n_steps, t, V, strides, floors)
+    drawn, paired = _pairs(count)
+    n_x, n_y, dim = len(xs), len(ys), xs.shape[1]
+    size = min(drawn, max(1, _BLOCK_ELEMENTS // (len(strides) * n_x * n_y)))
+    rows = min(size, _block_rows(drawn, n_steps - 1, dim))
+    # the units and the scratch of `_sums_weights` share one allocation.  As
+    # two, glibc gave the heap they leave back to the system after each matrix
+    # element of 256 node pairs x 500 paths and faulted it in again on the
+    # next: 470 page faults, 2.4 -> 3.4 ms per call (2-core x86-64 host)
+    units, scratch = np.split(np.empty((len(strides) * size + rows) * n_x * n_y),
+                              [len(strides) * n_x * n_y * size])
+    units = units.reshape(len(strides), n_x, n_y, size)
+    scratch = scratch.reshape(n_x, n_y, rows)
+    lines = [_line_action(xs, ys, form, n_steps // s) for s in strides]
+    filled = start = 0  # units in the buffer, and weighed in the chunk
+    for levels in _bridge_sums(gen, drawn, n_steps, dim, strides):
+        done = 0
+        while done < len(levels[0][2]):
+            if filled == size:
+                yield units.reshape(len(strides), n_x * n_y, size)
+                filled = 0
+            k = min(len(levels[0][2]) - done, size - filled)
+            for level, (sums, line) in enumerate(zip(levels, lines)):
+                _sums_weights([a[done:done + k] for a in sums], xs, ys, t, form, line,
+                              max(0, paired - start), (units[level, ..., filled:filled + k],
+                                                       scratch[..., :k]))
+            filled += k
+            done += k
+            start += k
+    yield units.reshape(len(strides), n_x * n_y, size)[..., :filled]
+
+
+def _unit_records(w: np.ndarray, coef=None) -> tuple[_Stats, ...]:
+    """The records of pair units w (strides, node pairs, units): the `_Stats` of each
+    row with its `_TOP_K` heaviest units, those of the successive differences
+    w[s] - w[s - 1] if there are several strides, and those of the totals coef . w
+    of each stride if `coef` is given.
+
+    The totals are centred on the rows' means, in place, so units that
+    all carry the same weights give exactly zero spread, and their
+    squares are summed in the unit `_Stats.of` gives a row of weights, so
+    that totals near 1e-185 keep a nonzero error bar.
+    """
+    rows = _Stats.of(w, _TOP_K)
+    records = [rows]
+    if len(w) > 1:
+        records.append(_Stats.of(np.subtract(w[1:], w[:-1])))
+    if coef is not None:
+        w -= rows.mean[..., None]
+        spread = coef @ w
+        scale = _tiny_scale(np.abs(spread).max(axis=-1))
+        spread /= scale[:, None]
+        records.append(_Stats(w.shape[-1], rows.mean @ coef, np.vecdot(spread, spread),
+                              rows.total @ coef, np.empty((len(w), 0)), scale=scale))
+    return tuple(records)
+
+
+def _sums_records(xs: np.ndarray, ys: np.ndarray, t: float, form: QuadraticForm,
+                  n_steps: int, strides, coef, gens, count: int) -> tuple[_Stats, ...]:
+    """The `_unit_records` of each buffer of `_sums_units`, merged: the chunk job, for
+    `_over_chunks`, of every estimate of an unclipped form."""
+    (gen,) = gens
+    return _merged(_unit_records(units, coef)
+                   for units in _sums_units(gen, count, xs, ys, t, form, n_steps, strides))
 
 
 # rows of weights whose largest |w| lies below this are scaled by it (see `_Stats`)
@@ -725,11 +764,13 @@ class _Stats:
         return np.zeros(np.shape(self.m2))
 
     def heavy(self):
-        """Heavy-mass fraction and divergence flag of each row.  A zero total
+        """Heavy-mass fraction, at most 1 though the top is summed in another order
+        than the total, and divergence flag of each row.  A zero total
         (every weight underflowed) is no evidence of a heavy tail: 0."""
         top_sum = np.sort(self.top, axis=-1).sum(axis=-1)
         fraction = np.divide(top_sum, self.total, out=np.zeros(np.shape(self.total)),
                              where=self.total > 0.0)
+        np.minimum(fraction, 1.0, out=fraction)
         suspected = (self.n * _HEAVY_FRACTION > self.top_k) & (fraction > _HEAVY_FRACTION)
         suspected |= ~np.isfinite(self.mean) | ~np.isfinite(self.std_error)
         return fraction, suspected
@@ -820,9 +861,17 @@ def _estimates(x, y, V: PotentialSpec, t: float, n_samples: int, n_steps: int,
                rng: RngSeed, floors, *, workers: int,
                key: tuple[int, ...] = ()) -> list[QEstimate]:
     """Q estimates of max(V, floor) for each floor, from one draw of the paths: the
-    one-pair case of `_pair_estimates`, with the keyed chunks of `estimate_Q`."""
+    one-pair case of `_pair_estimates`, with the keyed chunks of `estimate_Q`.
+    `floors=None` on an unclipped form estimates it from its sums (`_sums_records`)."""
     xp = _point(x, V.dim)
     yp = _point(y, V.dim)
+    if floors is None and _unclipped(V):
+        _check_time(t)
+        _check_sampling(n_samples, n_steps, workers)
+        (nodes,) = _over_chunks(rng, [tuple(key)], n_samples, workers,
+                                partial(_sums_records, xp[None], yp[None], t, V.form, n_steps,
+                                        (1,), None))
+        return _finalize(nodes, n_steps, n_samples)[0].tolist()
     return _pair_estimates(xp[None], yp[None], [tuple(key)], V, t, n_samples, n_steps, rng,
                            floors, workers=workers)[0]
 
@@ -833,8 +882,8 @@ def _pair_estimates(xs: np.ndarray, ys: np.ndarray, keys, V: PotentialSpec, t: f
     """Q estimates of max(V, floor) for each floor at each node pair (xs[p], ys[p]).
 
     Pair p draws its paths from the keyed chunks (*keys[p], chunk) once
-    for all floors; `floors=None` estimates V itself (the sums path of
-    `_chunk_weights` for an unclipped form, which must then be one pair).
+    for all floors along the walk (`_walk_units`); `floors=None`
+    estimates V itself.
     When `n_samples` fits in one chunk, consecutive pairs whose units fit
     in `_BLOCK_ELEMENTS` together form a group: they share the row blocks
     of `_walk_units` and one `_Stats.of` over (floors x pairs) rows.  A
@@ -868,12 +917,8 @@ def _pair_estimates(xs: np.ndarray, ys: np.ndarray, keys, V: PotentialSpec, t: f
     groups = [range(a, min(a + size, len(keys))) for a in range(0, len(keys), size)]
 
     def chunk(pairs: range, levels, controlled: bool, gens, count: int):
-        if floors is None and _unclipped(V):
-            (gen,), (p,) = gens, pairs
-            w = _chunk_weights(gen, count, n_steps, xs[p], ys[p], t, V)
-        else:
-            w = _walk_units([(gen, count, xs[p], ys[p]) for gen, p in zip(gens, pairs)],
-                            n_steps, t, V, floors=levels)
+        w = _walk_units([(gen, count, xs[p], ys[p]) for gen, p in zip(gens, pairs)],
+                        n_steps, t, V, floors=levels)
         w = w.reshape(len(w), len(pairs), -1)
         if not controlled:
             return (_Stats.of(w, _TOP_K),)
@@ -1033,15 +1078,15 @@ def matrix_element(
     For an unclipped quadratic form (`zero`, `harmonic`, `stark`,
     `inverted_quadratic`) every (x, y) node pair reuses one set of
     paths, drawn in the keyed chunks that `estimate_Q` uses with
-    key=(), and each path enters only through its trapezoid sums.  The
-    standard error then comes from the per-path totals
-    sum_ij coef_ij w_ij(path), which carry the correlation between
-    nodes that sharing creates.  A clipped form (a truncation) or a
-    callable potential gives every node pair its own stream keyed by the
-    index pair, so calls with truncations of one potential at a fixed
-    seed compare the same paths across levels; a clipped form's Q at each
-    node pair is read against the unclipped form's exact grid value, as
-    in `estimate_Q`.  They do not share paths
+    key=(), and each path enters only through its trapezoid sums, reduced
+    as in `estimate_Q` (`_sums_records`).  The standard error then comes
+    from the per-path totals sum_ij coef_ij w_ij(path), which carry the
+    correlation between nodes that sharing creates.  A clipped form (a
+    truncation) or a callable potential gives every node pair its own
+    stream keyed by the index pair, so calls with truncations of one
+    potential at a fixed seed compare the same paths across levels; a
+    clipped form's Q at each node pair is read against the unclipped
+    form's exact grid value, as in `estimate_Q`.  They do not share paths
     because it does not pay: such a potential is evaluated along each
     path at every node pair anyway, and the correlated error bar of
     shared paths is several times the per-node one, so the cost of a
@@ -1056,7 +1101,7 @@ def matrix_element(
     while each pair's estimate stays bit for bit that of `estimate_Q` at
     the pair with key=(i, j).
     `mc_samples_per_node` counts paths, each weighed with its mirror (see
-    `_chunk_weights`).  Either way a fixed seed gives bit-identical
+    `_pairs`).  Either way a fixed seed gives bit-identical
     results for any worker count.
     """
     return _matrix_elements(phi, psi, V, t, quadrature, mc, rng, None, workers=workers)[0]
@@ -1103,8 +1148,10 @@ def _matrix_elements(phi: Wavefunction, psi: Wavefunction, V: PotentialSpec, t: 
         )
 
     if floors is None and _unclipped(V):
-        return [estimate(*_shared_path_element(x_pts, y_pts, coef.reshape(-1), V, t, mc, rng,
-                                               workers))]
+        nodes, totals = _over_chunks(rng, [()], mc.n_samples, workers,
+                                     partial(_sums_records, x_pts, y_pts, t, V.form, mc.n_steps,
+                                             (1,), coef.reshape(-1)))
+        return [estimate(totals.mean[0], totals.std_error[0], int(nodes.heavy()[1].sum()))]
 
     keys = [(i, j) for i in range(n_x) for j in range(n_y)]
     pairs = _pair_estimates(x_pts.repeat(n_y, axis=0), np.tile(y_pts, (n_x, 1)), keys, V, t,
@@ -1120,54 +1167,6 @@ def _matrix_elements(phi: Wavefunction, psi: Wavefunction, V: PotentialSpec, t: 
             divergence_nodes += int(q.divergence_suspected)
         elements.append(estimate(value, math.sqrt(variance), divergence_nodes))
     return elements
-
-
-def _shared_path_element(x_pts: np.ndarray, y_pts: np.ndarray, coef: np.ndarray,
-                         V: PotentialSpec, t: float, mc: McConfig, rng: RngSeed,
-                         workers: int) -> tuple[float, float, int]:
-    """Value, standard error and flagged node count from one set of paths.
-
-    `coef` holds the quadrature coefficient of each node pair, x-major.
-    The paths pair with their mirrors as in `_chunk_weights`, and w below
-    is a pair unit.  Units exist only one (node pairs x drawn paths)
-    block of at most `_BLOCK_ELEMENTS` numbers at a time, cut from a
-    block of bridge sums; each yields per-node stats, for the divergence
-    flags, and the moments of the per-unit totals coef . w, for the value
-    and its error.  The totals are centred on the block's node means, so
-    units that all carry the same weights give exactly zero spread, and
-    their squares are summed in the unit `_Stats.of` gives a row of
-    weights, so that totals near 1e-185 keep a nonzero error bar.
-    """
-    rows = max(1, _BLOCK_ELEMENTS // coef.size)
-    line = _line_action(x_pts, y_pts, V.form, mc.n_steps)
-
-    def block_stats(sums, paired: int):
-        w = _sums_weights(sums, x_pts, y_pts, t, V.form, line, paired).reshape(coef.size, -1)
-        nodes = _Stats.of(w, _TOP_K)
-        w -= nodes.mean[:, None]
-        spread = coef @ w
-        scale = float(_tiny_scale(np.abs(spread).max()))
-        spread /= scale
-        return nodes, _Stats(w.shape[1], float(coef @ nodes.mean), float(spread @ spread),
-                             float(coef @ nodes.total), np.empty(0), scale=scale)
-
-    def chunk(gens, count: int):
-        (gen,) = gens
-        drawn, paired = _pairs(count)
-
-        def records():
-            start = 0
-            for (sums,) in _bridge_sums(gen, drawn, mc.n_steps, V.dim, (1,)):
-                for i in range(0, len(sums[2]), rows):
-                    part = [s[i:i + rows] for s in sums]
-                    yield block_stats(part, max(0, paired - start))
-                    start += len(part[2])
-
-        return _merged(records())
-
-    nodes, totals = _over_chunks(rng, [()], mc.n_samples, workers, chunk)
-    _, suspected = nodes.heavy()
-    return float(totals.mean), float(totals.std_error), int(suspected.sum())
 
 
 def _fit_order(schedule, diffs) -> float | None:
@@ -1237,19 +1236,17 @@ def refine_steps(
             raise ValueError("restricted mode needs every entry to divide the largest")
         xp = _point(x, V.dim)
         yp = _point(y, V.dim)
-
-        def chunk(gens, count: int):
-            weights = _chunk_weights(gens[0], count, n_max, xp, yp, t, V,
-                                     [n_max // n for n in schedule])
-            levels = _Stats.of(weights, _TOP_K)
-            # successive differences in place, from the finest level down
-            for level in range(len(schedule) - 1, 0, -1):
-                weights[level] -= weights[level - 1]
-            return levels, _Stats.of(weights[1:])
+        strides = [n_max // n for n in schedule]
+        if _unclipped(V):
+            chunk = partial(_sums_records, xp[None], yp[None], t, V.form, n_max, strides, None)
+        else:
+            def chunk(gens, count: int):
+                return _unit_records(_walk_units([(gens[0], count, xp, yp)], n_max, t, V,
+                                                 strides)[:, None])
 
         levels, diffs = _over_chunks(rng, [()], n_samples, workers, chunk)
-        estimates = _finalize(levels, schedule, n_samples).tolist()
-        diff_means, diff_errs = diffs.mean, diffs.std_error
+        estimates = _finalize(levels, np.reshape(schedule, (-1, 1)), n_samples)[:, 0].tolist()
+        diff_means, diff_errs = diffs.mean[:, 0], diffs.std_error[:, 0]
     return RefinementReport(
         mode=mode,
         schedule=tuple(schedule),

@@ -18,9 +18,9 @@ error, never the path law itself.
   standard normals per coordinate.  The estimators of an unclipped
   quadratic form (`estimate_Q`, both modes of `refine_steps`, the
   shared-path `matrix_element` and, through them, the bound sweep) draw
-  xi and read the path's trapezoid sums straight from it, without ever
-  forming the node values; `_sine_amplitudes` and `_sine_transform`
-  give the basis.
+  xi, read the path's trapezoid sums straight from it, without forming
+  node values, and reduce them in one function (`feynman_kac._sums_records`);
+  `_sine_amplitudes` and `_sine_transform` give the basis.
 
 Both realizations are odd in the normals they read: the negated
 normals, -xi or the negated increments, give exactly the mirrored

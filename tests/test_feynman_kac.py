@@ -23,14 +23,17 @@ from bridgekac.feynman_kac import (
     refine_steps,
     _bridge_blocks,
     _bridge_sums,
-    _chunk_weights,
     _estimates,
     _line_action,
     _matrix_elements,
     _position_blocks,
     _Stats,
+    _sums_records,
+    _sums_units,
     _sums_weights,
     _tensor_gauss_legendre,
+    _unit_records,
+    _walk_units,
 )
 from bridgekac.oracles import mehler_kernel, stark_q
 from bridgekac.potentials import (
@@ -444,7 +447,7 @@ def test_streamed_weights_equal_one_shot_weights(monkeypatch, case):
     monkeypatch.setattr(feynman_kac, "_BLOCK_ELEMENTS",
                         13 * feynman_kac._WALK_BUFFERS * (n_steps + 1) * V.dim)
     x, y = np.full(V.dim, 0.4), np.full(V.dim, -0.3)
-    got = _chunk_weights(RngSeed(3).generator(5), n_paths, n_steps, x, y, t, V, strides, floors)
+    got = _walk_units([(RngSeed(3).generator(5), n_paths, x, y)], n_steps, t, V, strides, floors)
     normals = RngSeed(3).generator(5).standard_normal((100, n_steps, V.dim))
 
     def one_shot(alpha):
@@ -464,6 +467,14 @@ class _NegatedGenerator:
     def standard_normal(self, *, out):
         self.gen.standard_normal(out=out)
         np.negative(out, out=out)
+
+
+def _chunk_units(gen, count, n_steps, x, y, t, V, strides):
+    """Pair units of a chunk of `count` paths of an unclipped form, one row per stride:
+    the buffers of `_sums_units` joined."""
+    return np.concatenate([units[:, 0].copy() for units in
+                           _sums_units(gen, count, x[None], y[None], t, V.form, n_steps, strides)],
+                          axis=1)
 
 
 def _drawn_weights(gen, n_paths, n_steps, x, y, t, V, strides):
@@ -493,7 +504,7 @@ def test_units_are_the_means_of_each_path_and_its_mirror(monkeypatch, V, strides
     n_steps, t = 16, 0.7
     monkeypatch.setattr(feynman_kac, "_BLOCK_ELEMENTS", 13 * n_steps * V.dim)
     x, y = np.full(V.dim, 0.4), np.full(V.dim, -0.3)
-    got = _chunk_weights(RngSeed(9).generator(2), count, n_steps, x, y, t, V, strides)
+    got = _chunk_units(RngSeed(9).generator(2), count, n_steps, x, y, t, V, strides)
     drawn = -(-count // 2)
     plus = _drawn_weights(RngSeed(9).generator(2), drawn, n_steps, x, y, t, V, strides)
     minus = _drawn_weights(_NegatedGenerator(RngSeed(9).generator(2)), drawn, n_steps, x, y, t,
@@ -510,11 +521,75 @@ def test_units_are_the_means_of_each_path_and_its_mirror(monkeypatch, V, strides
 def test_a_chunk_draws_the_normals_of_half_its_paths(count, n_steps, dim, strides):
     gen = _CountingGenerator(RngSeed(5).generator())
     V = harmonic(dim=dim)
-    units = _chunk_weights(gen, count, n_steps, np.zeros(dim), np.ones(dim), 1.0, V, strides)
+    units = _chunk_units(gen, count, n_steps, np.zeros(dim), np.ones(dim), 1.0, V, strides)
     drawn = -(-count // 2)
     assert units.shape == (len(strides), drawn)
     assert sum(gen.drawn) == drawn * (n_steps - 1) * dim
     assert len(gen.drawn) == -(-drawn // feynman_kac._block_rows(drawn, n_steps - 1, dim))
+
+
+def _buffered_callers():
+    """Per caller of `_sums_records`: its public call, as (numbers, flags), and the node
+    pairs, strides and coefficients it reduces with."""
+    # at t = 2.2 the heavy-tail rule flags 6 of the 9 node pairs and 1 of the 3 grids
+    V, t, mc, rng = inverted_quadratic(1.0), 2.2, McConfig(501, 8), RngSeed(2)
+    phi, psi = bump(width=1.0), bump(0.2, 1.0)
+
+    def q():
+        est = estimate_Q(0.3, -0.2, V, t, mc.n_samples, mc.n_steps, rng)
+        return [est.mean, est.std_error], [est.divergence_suspected]
+
+    def refine():
+        rep = refine_steps(0.3, -0.2, V, t, mc.n_samples, [2, 4, 8], rng)
+        return ([n for e in rep.estimates for n in (e.mean, e.std_error)]
+                + list(rep.diff_means) + list(rep.diff_std_errors),
+                [e.divergence_suspected for e in rep.estimates])
+
+    def element():
+        me = matrix_element(phi, psi, V, t, QuadratureConfig(3), mc, rng)
+        return [me.value, me.std_error], [me.divergence_nodes]
+
+    xs = _tensor_gauss_legendre(phi.support_box, 3)[0]
+    ys = _tensor_gauss_legendre(psi.support_box, 3)[0]
+    one = (np.array([[0.3]]), np.array([[-0.2]]))
+    return {"estimate_Q": (q, *one, (1,), None),
+            "refine_steps": (refine, *one, (4, 2, 1), None),
+            "matrix_element": (element, xs, ys, (1,), np.linspace(0.5, 1.5, 9))}
+
+
+@pytest.mark.parametrize("caller", ["estimate_Q", "refine_steps", "matrix_element"])
+def test_a_small_unit_buffer_reduces_like_one_buffer(monkeypatch, caller):
+    call, xs, ys, strides, coef = _buffered_callers()[caller]
+    numbers, flags = call()
+    # 501 paths: 251 units, in sums blocks of 100 // 7 = 14 paths.  The buffer holds
+    # 100, 33 or 11 units, so it fills inside a sums block, and the chunk ends in a
+    # ragged buffer
+    monkeypatch.setattr(feynman_kac, "_BLOCK_ELEMENTS", 100)
+    small_numbers, small_flags = call()
+    np.testing.assert_allclose(small_numbers, numbers, rtol=1e-12)
+    assert small_flags == flags
+    # the same units reduced buffer by buffer and all at once
+    args = (xs, ys, 2.2, inverted_quadratic(1.0).form, 8, strides)
+    buffered = _sums_records(*args, coef, [RngSeed(2).generator()], 501)
+    whole = np.concatenate([units.copy() for units in _sums_units(RngSeed(2).generator(), 501,
+                                                                   *args)], axis=-1)
+    assert whole.shape == (len(strides), len(xs) * len(ys), 251)
+    one = _unit_records(whole, coef)
+    assert len(buffered) == len(one) == 1 + (len(strides) > 1) + (coef is not None)
+    for a, b in zip(buffered, one):
+        assert a.n == b.n == 251
+        np.testing.assert_allclose(a.mean, b.mean, rtol=1e-12)
+        np.testing.assert_allclose(a.std_error, b.std_error, rtol=1e-12)
+        assert np.array_equal(np.sort(a.top), np.sort(b.top))
+        assert np.array_equal(a.heavy()[1], b.heavy()[1])
+
+
+def test_heavy_mass_fraction_stays_at_most_one():
+    # 20 paths are 10 units, all of them among the 10 heaviest: their sorted sum
+    # exceeded the total, summed in another order, by one ulp
+    est = estimate_Q(0.3, -0.2, stark(1.0), 1.0, 20, 8, RngSeed(0))
+    assert est.heavy_mass_fraction == 1.0
+    assert not est.divergence_suspected
 
 
 @pytest.mark.parametrize("V", [harmonic(), custom(_callable_harmonic, lambda eps: 0.0),

@@ -221,7 +221,7 @@ def _assert_agrees_with_the_dense_spectrum(op, phi, psi, t, kernel_abs=0.0):
 
 
 @pytest.mark.parametrize("V, n_points, t, psi_center", _UNIFORMIZATION_CASES)
-def test_partial_spectrum_agrees_with_the_dense_one(V, n_points, t, psi_center):
+def test_uniformization_agrees_with_the_dense_eigh_on_the_catalog(V, n_points, t, psi_center):
     op = build_grid_operator(V, 8.0, n_points)
     _assert_agrees_with_the_dense_spectrum(op, bump(0.0, 1.0), bump(psi_center, 1.0), t)
 
