@@ -38,18 +38,8 @@ DEFAULT_BACKEND = "python"
 __all__ = [
     "floored_weights",
     "form_parts",
-    "path_positions",
     "quadratic_weights",
 ]
-
-
-def path_positions(alpha: np.ndarray, x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
-    """Positions (1-u) x + u y + sqrt(t) alpha(u) of every path node.
-
-    `alpha` has shape (n_paths, n_steps + 1, dim) and may be a strided
-    view; so has the result, which is a new array.
-    """
-    return _line_positions(alpha.shape[1] - 1, x, y)[None, :, :] + np.sqrt(t) * alpha
 
 
 def _line_positions(n_steps: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -57,7 +57,7 @@ class BoundParameters:
             raise ValueError("t must be positive and finite")
         if not 0.0 < self.delta0 < 1.0:
             raise ValueError("delta0 must lie in (0, 1)")
-        if self.c_eps < 0.0:
+        if not self.c_eps >= 0.0:  # NaN fails too; inf is allowed: no finite certificate
             raise ValueError("c_eps must be nonnegative")
 
     @property
@@ -96,7 +96,7 @@ def jensen_chain_bound(x, y, V: PotentialSpec, t: float, eps: float):
     """
     if not 0.0 < t < math.inf:
         raise ValueError("t must be positive and finite")
-    if eps <= 0.0:
+    if not eps > 0.0:  # NaN fails too
         raise ValueError("eps must be positive")
     moment = gaussian_exp_moment(2.0 * eps * (t * t), 0.25)
     if is_divergent(moment):

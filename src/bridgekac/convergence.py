@@ -50,15 +50,12 @@ from .potentials import PotentialSpec, truncate
 from .stochastic import RngSeed
 
 __all__ = [
-    "CutoffFunction",
     "OperatorSequence",
     "QTruncationReport",
     "Theorem31Report",
     "TruncationReport",
-    "apply_cutoff",
     "check_theorem31",
     "cutoff_contraction_check",
-    "matrix_function",
     "q_truncation_study",
     "resolvent_distance",
     "spike_multiplication_sequence",
@@ -78,24 +75,6 @@ class OperatorSequence:
     members: tuple[np.ndarray, ...]
     limit: np.ndarray
     label: str = "sequence"
-
-
-@dataclass(frozen=True)
-class CutoffFunction:
-    """Three-branch clamp of `base` at height `level`."""
-
-    base: Callable[[np.ndarray], np.ndarray]
-    level: float
-
-    def __call__(self, x):
-        return np.clip(np.asarray(self.base(x), dtype=np.float64), -self.level, self.level)
-
-
-def apply_cutoff(f: Callable, m: float) -> CutoffFunction:
-    """Clamp f to [-m, m]: m where f >= m, -m where f <= -m, f between."""
-    if m <= 0.0:
-        raise ValueError("cutoff level must be positive")
-    return CutoffFunction(base=f, level=float(m))
 
 
 def _check_symmetric_pair(A: np.ndarray, B: np.ndarray) -> None:
@@ -124,19 +103,13 @@ def resolvent_distance(A, B, probe) -> float:
     return float(np.linalg.norm(u - v))
 
 
-def matrix_function(f: Callable, A: np.ndarray) -> np.ndarray:
-    """f(A) for symmetric A through dense eigendecomposition."""
-    w, U = np.linalg.eigh(np.asarray(A, dtype=np.float64))
-    return (U * np.asarray(f(w), dtype=np.float64)) @ U.T
-
-
 def cutoff_contraction_check(A, psi, f: Callable, m: float) -> tuple[float, float]:
     """Return (||f_m(A) psi - f(A) psi||, (1/m) ||f(A)^2 psi||).
 
     Both sides are evaluated in one eigenbasis, so the inequality
     lhs <= rhs holds up to floating-point rounding only.
     """
-    if m <= 0.0:
+    if not m > 0.0:  # NaN fails too
         raise ValueError("cutoff level must be positive")
     w, U = np.linalg.eigh(np.asarray(A, dtype=np.float64))
     c = U.T @ np.asarray(psi, dtype=np.float64)

@@ -104,11 +104,10 @@ from typing import Callable
 import numpy as np
 
 from . import backend as _backend
-from .potentials import PotentialSpec, QuadraticForm
+from .potentials import PotentialSpec, QuadraticForm, _check_dim
 # bridge_values is not called here: the benchmark's traced run wraps this name
-from .stochastic import (BridgePath, RngSeed, _line_weights, _sine_amplitudes,
-                         _sine_transform, _trapezoid_grid, bridge_values, gaussian_q,
-                         is_divergent)  # noqa: F401
+from .stochastic import (RngSeed, _line_weights, _sine_amplitudes, _sine_transform,
+                         _trapezoid_grid, bridge_values, gaussian_q, is_divergent)  # noqa: F401
 
 __all__ = [
     "MatrixElementEstimate",
@@ -117,12 +116,10 @@ __all__ = [
     "QuadratureConfig",
     "RefinementReport",
     "Wavefunction",
-    "action_integral",
     "bump",
     "estimate_Q",
     "free_kernel",
     "gaussian",
-    "l2_norm",
     "matrix_element",
     "refine_steps",
 ]
@@ -234,6 +231,7 @@ class Wavefunction:
     name: str = "wavefunction"
 
     def __post_init__(self) -> None:
+        _check_dim(self.dim)
         if self.kind not in ("compact", "gaussian-weighted"):
             raise ValueError("kind must be 'compact' or 'gaussian-weighted'")
         lower, upper = self.support_box
@@ -284,23 +282,6 @@ def free_kernel(x, y, t: float) -> float:
     d2 = float(np.square(xv - yv).sum())
     dim = xv.size
     return float((2.0 * math.pi * t) ** (-0.5 * dim) * math.exp(-d2 / (2.0 * t)))
-
-
-def action_integral(path: BridgePath, V: PotentialSpec, x, y, t: float) -> float:
-    """Trapezoid approximation of integral_0^t V(path position) ds.
-
-    The path position at grid time u = k/n_steps is
-    (1 - u) x + u y + sqrt(t) alpha(u); the s-integral is t times the
-    u-integral.
-    """
-    if path.dim != V.dim:
-        raise ValueError("path and potential dimensions differ")
-    _check_time(t)
-    xp = _point(x, V.dim)
-    yp = _point(y, V.dim)
-    u, tau = _trapezoid_grid(path.n_steps)
-    pos = np.outer(1.0 - u, xp) + np.outer(u, yp) + math.sqrt(t) * path.values
-    return float(t * (tau @ np.asarray(V.evaluate(pos), dtype=np.float64)))
 
 
 def _block_rows(n_paths: int, n_steps: int, dim: int) -> int:
@@ -370,8 +351,8 @@ def _position_blocks(draws, n_steps: int, t: float):
     rows, dim), in one reused buffer; and a function that rewrites the
     buffer as the positions (1-u) x + u y - sqrt(t) alpha(u) of the
     block's mirrors and returns it.  Both are bit for bit
-    `backend.path_positions` on `bridge_values` of the normals, and of
-    the negated normals, with the first two axes swapped; the mirrors
+    sqrt(t) `bridge_values` of the normals, and of the negated normals,
+    plus the line, with the first two axes swapped; the mirrors
     are written from the bridge block, which the caller never sees, so
     what the caller wrote into the positions does not reach them.  The
     next block overwrites the buffer.
@@ -382,7 +363,7 @@ def _position_blocks(draws, n_steps: int, t: float):
 
     def fill(alpha: np.ndarray, spans, scale: float) -> np.ndarray:
         p = pos[:, :alpha.shape[1]]
-        # the order of path_positions: sqrt(t) alpha first, then the line
+        # sqrt(t) alpha first, then the line
         np.multiply(alpha, scale, out=p)
         for i, a, b in spans:
             p[:, a:b] += lines[i]
@@ -997,6 +978,7 @@ def bump(center=0.0, width: float = 1.0, dim: int = 1) -> Wavefunction:
     """Smooth radial bump supported on the closed ball |x - center| <= width."""
     if not 0.0 < width < math.inf:
         raise ValueError("width must be positive and finite")
+    _check_dim(dim)
     c = _point(center, dim, "center")
 
     def evaluate(points):
@@ -1038,6 +1020,7 @@ def gaussian(center=0.0, sigma: float = 1.0, dim: int = 1,
     """
     if not 0.0 < sigma < math.inf:
         raise ValueError("sigma must be positive and finite")
+    _check_dim(dim)
     c = _point(center, dim, "center")
     radius = sigma * _erfc_inv(tail_mass / dim)
 
@@ -1053,13 +1036,6 @@ def gaussian(center=0.0, sigma: float = 1.0, dim: int = 1,
         kind="gaussian-weighted",
         name=f"gaussian(center={center!r}, sigma={sigma:g})",
     )
-
-
-def l2_norm(psi: Wavefunction, nodes_per_axis: int = 64) -> float:
-    """L^2 norm over the support box by Gauss-Legendre quadrature."""
-    points, weights = _tensor_gauss_legendre(psi.support_box, nodes_per_axis)
-    values = np.asarray(psi.evaluate(points), dtype=np.float64)
-    return float(math.sqrt(float(weights @ np.square(values))))
 
 
 def matrix_element(

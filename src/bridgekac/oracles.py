@@ -32,9 +32,9 @@ contiguous memory, and a block of consecutive steps is summed at once.
 Each block rescales the state by powers of two and keeps the partial
 sums as logarithms, so the value stays finite and accurate at any
 depth of the well, where the series' prefactor e^{-t min V} alone
-leaves the doubles past t |min V| = 709.  `decompose` gives the dense
-eigendecomposition, which the tests take as their reference and a
-caller may pass as `decomp` to reuse across many t.
+leaves the doubles past t |min V| = 709.  Its cost grows linearly in
+t.  `decompose` gives the dense eigendecomposition, which the tests take
+as their reference and the CLI reads the ground energy from.
 
 Domain truncation to [-L, L] is valid when the kernel mass outside the
 box is negligible at the given t; for potentials unbounded below, use
@@ -161,9 +161,8 @@ def build_grid_operator(V: PotentialSpec, L: float, n_points: int) -> GridOperat
 def decompose(op: GridOperator) -> SpectralDecomposition:
     """Dense symmetric eigendecomposition (`eigh`) of the grid Hamiltonian.
 
-    The semigroup oracles do not need it.  Passed to them as `decomp`, it
-    gives e^{-tH} for many t from one O(n^3) solve; its eigenvector
-    rounding is then multiplied by e^{-t lambda_0}, so it is exact only
+    The semigroup oracles do not use it.  e^{-tH} formed from it carries
+    its eigenvector rounding times e^{-t lambda_0}, so it is exact only
     while that factor is moderate.
     """
     eigenvalues, eigenvectors = np.linalg.eigh(op.hamiltonian)
@@ -313,33 +312,14 @@ def _on_grid(op: GridOperator, wf: Wavefunction) -> np.ndarray:
     return v
 
 
-def _semigroup_value(op: GridOperator, t: float, f: np.ndarray, g: np.ndarray, scale: float,
-                     decomp: SpectralDecomposition | None) -> float:
-    """scale * f^T e^{-tH} g: by uniformization, or through the functional calculus of `decomp`."""
-    if decomp is None:
-        return float(scale * _uniformized([op], t, f, g)[0])
-    a = decomp.eigenvectors.T @ f
-    b = decomp.eigenvectors.T @ g
-    return float(scale * (a * np.exp(-t * decomp.eigenvalues)) @ b)
-
-
-def semigroup_matrix_element(
-    op: GridOperator,
-    phi: Wavefunction,
-    psi: Wavefunction,
-    t: float,
-    decomp: SpectralDecomposition | None = None,
-) -> float:
+def semigroup_matrix_element(op: GridOperator, phi: Wavefunction, psi: Wavefunction,
+                             t: float) -> float:
     """<phi, e^{-tH} psi> on the grid, inner products as grid sums with weight h.
 
-    Without a `decomp` the value comes from uniformization
-    (`_uniformized`), whose relative error does not grow with
-    ||e^{-tH}||.  A `decomp` from `decompose(op)` is used as given
-    instead, to reuse one eigendecomposition across many t.
+    The value comes from uniformization (`_uniformized`), whose relative
+    error does not grow with ||e^{-tH}||; its cost grows linearly in t.
     """
-    _check_t(t)
-    f, g = _on_grid(op, phi), _on_grid(op, psi)
-    return _semigroup_value(op, t, f, g, op.h, decomp)
+    return float(_semigroup_matrix_elements([op], phi, psi, t)[0])
 
 
 def _semigroup_matrix_elements(ops: Sequence[GridOperator], phi: Wavefunction,
@@ -351,20 +331,13 @@ def _semigroup_matrix_elements(ops: Sequence[GridOperator], phi: Wavefunction,
     return ops[0].h * _uniformized(ops, t, f, g)
 
 
-def semigroup_kernel(
-    op: GridOperator,
-    x: float,
-    y: float,
-    t: float,
-    decomp: SpectralDecomposition | None = None,
-) -> float:
+def semigroup_kernel(op: GridOperator, x: float, y: float, t: float) -> float:
     """Kernel value e^{-tH}(x, y) at the grid nodes nearest x and y.
 
     The matrix element between grid delta functions carries a 1/h
     normalization; x and y are snapped to the nearest nodes (at most h/2
     away), so compare against smooth references only.  It is evaluated
-    as in `semigroup_matrix_element`: by uniformization, or through a
-    `decomp` passed in.
+    by uniformization, as `semigroup_matrix_element` is.
     """
     _check_t(t)
     grid = op.grid
@@ -374,7 +347,7 @@ def semigroup_kernel(
     g = np.zeros(op.n_points)
     f[int(np.argmin(np.abs(grid - x)))] = 1.0
     g[int(np.argmin(np.abs(grid - y)))] = 1.0
-    return _semigroup_value(op, t, f, g, 1.0 / op.h, decomp)
+    return float(_uniformized([op], t, f, g)[0] * (1.0 / op.h))
 
 
 def stark_q(x: float, y: float, F: float, t: float) -> float:

@@ -224,7 +224,7 @@ def certify(V: PotentialSpec, eps: float, sample_points, c_eps=None) -> Certific
     `c_eps` overrides the potential's own certificate, which lets a
     deliberately wrong constant be exhibited as failing.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:  # NaN fails too
         raise ValueError("eps must be positive")
     pts = np.asarray(sample_points, dtype=np.float64)
     if pts.ndim == 1:
@@ -249,5 +249,5 @@ def certify(V: PotentialSpec, eps: float, sample_points, c_eps=None) -> Certific
 
 
 def _check_dim(dim: int) -> None:
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
         raise ValueError("dim must be a positive integer")

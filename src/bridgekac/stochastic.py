@@ -8,9 +8,10 @@ error, never the path law itself.
 
 - The walk: b(k/n) is the cumulative sum of independent Gaussian
   increments of variance 1/n per coordinate, and alpha(k/n) is
-  b(k/n) - (k/n) b(1).  `bridge_values`, `sample_bridge` and
-  `sample_bridge_batch` draw it, and so does every estimator that needs
-  node values: callable potentials and clipped quadratic forms.
+  b(k/n) - (k/n) b(1).  `bridge_values` and `sample_bridge` draw it;
+  so does `feynman_kac._bridge_blocks`, one row block at a time, for
+  every estimator that needs node values: callable potentials and
+  clipped quadratic forms.
 - Sine (Karhunen-Loeve) coordinates: the interior values have precision
   K = n tridiag(-1, 2, -1), which the discrete sine basis diagonalizes,
   so alpha(k/n) = sum_j sqrt(2/n) sin(j k pi / n) xi_j / sqrt(n mu_j)
@@ -52,14 +53,12 @@ __all__ = [
     "DIVERGENT",
     "BridgePath",
     "RngSeed",
-    "bridge_covariance",
     "bridge_values",
     "gaussian_exp_moment",
     "gaussian_q",
     "is_divergent",
     "log_gaussian_q",
     "sample_bridge",
-    "sample_bridge_batch",
 ]
 
 
@@ -204,25 +203,6 @@ def sample_bridge(dim: int, n_steps: int, rng) -> BridgePath:
     return BridgePath(dim=dim, n_steps=n_steps, values=values)
 
 
-def sample_bridge_batch(dim: int, n_steps: int, n_paths: int, rng) -> np.ndarray:
-    """Draw n_paths bridges at once; returns shape (n_paths, n_steps + 1, dim)."""
-    if dim < 1:
-        raise ValueError("dim must be a positive integer")
-    if n_steps < 1:
-        raise ValueError("n_steps must be a positive integer")
-    if n_paths < 1:
-        raise ValueError("n_paths must be a positive integer")
-    gen = _as_generator(rng)
-    return bridge_values(gen.standard_normal((n_paths, n_steps, dim)))
-
-
-def bridge_covariance(s: float, u: float) -> float:
-    """Covariance min(s, u) (1 - max(s, u)) of one bridge coordinate."""
-    if not 0.0 <= s <= 1.0 or not 0.0 <= u <= 1.0:
-        raise ValueError("times must lie in [0, 1]")
-    return min(s, u) * (1.0 - max(s, u))
-
-
 def gaussian_exp_moment(eps: float, variance: float):
     """E(exp(eps X^2)) for mean-zero Gaussian X with the given variance.
 
@@ -230,7 +210,9 @@ def gaussian_exp_moment(eps: float, variance: float):
     eps * variance < 1/2 and the DIVERGENT marker otherwise; the
     boundary case is divergent.
     """
-    if variance < 0.0:
+    if math.isnan(eps):
+        raise ValueError("eps must not be NaN")
+    if not variance >= 0.0:  # NaN fails too
         raise ValueError("variance must be nonnegative")
     if eps * variance >= 0.5:
         return DIVERGENT

@@ -38,18 +38,13 @@ from bridgekac.feynman_kac import (
 from bridgekac.oracles import (
     OracleConfig,
     build_grid_operator,
-    decompose,
     mehler_kernel,
     semigroup_matrix_element,
     stark_kernel,
     stark_q,
 )
 from bridgekac.potentials import harmonic, inverted_quadratic, stark, zero
-from bridgekac.stochastic import (
-    gaussian_exp_moment,
-    is_divergent,
-    sample_bridge_batch,
-)
+from bridgekac.stochastic import gaussian_exp_moment, is_divergent
 
 
 def _report(num: int, text: str) -> None:
@@ -91,13 +86,13 @@ def test_criterion_01_free_case_is_exact():
                "endpoint/step combinations")
 
 
-def test_criterion_02_bridge_law_second_moments():
+def test_criterion_02_bridge_law_second_moments(bridge_batch):
     from bridgekac.stochastic import RngSeed
     n_samples, n_steps = 100000, 128
-    paths = sample_bridge_batch(1, n_steps, n_samples, RngSeed(1002).generator(0))
-    mid = paths[:, n_steps // 2, 0]
-    a = paths[:, n_steps // 4, 0]
-    b = paths[:, 3 * n_steps // 4, 0]
+    paths = bridge_batch(RngSeed(1002).generator(0), n_steps, n_samples)
+    mid = paths[:, n_steps // 2]
+    a = paths[:, n_steps // 4]
+    b = paths[:, 3 * n_steps // 4]
 
     var = float(np.var(mid))
     se_var = float(np.std((mid - mid.mean()) ** 2)) / math.sqrt(n_samples)
@@ -113,12 +108,12 @@ def test_criterion_02_bridge_law_second_moments():
                f"Cov(quarter points)={cov:.5f} (z={z_cov:.2f}) at 4se")
 
 
-def test_criterion_03_midpoint_exponential_moment():
+def test_criterion_03_midpoint_exponential_moment(bridge_batch):
     from bridgekac.stochastic import RngSeed
     n_samples = 100000
     # with two steps the sampled grid contains s=1/2 itself, so the draw
     # follows the exact N(0, 1/4) midpoint law
-    mid = sample_bridge_batch(1, 2, n_samples, RngSeed(1003).generator(0))[:, 1, 0]
+    mid = bridge_batch(RngSeed(1003).generator(0), 2, n_samples)[:, 1]
     zs = []
     for eps in (0.4, 0.8, 1.2, 1.6):
         w = np.exp(eps * mid**2)
@@ -169,10 +164,9 @@ def test_criterion_05_harmonic_two_oracle_crosscheck():
     phi = bump(center=0.0, width=1.0)
     psi = bump(center=0.0, width=1.0)
     op = build_grid_operator(V, 8.0, 1400)
-    dec = decompose(op)
     digests = []
     for t in (0.25, 0.5, 1.0):
-        grid_me = semigroup_matrix_element(op, phi, psi, t, dec)
+        grid_me = semigroup_matrix_element(op, phi, psi, t)
         mehler_me = _kernel_matrix_element(
             phi, psi, lambda a, b: mehler_kernel(a, b, 1.0, t))
         rel = abs(grid_me - mehler_me) / max(abs(grid_me), abs(mehler_me))

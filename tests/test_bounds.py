@@ -9,9 +9,10 @@ from bridgekac.bounds import (
     theorem21_bound,
     verify_bound_sweep,
 )
+from bridgekac.convergence import cutoff_contraction_check
 from bridgekac.feynman_kac import McConfig
-from bridgekac.potentials import harmonic, inverted_quadratic, stark, zero
-from bridgekac.stochastic import RngSeed, is_divergent
+from bridgekac.potentials import certify, harmonic, inverted_quadratic, stark, zero
+from bridgekac.stochastic import RngSeed, gaussian_exp_moment, is_divergent
 
 
 def test_bound_parameters_validation():
@@ -35,6 +36,22 @@ def test_bounds_reject_a_time_that_is_not_finite(t):
         BoundParameters.for_potential(harmonic(), t, 0.5)
     with pytest.raises(ValueError):
         jensen_chain_bound(0.0, 0.0, harmonic(), t, 0.1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gaussian_exp_moment(math.nan, 0.25),
+    lambda: gaussian_exp_moment(0.25, math.nan),
+    lambda: jensen_chain_bound(0.0, 0.0, harmonic(), 1.0, math.nan),
+    lambda: certify(harmonic(), math.nan, [0.0, 1.0]),
+    lambda: BoundParameters(1.0, 0.5, c_eps=math.nan),
+    lambda: cutoff_contraction_check(np.eye(2), np.ones(2), np.exp, math.nan),
+], ids=["moment-eps", "moment-variance", "jensen-eps", "certify-eps", "c-eps",
+        "cutoff-level"])
+def test_bound_layer_rejects_nan(make):
+    # each check was written as x <= 0 or x < 0, which NaN passes: the moment and the
+    # contraction read NaN, the jensen envelope inf, and theorem21_bound inf
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_for_potential_reads_certificate_at_matched_eps():

@@ -8,17 +8,15 @@ import numpy as np
 import pytest
 
 from bridgekac import backend, feynman_kac
-from bridgekac.backend import path_positions, quadratic_weights
+from bridgekac.backend import _line_positions, quadratic_weights
 from bridgekac.feynman_kac import (
     McConfig,
     QuadratureConfig,
     Wavefunction,
-    action_integral,
     bump,
     estimate_Q,
     free_kernel,
     gaussian,
-    l2_norm,
     matrix_element,
     refine_steps,
     _bridge_blocks,
@@ -41,7 +39,6 @@ from bridgekac.potentials import (
 )
 from bridgekac.stochastic import (
     DIVERGENT, RngSeed, _sine_amplitudes, _sine_transform, bridge_values, gaussian_q,
-    sample_bridge,
 )
 
 
@@ -100,8 +97,6 @@ def test_estimate_validation():
 def test_time_must_be_positive_and_finite(counting_seed, t):
     with pytest.raises(ValueError):
         free_kernel(0.0, 0.0, t)
-    with pytest.raises(ValueError):
-        action_integral(sample_bridge(1, 4, RngSeed(0)), harmonic(), 0.0, 0.0, t)
     phi = bump()
     rng = counting_seed(1)
     calls = [
@@ -427,7 +422,8 @@ def _one_shot_weights(alpha, x, y, t, V, strides, floors=None):
     node-major kernel, one row per stride and then per floor: a callable at the
     positions, a quadratic form from its even and odd parts."""
     if V.form is None:
-        pos = path_positions(alpha, x, y, t).transpose(1, 0, 2)
+        line = _line_positions(alpha.shape[1] - 1, x, y)
+        pos = (line[None] + np.sqrt(t) * alpha).transpose(1, 0, 2)
         return [w for s in strides
                 for w in backend.floored_weights(np.array(V.evaluate(pos[::s].copy())),
                                                  (-math.inf,) if floors is None else floors, t)]
@@ -750,18 +746,6 @@ def test_estimate_memory_does_not_grow_with_n_steps(V):
         assert peak < 32e6
 
 
-def test_action_integral_trapezoid():
-    path = sample_bridge(1, 8, RngSeed(4))
-    x, y, t = 0.5, -0.25, 1.7
-    V = harmonic(omega=1.3)
-    got = action_integral(path, V, x, y, t)
-    u = path.times
-    pos = (1.0 - u)[:, None] * x + u[:, None] * y + math.sqrt(t) * path.values
-    vals = V.evaluate(pos)
-    want = float(np.trapezoid(vals, dx=1.0 / 8.0) * t)
-    assert got == pytest.approx(want, rel=1e-14)
-
-
 def test_mc_config_validation():
     McConfig()
     with pytest.raises(ValueError):
@@ -815,13 +799,6 @@ def test_wavefunction_factories_reject_non_finite_parameters(make):
         make()
 
 
-def test_l2_norm_of_gaussian():
-    # the support box drops tail_mass = 1e-8 of squared mass, so the norm
-    # sits within ~0.5e-8 relative of the closed form
-    psi = gaussian(sigma=1.0)
-    assert l2_norm(psi) == pytest.approx(math.pi**0.25, rel=1e-7)
-
-
 def test_wavefunction_validation():
     with pytest.raises(ValueError):
         Wavefunction(dim=1, evaluate=lambda p: p, support_box=((1.0,), (-1.0,)),
@@ -832,6 +809,22 @@ def test_wavefunction_validation():
     with pytest.raises(ValueError):
         Wavefunction(dim=1, evaluate=lambda p: p, support_box=((-1.0,), (1.0,)),
                      kind="mystery")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: bump(dim=0),
+    lambda: bump(dim=True),
+    lambda: gaussian(dim=0),
+    lambda: Wavefunction(dim=1.0, evaluate=lambda p: p, support_box=((-1.0,), (1.0,)),
+                         kind="compact"),
+    lambda: harmonic(dim=True),
+    lambda: zero(dim=False),
+], ids=["bump-0", "bump-true", "gaussian-0", "wavefunction-float", "harmonic-true",
+        "zero-false"])
+def test_dimensions_must_be_positive_integers(make):
+    # dim 0 would build a zero-dimensional bump or divide by zero in gaussian; True would pass as 1
+    with pytest.raises(ValueError, match="dim"):
+        make()
 
 
 def test_matrix_element_free_case_equals_kernel_quadrature():

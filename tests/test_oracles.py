@@ -59,31 +59,30 @@ def test_harmonic_spectrum_on_grid(harmonic_grid):
 
 
 def test_semigroup_matrix_element_at_t_zero_is_inner_product(harmonic_grid):
-    op, dec = harmonic_grid
+    op, _ = harmonic_grid
     phi = bump(center=-0.2, width=1.0)
     psi = bump(center=0.3, width=1.0)
-    got = semigroup_matrix_element(op, phi, psi, 0.0, dec)
+    got = semigroup_matrix_element(op, phi, psi, 0.0)
     xp, xw = _tensor_gauss_legendre(((-1.5,), (1.5,)), 64)
     want = float(xw @ (phi.evaluate(xp) * psi.evaluate(xp)))
     assert got == pytest.approx(want, rel=1e-4)
 
 
 def test_grid_kernel_matches_mehler(harmonic_grid):
-    op, dec = harmonic_grid
+    op, _ = harmonic_grid
     for x, y, t in [(0.0, 0.0, 0.5), (0.7, -0.4, 1.0), (1.5, 1.5, 0.25)]:
         xg = float(op.grid[np.abs(op.grid - x).argmin()])
         yg = float(op.grid[np.abs(op.grid - y).argmin()])
-        a = semigroup_kernel(op, xg, yg, t, dec)
+        a = semigroup_kernel(op, xg, yg, t)
         b = mehler_kernel(xg, yg, 1.0, t)
         assert abs(a - b) / abs(b) < 1e-3
 
 
 def test_grid_kernel_free_case():
     op = build_grid_operator(zero(), 8.0, 900)
-    dec = decompose(op)
     xg = float(op.grid[np.abs(op.grid - 0.4).argmin()])
     yg = float(op.grid[np.abs(op.grid + 0.3).argmin()])
-    a = semigroup_kernel(op, xg, yg, 0.7, dec)
+    a = semigroup_kernel(op, xg, yg, 0.7)
     b = free_kernel(xg, yg, 0.7)
     assert abs(a - b) / b < 1e-3
 
@@ -134,11 +133,10 @@ def test_stark_q_gaussian_action_identity():
 
 def test_grid_kernel_matches_stark():
     op = build_grid_operator(stark(1.0), 8.0, 900)
-    dec = decompose(op)
     xg = float(op.grid[np.abs(op.grid - 0.2).argmin()])
     yg = float(op.grid[np.abs(op.grid + 0.1).argmin()])
     for t in (0.25, 0.5, 1.0):
-        a = semigroup_kernel(op, xg, yg, t, dec)
+        a = semigroup_kernel(op, xg, yg, t)
         b = stark_kernel(xg, yg, 1.0, t)
         assert abs(a - b) / abs(b) < 1e-3
 
@@ -210,14 +208,31 @@ _UNIFORMIZATION_CASES = [
 ]
 
 
+def _spectral(dense, t, f, g):
+    """f^T e^{-tH} g through the eigendecomposition `dense` of H."""
+    return float((dense.eigenvectors.T @ f * np.exp(-t * dense.eigenvalues))
+                 @ (dense.eigenvectors.T @ g))
+
+
+def _spectral_element(op, dense, phi, psi, t):
+    """`semigroup_matrix_element` through the eigendecomposition `dense` of op."""
+    f, g = (wf.evaluate(op.grid[:, None]) for wf in (phi, psi))
+    return op.h * _spectral(dense, t, f, g)
+
+
+def _spectral_kernel(op, dense, x, y, t):
+    """`semigroup_kernel` through the eigendecomposition `dense` of op."""
+    f, g = (np.eye(1, op.n_points, int(np.abs(op.grid - p).argmin()))[0] for p in (x, y))
+    return _spectral(dense, t, f, g) / op.h
+
+
 def _assert_agrees_with_the_dense_spectrum(op, phi, psi, t, kernel_abs=0.0):
     dense = decompose(op)
     value = semigroup_matrix_element(op, phi, psi, t)
-    assert value == pytest.approx(semigroup_matrix_element(op, phi, psi, t, dense),
-                                  rel=1e-11, abs=0.0)
+    assert value == pytest.approx(_spectral_element(op, dense, phi, psi, t), rel=1e-11, abs=0.0)
     for x, y in [(0.0, 0.0), (0.3, -0.2)]:
         assert semigroup_kernel(op, x, y, t) == pytest.approx(
-            semigroup_kernel(op, x, y, t, dense), rel=1e-11, abs=kernel_abs)
+            _spectral_kernel(op, dense, x, y, t), rel=1e-11, abs=kernel_abs)
 
 
 @pytest.mark.parametrize("V, n_points, t, psi_center", _UNIFORMIZATION_CASES)
@@ -248,9 +263,10 @@ _ODD = Wavefunction(dim=1, evaluate=lambda p: (bump(-0.5, 1.0).evaluate(p)
 def test_uniformization_of_signed_wavefunctions_agrees_with_the_dense_spectrum():
     odd = _ODD
     op = build_grid_operator(harmonic(), 8.0, 600)
+    dense = decompose(op)
     for psi in (odd, bump(0.3, 1.0)):
         value = semigroup_matrix_element(op, odd, psi, 1.0)
-        assert value == pytest.approx(semigroup_matrix_element(op, odd, psi, 1.0, decompose(op)),
+        assert value == pytest.approx(_spectral_element(op, dense, odd, psi, 1.0),
                                       rel=1e-11, abs=0.0)
     assert semigroup_matrix_element(op, odd, odd, 1.0) > 0.0
 
@@ -282,7 +298,7 @@ def test_batched_uniformization_matches_single_calls_and_the_dense_eigh():
     for value, op in zip(oracles._semigroup_matrix_elements(ops, phi, phi, 1.0), ops):
         assert value == pytest.approx(semigroup_matrix_element(op, phi, phi, 1.0),
                                       rel=1e-12, abs=0.0)
-        assert value == pytest.approx(semigroup_matrix_element(op, phi, phi, 1.0, decompose(op)),
+        assert value == pytest.approx(_spectral_element(op, decompose(op), phi, phi, 1.0),
                                       rel=1e-11, abs=0.0)
     # a signed phi: up to four series for each of two levels
     ops = ops[::5]
@@ -291,7 +307,7 @@ def test_batched_uniformization_matches_single_calls_and_the_dense_eigh():
             assert value == pytest.approx(semigroup_matrix_element(op, _ODD, psi, 1.0),
                                           rel=1e-12, abs=0.0)
             assert value == pytest.approx(
-                semigroup_matrix_element(op, _ODD, psi, 1.0, decompose(op)), rel=1e-11, abs=0.0)
+                _spectral_element(op, decompose(op), _ODD, psi, 1.0), rel=1e-11, abs=0.0)
 
 
 def test_batched_uniformization_memory_stays_bounded():

@@ -7,12 +7,10 @@ from bridgekac.stochastic import (
     DIVERGENT,
     BridgePath,
     RngSeed,
-    bridge_covariance,
     bridge_values,
     gaussian_exp_moment,
     is_divergent,
     sample_bridge,
-    sample_bridge_batch,
 )
 
 
@@ -62,24 +60,13 @@ def test_bridge_values_matches_direct_construction():
     assert np.all(alpha[:, -1] == 0.0)
 
 
-def test_bridge_covariance_function():
-    assert bridge_covariance(0.25, 0.75) == pytest.approx(1.0 / 16.0)
-    assert bridge_covariance(0.5, 0.5) == pytest.approx(0.25)
-    assert bridge_covariance(0.0, 0.3) == 0.0
-    assert bridge_covariance(0.3, 1.0) == 0.0
-    with pytest.raises(ValueError):
-        bridge_covariance(-0.1, 0.5)
-    with pytest.raises(ValueError):
-        bridge_covariance(0.5, 1.1)
-
-
-def test_bridge_grid_law_second_moments():
+def test_bridge_grid_law_second_moments(bridge_batch):
     # grid values carry the exact bridge covariance at every resolution
     n = 16
-    batch = sample_bridge_batch(1, n, 200_000, RngSeed(11))
-    mid = batch[:, n // 2, 0]
-    quarter = batch[:, n // 4, 0]
-    threequarter = batch[:, 3 * n // 4, 0]
+    batch = bridge_batch(RngSeed(11).generator(), n, 200_000)
+    mid = batch[:, n // 2]
+    quarter = batch[:, n // 4]
+    threequarter = batch[:, 3 * n // 4]
     var = mid.var()
     var_se = np.square(mid).std() / math.sqrt(mid.size)
     assert abs(var - 0.25) < 4.0 * var_se
@@ -117,14 +104,14 @@ def test_divergent_marker_semantics():
     assert repr(DIVERGENT) == "DIVERGENT"
 
 
-def test_time_average_variance_deficit():
+def test_time_average_variance_deficit(bridge_batch):
     # trapezoid average of grid values has variance (1 - 1/n^2) / 12
     n = 8
-    batch = sample_bridge_batch(1, n, 400_000, RngSeed(23))
+    batch = bridge_batch(RngSeed(23).generator(), n, 400_000)
     w = np.full(n + 1, 1.0 / n)
     w[0] *= 0.5
     w[-1] *= 0.5
-    avg = (batch[:, :, 0] * w).sum(axis=1)
+    avg = (batch * w).sum(axis=1)
     target = (1.0 - 1.0 / n**2) / 12.0
     se = np.square(avg).std() / math.sqrt(avg.size)
     assert abs(avg.var() - target) < 4.0 * se
