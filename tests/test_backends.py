@@ -103,12 +103,17 @@ def test_out_argument_is_used():
 def test_clipped_kernel_matches_reference_for_paths_and_mirrors(dim):
     # E + O and E - O are the values along each path and along its mirror
     form = QuadraticForm(-0.4, (0.3, -0.5, 0.2)[:dim], 0.1)
-    # each finite floor lies below the values at the ends, where the paths are pinned
-    floors = {1: (-0.45, -1.0), 2: (-1.4, -2.0), 3: (-1.1, -1.6)}[dim] + (-math.inf,)
     strides = (1, 2, 4)
     n_paths, n_steps, t = 20, 16, 0.9
     x, y = np.linspace(0.4, 1.2, dim), np.linspace(-0.7, 0.1, dim)
     normals = RngSeed(13).generator(0).standard_normal((n_paths, n_steps, dim))
+    # each finite floor lies between the smallest and the largest per-path minimum of V, so
+    # it binds on some paths and not on others whatever the stream draws
+    u = np.linspace(0.0, 1.0, n_steps + 1)[:, None]
+    pos = (1.0 - u) * x + u * y + math.sqrt(t) * bridge_values(normals)
+    lows = np.sort((form.quad * np.square(pos).sum(axis=-1) + pos @ form.lin + form.const)
+                   .min(axis=1))
+    floors = (0.5 * float(lows[4] + lows[5]), 0.5 * float(lows[14] + lows[15]), -math.inf)
 
     def reference(alpha):
         return np.array([_reference_weights(alpha[:, ::s], x, y, t,

@@ -348,9 +348,10 @@ def test_q_truncation_study_infinite_level_reads_the_exact_grid_value():
 
 
 def test_q_truncation_study_clamps_controlled_estimates_at_zero():
-    # ten paths, where w_ref's tail draws the mean of w - w_ref below -Q_ref
+    # ten paths, where w_ref's tail draws the mean of w - w_ref below -Q_ref: a rare event,
+    # so the seed is the first one >= 0 at which both levels clamp
     report = q_truncation_study(0.0, 0.0, inverted_quadratic(1.0), 1.55, [0.0, 0.5],
-                                McConfig(10, 32), RngSeed(216))
+                                McConfig(10, 32), RngSeed(12))
     assert [e.mean for e in report.estimates] == [0.0, 0.0]
     assert all(e.std_error > 0.0 for e in report.estimates)
     assert report.monotone

@@ -1,8 +1,10 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import bridgekac
 from bridgekac.stochastic import (
     DIVERGENT,
     BridgePath,
@@ -36,6 +38,24 @@ def test_rng_seed_streams_are_reproducible_and_distinct():
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
     assert RngSeed(7).with_stream(5) == RngSeed(7, stream_id=5)
+
+
+def test_rng_seed_streams_are_sfc64_with_recorded_normals():
+    # every fixed-seed number rests on these bits: a silent change of generator fails here
+    gen = RngSeed(42, stream_id=3).generator(7, 1)
+    assert type(gen.bit_generator) is np.random.SFC64
+    assert gen.standard_normal(4).tolist() == [
+        0.9806031315147484, 1.241131133890685, -1.9539206913256282, 1.1867423884376032]
+
+
+def test_only_rng_seed_builds_generators():
+    # RngSeed.generator holds the library's one generator construction
+    hits = [(path.name, line.strip())
+            for path in sorted(pathlib.Path(bridgekac.__file__).parent.rglob("*.py"))
+            for line in path.read_text(encoding="utf-8").splitlines()
+            if "default_rng(" in line or "Generator(" in line]
+    assert hits == [("stochastic.py",
+                     "return np.random.Generator(np.random.SFC64(self.sequence(*key)))")]
 
 
 def test_bridge_endpoints_are_exact_zeros():
@@ -95,6 +115,12 @@ def test_gaussian_exp_moment_closed_form_and_divergence():
     assert gaussian_exp_moment(-1.0, 1.0) == pytest.approx((3.0) ** -0.5)
     with pytest.raises(ValueError):
         gaussian_exp_moment(0.1, -1.0)
+
+
+@pytest.mark.parametrize("eps, variance", [(math.inf, 0.0), (0.0, math.inf), (-math.inf, 0.0)])
+def test_gaussian_exp_moment_is_one_when_eps_or_variance_is_zero(eps, variance):
+    # eps X^2 is 0 almost surely, though eps * variance is NaN
+    assert gaussian_exp_moment(eps, variance) == 1.0
 
 
 def test_divergent_marker_semantics():
