@@ -7,6 +7,15 @@ all reported at once.  Every experiment writes one CSV (floats via
 repr, booleans as true/false) and prints a one-line summary; exit code
 0 means the run completed, 2 means the config was rejected, 1 means an
 io or runtime failure.
+
+Three tables drive the rest: `_EXPERIMENTS` (runner, accepted keys and
+help of each subcommand), `_POTENTIALS` (factory, parameter keys and
+closed-form kernel of each potential) and `_WAVEFUNCTIONS` (factory and
+parameter keys of each wavefunction).  The choice sets, the coupling
+rules between a catalog entry and its parameter keys, the builders and
+the subcommands are all read off them, so a new experiment, potential
+or wavefunction is one entry (plus its runner) and a `_KEY_SPECS` line
+for each new key.
 """
 
 from __future__ import annotations
@@ -100,9 +109,13 @@ def _is_number(v) -> bool:
 
 
 def _coerce_float(v):
-    if not _is_number(v) or not math.isfinite(float(v)):
+    try:
+        val = float(v) if _is_number(v) else math.nan
+    except OverflowError:  # an integer literal past the largest double
+        val = math.inf
+    if not math.isfinite(val):
         return None, "expected a finite number"
-    return float(v), None
+    return val, None
 
 
 def _coerce_int(v):
@@ -187,7 +200,10 @@ def _increasing_list(listed: str, noun: str, min_len: int, kind: str):
         for item in v:
             if not _is_number(item) or (cast is int and not isinstance(item, int)) or not item > 0:
                 return None, f"{noun} must be positive {kind}"
-            out.append(cast(item))
+            try:
+                out.append(cast(item))
+            except OverflowError:  # an integer literal past the largest double
+                return None, f"{noun} must lie within the range of a double"
         if any(b <= a for a, b in zip(out, out[1:])):
             return None, f"{noun} must be strictly increasing"
         return out, None
@@ -203,8 +219,20 @@ _coerce_demo_levels = _increasing_list("of spike levels", "spike levels", 1, "in
 _REQUIRED = object()
 
 
-def _default_output(experiment: str) -> str:
-    return f"{experiment}.csv"
+# name: (factory, {config key: factory keyword}, closed-form kernel or None); the kernel
+# takes (x, y, *the parameter values in key order, t)
+_POTENTIALS = {
+    "zero": (potentials.zero, {}, free_kernel),
+    "harmonic": (potentials.harmonic, {"potential.omega": "omega"}, mehler_kernel),
+    "stark": (potentials.stark, {"potential.F": "field"}, stark_kernel),
+    "inverted-quadratic": (potentials.inverted_quadratic, {"potential.c": "c"}, None),
+}
+
+# name: (factory, {key suffix: factory keyword}); every wavefunction also takes `.center`
+_WAVEFUNCTIONS = {
+    "bump": (bump, {".width": "width"}),
+    "gaussian": (gaussian, {".sigma": "sigma", ".tail_mass": "tail_mass"}),
+}
 
 
 @dataclass(frozen=True)
@@ -213,24 +241,24 @@ class _KeySpec:
     default: object
 
 
+# a potential's parameter key whose default is None is required for it; the
+# output_path default None stands for `<experiment>.csv`
 _KEY_SPECS: dict[str, _KeySpec] = {
     "t": _KeySpec(_coerce_pos_float, 1.0),
     "seed": _KeySpec(_coerce_seed, 0),
     "workers": _KeySpec(_coerce_pos_int, 1),
-    "output_path": _KeySpec(_coerce_str, _default_output),
-    "potential": _KeySpec(
-        _choice(frozenset({"zero", "harmonic", "stark", "inverted-quadratic"})), _REQUIRED
-    ),
+    "output_path": _KeySpec(_coerce_str, None),
+    "potential": _KeySpec(_choice(frozenset(_POTENTIALS)), _REQUIRED),
     "potential.omega": _KeySpec(_coerce_pos_float, 1.0),
     "potential.F": _KeySpec(_coerce_field, None),
     "potential.c": _KeySpec(_coerce_pos_float, None),
     "potential.truncation": _KeySpec(_coerce_pos_float, None),
-    "phi": _KeySpec(_choice(frozenset({"bump", "gaussian"})), "bump"),
+    "phi": _KeySpec(_choice(frozenset(_WAVEFUNCTIONS)), "bump"),
     "phi.center": _KeySpec(_coerce_float, 0.0),
     "phi.width": _KeySpec(_coerce_pos_float, 1.0),
     "phi.sigma": _KeySpec(_coerce_pos_float, 1.0),
     "phi.tail_mass": _KeySpec(_coerce_tail_mass, 1e-8),
-    "psi": _KeySpec(_choice(frozenset({"bump", "gaussian"})), "bump"),
+    "psi": _KeySpec(_choice(frozenset(_WAVEFUNCTIONS)), "bump"),
     "psi.center": _KeySpec(_coerce_float, 0.0),
     "psi.width": _KeySpec(_coerce_pos_float, 1.0),
     "psi.sigma": _KeySpec(_coerce_pos_float, 1.0),
@@ -257,66 +285,31 @@ _KEY_SPECS: dict[str, _KeySpec] = {
     "demo.cutoff": _KeySpec(_coerce_pos_float, 2.0),
 }
 
-_COMMON = frozenset({"t", "seed", "workers", "output_path"})
-_POTENTIAL = frozenset(
-    {"potential", "potential.omega", "potential.F", "potential.c", "potential.truncation"}
-)
-_PHI = frozenset({"phi", "phi.center", "phi.width", "phi.sigma", "phi.tail_mass"})
-_PSI = frozenset({"psi", "psi.center", "psi.width", "psi.sigma", "psi.tail_mass"})
-_MC = frozenset({"mc.n_samples", "mc.n_steps"})
-_QUAD = frozenset({"quadrature.nodes_per_axis"})
-_ORACLE = frozenset({"oracle.L", "oracle.n_points"})
-_POINT = frozenset({"point.x", "point.y"})
 
-_ALLOWED: dict[str, frozenset] = {
-    "q-estimate": _COMMON | _POTENTIAL | _MC | _POINT,
-    "matrix-element": _COMMON | _POTENTIAL | _PHI | _PSI | _MC | _QUAD,
-    "bound-sweep": _COMMON | _POTENTIAL | _MC
-    | frozenset({"sweep.lo", "sweep.hi", "sweep.n", "bound.delta"}),
-    "truncation-study": _COMMON | _POTENTIAL | _PHI | _PSI | _MC | _QUAD | _ORACLE | _POINT
-    | frozenset({"levels", "study.pointwise"}),
-    "theorem31-demo": frozenset({"seed", "output_path"})
-    | frozenset({"demo.n_matrices", "demo.matrix_size", "demo.k", "demo.levels", "demo.cutoff"}),
-    "oracle-crosscheck": frozenset({"t", "output_path"})
-    | _POTENTIAL | _PHI | _PSI | _QUAD | _ORACLE | _POINT,
-    "refine-steps": _COMMON | _POTENTIAL | (_MC - {"mc.n_steps"}) | _POINT
-    | frozenset({"schedule", "refine.mode"}),
-}
-
-_EXPERIMENT_ORDER = [
-    "q-estimate",
-    "matrix-element",
-    "bound-sweep",
-    "truncation-study",
-    "theorem31-demo",
-    "oracle-crosscheck",
-    "refine-steps",
-]
+def _keys(*names: str) -> frozenset:
+    """The `_KEY_SPECS` keys named, or in a group named (the part before the dot)."""
+    return frozenset(key for key in _KEY_SPECS if key in names or key.partition(".")[0] in names)
 
 
 def _cross_checks(exp: str, raw: dict, params: dict, errors: list[str]) -> None:
     present = set(raw)
+    allowed = _EXPERIMENTS[exp][1]
     name = params.get("potential")
-    if "potential" in _ALLOWED[exp]:
-        if name == "stark" and "potential.F" not in present:
-            errors.append("potential.F: required for the stark potential")
-        if name == "inverted-quadratic" and "potential.c" not in present:
-            errors.append("potential.c: required for the inverted-quadratic potential")
-        if "potential.omega" in present and name != "harmonic":
-            errors.append("potential.omega: only meaningful for the harmonic potential")
-        if "potential.F" in present and name != "stark":
-            errors.append("potential.F: only meaningful for the stark potential")
-        if "potential.c" in present and name != "inverted-quadratic":
-            errors.append("potential.c: only meaningful for the inverted-quadratic potential")
+    if "potential" in allowed:
+        for key in _POTENTIALS[name][1] if name in _POTENTIALS else ():
+            if _KEY_SPECS[key].default is None and key not in present:
+                errors.append(f"{key}: required for the {name} potential")
+        for owner, (_, keys, _) in _POTENTIALS.items():
+            for key in keys:
+                if key in present and name != owner:
+                    errors.append(f"{key}: only meaningful for the {owner} potential")
     for prefix in ("phi", "psi"):
-        if prefix not in _ALLOWED[exp]:
+        if prefix not in allowed:
             continue
-        kind = params.get(prefix)
-        if f"{prefix}.width" in present and kind != "bump":
-            errors.append(f"{prefix}.width: only meaningful for bump wavefunctions")
-        for suffix in (".sigma", ".tail_mass"):
-            if f"{prefix}{suffix}" in present and kind != "gaussian":
-                errors.append(f"{prefix}{suffix}: only meaningful for gaussian wavefunctions")
+        for owner, (_, suffixes) in _WAVEFUNCTIONS.items():
+            for key in (prefix + suffix for suffix in suffixes):
+                if key in present and params.get(prefix) != owner:
+                    errors.append(f"{key}: only meaningful for {owner} wavefunctions")
     if exp == "bound-sweep":
         t = params.get("t")
         delta = params.get("bound.delta")
@@ -339,19 +332,17 @@ def _cross_checks(exp: str, raw: dict, params: dict, errors: list[str]) -> None:
         if "potential.truncation" in present:
             errors.append("potential.truncation: the study sweeps truncation levels itself")
         if params.get("study.pointwise"):
-            for key in sorted(present & (_PHI | _PSI | _QUAD | _ORACLE)):
+            for key in sorted(present & _keys("phi", "psi", "quadrature", "oracle")):
                 errors.append(f"{key}: not used in pointwise mode")
         else:
-            for key in sorted(present & _POINT):
+            for key in sorted(present & _keys("point")):
                 errors.append(f"{key}: only used in pointwise mode")
     if exp == "oracle-crosscheck":
         if "potential.truncation" in present:
             errors.append("potential.truncation: crosscheck needs a closed-form kernel")
-        if name == "inverted-quadratic":
-            errors.append(
-                "potential: oracle-crosscheck needs a closed-form kernel "
-                "(zero, harmonic, stark)"
-            )
+        if name in _POTENTIALS and _POTENTIALS[name][2] is None:
+            closed = ", ".join(n for n, (_, _, kernel) in _POTENTIALS.items() if kernel)
+            errors.append(f"potential: oracle-crosscheck needs a closed-form kernel ({closed})")
     if exp == "theorem31-demo":
         k = params.get("demo.k")
         levels = params.get("demo.levels")
@@ -367,31 +358,17 @@ def validate_config(raw: dict, experiment: str | None = None):
     inside the config is an error.  All problems are reported together.
     On any error the config is None.
     """
-    errors: list[str] = []
     exp = raw.get("experiment", experiment)
-    if "experiment" in raw:
-        if not isinstance(exp, str) or exp not in _ALLOWED:
-            errors.append(
-                "experiment: expected one of " + ", ".join(_EXPERIMENT_ORDER)
-            )
-            return None, errors
-        if experiment is not None and exp != experiment:
-            errors.append(
-                f"experiment: config says '{exp}' but the command is '{experiment}'"
-            )
-            return None, errors
-    if exp is None:
-        errors.append("experiment: missing (pass a subcommand or set it in the config)")
-        return None, errors
-    if exp not in _ALLOWED:
-        errors.append("experiment: expected one of " + ", ".join(_EXPERIMENT_ORDER))
-        return None, errors
+    if exp is None and "experiment" not in raw:
+        return None, ["experiment: missing (pass a subcommand or set it in the config)"]
+    if not isinstance(exp, str) or exp not in _EXPERIMENTS:
+        return None, ["experiment: expected one of " + ", ".join(_EXPERIMENTS)]
+    if experiment not in (None, exp):
+        return None, [f"experiment: config says '{exp}' but the command is '{experiment}'"]
 
-    allowed = _ALLOWED[exp]
-    for key in sorted(raw):
-        if key != "experiment" and key not in allowed:
-            errors.append(f"{key}: not recognized for experiment '{exp}'")
-
+    allowed = _EXPERIMENTS[exp][1]
+    errors = [f"{key}: not recognized for experiment '{exp}'"
+              for key in sorted(raw) if key != "experiment" and key not in allowed]
     params: dict = {}
     for key in sorted(allowed):
         spec = _KEY_SPECS[key]
@@ -403,41 +380,28 @@ def validate_config(raw: dict, experiment: str | None = None):
                 params[key] = value
         elif spec.default is _REQUIRED:
             errors.append(f"{key}: required")
-        elif callable(spec.default):
-            params[key] = spec.default(exp)
-        elif isinstance(spec.default, tuple):
-            params[key] = list(spec.default)
         else:
-            params[key] = spec.default
+            params[key] = list(spec.default) if isinstance(spec.default, tuple) else spec.default
 
     _cross_checks(exp, raw, params, errors)
     if errors:
         return None, errors
+    params["output_path"] = params["output_path"] or f"{exp}.csv"
     return ExperimentConfig(experiment=exp, params=params), errors
 
 
 def _build_potential(p: dict):
-    name = p["potential"]
-    if name == "zero":
-        V = potentials.zero()
-    elif name == "harmonic":
-        V = potentials.harmonic(omega=p["potential.omega"])
-    elif name == "stark":
-        V = potentials.stark(field=p["potential.F"])
-    else:
-        V = potentials.inverted_quadratic(c=p["potential.c"])
+    factory, keys, _ = _POTENTIALS[p["potential"]]
+    V = factory(**{keyword: p[key] for key, keyword in keys.items()})
     if p.get("potential.truncation") is not None:
         V = potentials.truncate(V, p["potential.truncation"])
     return V
 
 
 def _build_wavefunction(p: dict, prefix: str) -> Wavefunction:
-    kind = p[prefix]
-    center = p[f"{prefix}.center"]
-    if kind == "bump":
-        return bump(center=center, width=p[f"{prefix}.width"])
-    return gaussian(center=center, sigma=p[f"{prefix}.sigma"],
-                    tail_mass=p[f"{prefix}.tail_mass"])
+    factory, suffixes = _WAVEFUNCTIONS[p[prefix]]
+    return factory(center=p[f"{prefix}.center"],
+                   **{keyword: p[prefix + suffix] for suffix, keyword in suffixes.items()})
 
 
 def _mc_config(p: dict) -> McConfig:
@@ -610,19 +574,13 @@ _CROSSCHECK_TOL = 1e-3
 
 def _run_oracle_crosscheck(p: dict):
     V = _build_potential(p)
-    name = p["potential"]
     t = p["t"]
     op = build_grid_operator(V, p["oracle.L"], p["oracle.n_points"])
+    _, keys, kernel = _POTENTIALS[p["potential"]]
+    args = [p[key] for key in keys]
 
-    if name == "zero":
-        def kern(a, b):
-            return free_kernel(a, b, t)
-    elif name == "harmonic":
-        def kern(a, b):
-            return mehler_kernel(a, b, p["potential.omega"], t)
-    else:
-        def kern(a, b):
-            return stark_kernel(a, b, p["potential.F"], t)
+    def kern(a, b):
+        return kernel(a, b, *args, t)
 
     # both sides at identical arguments: snap the point to the grid
     grid = op.grid
@@ -650,7 +608,7 @@ def _run_oracle_crosscheck(p: dict):
     value_b = semigroup_matrix_element(op, phi, psi, t)
     add("matrix-element", "", "", value_a, value_b)
 
-    if name == "harmonic":
+    if p["potential"] == "harmonic":
         # the lowest eigenvalue of the grid Hamiltonian is omega/2 + O(h^2)
         omega = p["potential.omega"]
         add("ground-energy", "", "", omega / 2.0, float(decompose(op).eigenvalues[0]))
@@ -691,24 +649,31 @@ def _run_refine_steps(p: dict):
     return header, rows, summary
 
 
-_RUNNERS = {
-    "q-estimate": _run_q_estimate,
-    "matrix-element": _run_matrix_element,
-    "bound-sweep": _run_bound_sweep,
-    "truncation-study": _run_truncation_study,
-    "theorem31-demo": _run_theorem31_demo,
-    "oracle-crosscheck": _run_oracle_crosscheck,
-    "refine-steps": _run_refine_steps,
-}
+_COMMON = ("t", "seed", "workers", "output_path")
 
-_HELP = {
-    "q-estimate": "Monte Carlo estimate of the pin-to-pin weight Q(x, y; V, t)",
-    "matrix-element": "quadrature + Monte Carlo estimate of <phi, e^{-tH} psi>",
-    "bound-sweep": "check Monte Carlo estimates against the Gaussian-envelope bound",
-    "truncation-study": "compare both sides of the matrix element over max(V, -n)",
-    "theorem31-demo": "cutoff contraction on random matrices plus the spike sequence",
-    "oracle-crosscheck": "closed-form kernels against the finite-difference grid",
-    "refine-steps": "time-grid refinement study of the Q estimate",
+# name: (runner, accepted keys, help), in command-line order
+_EXPERIMENTS = {
+    "q-estimate": (_run_q_estimate, _keys(*_COMMON, "potential", "mc", "point"),
+                   "Monte Carlo estimate of the pin-to-pin weight Q(x, y; V, t)"),
+    "matrix-element": (
+        _run_matrix_element, _keys(*_COMMON, "potential", "phi", "psi", "mc", "quadrature"),
+        "quadrature + Monte Carlo estimate of <phi, e^{-tH} psi>"),
+    "bound-sweep": (_run_bound_sweep, _keys(*_COMMON, "potential", "mc", "sweep", "bound"),
+                    "check Monte Carlo estimates against the Gaussian-envelope bound"),
+    "truncation-study": (
+        _run_truncation_study, _keys(*_COMMON, "potential", "phi", "psi", "mc", "quadrature",
+                                     "oracle", "point", "levels", "study"),
+        "compare both sides of the matrix element over max(V, -n)"),
+    "theorem31-demo": (_run_theorem31_demo, _keys("seed", "output_path", "demo"),
+                       "cutoff contraction on random matrices plus the spike sequence"),
+    "oracle-crosscheck": (
+        _run_oracle_crosscheck, _keys("t", "output_path", "potential", "phi", "psi",
+                                      "quadrature", "oracle", "point"),
+        "closed-form kernels against the finite-difference grid"),
+    "refine-steps": (
+        _run_refine_steps, _keys(*_COMMON, "potential", "mc.n_samples", "point", "schedule",
+                                 "refine"),
+        "time-grid refinement study of the Q estimate"),
 }
 
 
@@ -718,8 +683,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Feynman-Kac semigroup experiments driven by flat config files.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name in _EXPERIMENT_ORDER:
-        sp = sub.add_parser(name, help=_HELP[name])
+    for name, (_, _, help_text) in _EXPERIMENTS.items():
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="path to a key = value config file")
         sp.add_argument("--seed", type=int, help="override the config seed")
         sp.add_argument("--workers", type=int, help="override the worker count")
@@ -742,31 +707,24 @@ def main(argv=None) -> int:
             return 1
         raw, parse_errors = parse_config_text(text)
 
-    if args.command == "validate":
-        cfg, errors = validate_config(raw)
-        errors = parse_errors + errors
-        if errors:
-            for e in errors:
-                print(f"config error: {e}", file=sys.stderr)
-            return 2
-        print(f"config ok: experiment={cfg.experiment}")
-        return 0
-
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.workers is not None:
-        raw["workers"] = args.workers
-    if args.output is not None:
-        raw["output_path"] = args.output
-    cfg, errors = validate_config(raw, experiment=args.command)
+    experiment = None if args.command == "validate" else args.command
+    if experiment is not None:
+        for key, value in (("seed", args.seed), ("workers", args.workers),
+                           ("output_path", args.output)):
+            if value is not None:
+                raw[key] = value
+    cfg, errors = validate_config(raw, experiment)
     errors = parse_errors + errors
     if errors:
         for e in errors:
             print(f"config error: {e}", file=sys.stderr)
         return 2
+    if experiment is None:
+        print(f"config ok: experiment={cfg.experiment}")
+        return 0
 
     try:
-        header, rows, summary = _RUNNERS[cfg.experiment](cfg.params)
+        header, rows, summary = _EXPERIMENTS[cfg.experiment][0](cfg.params)
         _write_csv(cfg.params["output_path"], header, rows)
     except (OSError, RuntimeError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -236,12 +236,15 @@ def _uniformized(ops: Sequence[GridOperator], t: float, f: np.ndarray,
     so the terms past k add at most (the Poisson mass past k) * ||f||_1
     * max B^k g; the maximum at the block's start bounds it within the
     block.  Past the mode the series stops at the first k where that is
-    at most 1e-16 of every partial sum.  At t = 0 the value is f^T g.
+    at most 1e-16 of every partial sum.  At t = 0 the value is f^T g, and
+    it is 0 if f or g is zero at every node.
     """
     if t == 0.0:
         return np.full(len(ops), float(f @ g))
     f_signs, F = _parts(f)
     g_signs, G = _parts(g)
+    if not (len(F) and len(G)):
+        return np.zeros(len(ops))
     e = abs(ops[0].off_diagonal)
     s = max(float(op.diagonal.max()) for op in ops)
     lam = s - min(float(op.diagonal.min()) for op in ops) + 2.0 * e

@@ -2,7 +2,10 @@ import math
 
 import pytest
 
-from bridgekac.cli import _ALLOWED, _KEY_SPECS, main, parse_config_text, validate_config
+from bridgekac.cli import (
+    _EXPERIMENTS, _KEY_SPECS, _POTENTIALS, _WAVEFUNCTIONS, _build_potential, main,
+    parse_config_text, validate_config,
+)
 
 
 def _write(tmp_path, name, text):
@@ -289,8 +292,80 @@ def test_main_rejects_verdict_constants_as_keys(tmp_path, capsys, experiment, li
 
 
 def test_every_key_spec_is_allowed_somewhere_and_every_allowed_key_has_one():
-    allowed = frozenset().union(*_ALLOWED.values())
+    allowed = frozenset().union(*(keys for _, keys, _ in _EXPERIMENTS.values()))
     assert set(_KEY_SPECS) == allowed
+
+
+def test_every_catalog_parameter_key_has_a_spec_in_its_group():
+    for _, keys, _ in _POTENTIALS.values():
+        assert all(key.startswith("potential.") and key in _KEY_SPECS for key in keys)
+    for _, suffixes in _WAVEFUNCTIONS.values():
+        for prefix in ("phi", "psi"):
+            assert all(prefix + suffix in _KEY_SPECS for suffix in suffixes)
+
+
+def _required(name: str) -> dict:
+    # a potential's required keys are its parameters without a default; 0.5 suits each
+    return {key: 0.5 for key in _POTENTIALS[name][1] if _KEY_SPECS[key].default is None}
+
+
+@pytest.mark.parametrize("name", list(_POTENTIALS))
+def test_each_potential_builds_from_its_required_keys_alone(name):
+    cfg, errors = validate_config({"potential": name, **_required(name)},
+                                  experiment="q-estimate")
+    assert errors == []
+    V = _build_potential(cfg.params)
+    assert V.dim == 1 and math.isfinite(float(V.evaluate([[0.3]])[0]))
+
+
+@pytest.mark.parametrize("name", [n for n, (_, _, kernel) in _POTENTIALS.items() if kernel])
+def test_oracle_crosscheck_runs_for_each_potential_with_a_kernel(tmp_path, capsys, name):
+    lines = [f"potential = {name}", "t = 0.5", "quadrature.nodes_per_axis = 8",
+             "oracle.L = 6.0", "oracle.n_points = 300"]
+    lines += [f"{key} = {value}" for key, value in _required(name).items()]
+    cfg = _write(tmp_path, "xq.cfg", "\n".join(lines) + "\n")
+    out = tmp_path / "xq.csv"
+    assert main(["oracle-crosscheck", "--config", cfg, "--output", str(out)]) == 0
+    assert "oracle-crosscheck[" in capsys.readouterr().out
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[0] for row in rows][:2] == ["kernel", "matrix-element"]
+    assert all(row[-1] == "true" for row in rows)
+
+
+def test_config_breaking_every_coupling_rule_reports_each_in_order(tmp_path, capsys):
+    cfg = _write(tmp_path, "xq.cfg",
+                 "potential = inverted-quadratic\n"
+                 "potential.omega = 2.0\n"
+                 "potential.F = 0.5\n"
+                 "potential.truncation = 4.0\n"
+                 "phi.sigma = 0.5\n"
+                 "phi.tail_mass = 1e-6\n"
+                 "psi = gaussian\n"
+                 "psi.width = 0.5\n")
+    assert main(["oracle-crosscheck", "--config", cfg]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: potential.c: required for the inverted-quadratic potential",
+        "config error: potential.omega: only meaningful for the harmonic potential",
+        "config error: potential.F: only meaningful for the stark potential",
+        "config error: phi.sigma: only meaningful for gaussian wavefunctions",
+        "config error: phi.tail_mass: only meaningful for gaussian wavefunctions",
+        "config error: psi.width: only meaningful for bump wavefunctions",
+        "config error: potential.truncation: crosscheck needs a closed-form kernel",
+        "config error: potential: oracle-crosscheck needs a closed-form kernel "
+        "(zero, harmonic, stark)",
+    ]
+
+
+@pytest.mark.parametrize("experiment, line, message", [
+    ("q-estimate", "t = 1" + "0" * 400, "t: expected a finite number"),
+    ("truncation-study", "levels = [1, 1" + "0" * 400 + "]",
+     "levels: levels must lie within the range of a double"),
+], ids=["scalar", "levels"])
+def test_main_reports_a_huge_integer_literal_as_a_config_error(tmp_path, capsys, experiment,
+                                                                line, message):
+    cfg = _write(tmp_path, "c.cfg", f"potential = zero\n{line}\n")
+    assert main([experiment, "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_main_unreadable_config_exit_code(tmp_path, capsys):
@@ -359,3 +434,23 @@ def test_main_truncation_study_rejects_nan_levels(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: levels: levels must be positive")
     assert not out.exists()
 
+
+
+def test_main_truncation_study_with_psi_zero_at_every_grid_node(tmp_path, capsys):
+    # on oracle.n_points = 600 over [-8, 8], h = 16/601: this psi lies strictly
+    # between the nodes 8/601 and 24/601, so the grid side of every level is 0
+    cfg = _write(tmp_path, "ts.cfg",
+                 "potential = harmonic\n"
+                 f"psi.center = {16 / 601!r}\n"
+                 f"psi.width = {4 / 601!r}\n"
+                 "levels = [1, 4]\n"
+                 "quadrature.nodes_per_axis = 4\n"
+                 "mc.n_samples = 200\n"
+                 "mc.n_steps = 8\n"
+                 "oracle.n_points = 600\n")
+    out = tmp_path / "ts.csv"
+    assert main(["truncation-study", "--config", cfg, "--output", str(out)]) == 0
+    capsys.readouterr()
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 2
+    assert all(row.split(",")[1] == "0.0" for row in rows)

@@ -280,6 +280,19 @@ def test_uniformization_at_t_zero_is_the_grid_inner_product():
     assert semigroup_kernel(op, 0.0, 0.5, 0.0) == 0.0
 
 
+def test_uniformization_is_zero_when_a_side_vanishes_at_every_node():
+    # a bump narrower than h, centred between two nodes, is zero on the whole grid
+    op = build_grid_operator(harmonic(), 8.0, 600)
+    between = bump(op.grid[300] + op.h / 2, op.h / 4)
+    assert not np.any(between.evaluate(op.grid[:, None]))
+    phi = bump(0.0, 1.0)
+    assert semigroup_matrix_element(op, phi, between, 1.0) == 0.0
+    assert semigroup_matrix_element(op, between, phi, 1.0) == 0.0
+    ops = [op, build_grid_operator(zero(), 8.0, 600)]
+    for pair in ((phi, between), (between, phi)):
+        assert oracles._semigroup_matrix_elements(ops, *pair, 1.0).tolist() == [0.0, 0.0]
+
+
 def test_uniformization_truncation_ladder_stays_monotone():
     # lower truncation levels only raise the potential, so <phi, e^{-tH} phi>
     # cannot fall as the level grows; the truncation study allows 1e-12 slack
