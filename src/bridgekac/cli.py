@@ -180,7 +180,8 @@ def _coerce_str(v):
 
 def _choice(options: frozenset):
     def coerce(v):
-        if v not in options:
+        # a JSON list or object is unhashable: test its type before membership
+        if not isinstance(v, str) or v not in options:
             return None, "expected one of " + ", ".join(sorted(options))
         return v, None
 

@@ -25,8 +25,8 @@ with 4 MB blocks); the walk below keeps six buffers per block, so its
 blocks are a sixth of that.  Every per-path intermediate of an
 estimate, the trapezoid sums, bridge values, positions and potential
 values, exists for one block only; the pair units of the walk span a
-chunk, and those of an unclipped form fill one reused buffer under the
-same cap, reduced each time it fills.
+chunk, and the group units of an unclipped form fill one reused buffer
+under the same cap, reduced each time it fills.
 
 The bridge law is centred, so a path alpha and its mirror -alpha are
 equally likely.  Every estimator draws ceil(count / 2) of a chunk's
@@ -38,7 +38,8 @@ drawn path has no mirror and is a unit of its own.  Every later
 reduction is linear: the records below, the control differences
 w - w_ref, the successive differences of `refine_steps` and the
 shared-path totals.  Taken over units, they give error bars that
-account for the pairing, while `n_samples` still counts paths.  Terms
+account for the pairing (and for the groups below), while `n_samples`
+still counts paths.  Terms
 odd in alpha, such as those of a linear potential, cancel within a
 pair: for `stark` the two weights of a pair correlate at about -0.92.
 
@@ -53,8 +54,25 @@ ever forming node values (`_bridge_sums`); this lets `matrix_element`
 reuse one set of paths at every quadrature node pair, and `refine_steps`
 gets the sums of every grid of its schedule from the same pass.
 A mirror's sums are -A, -B and C, so it needs no further products.
-One function reduces every estimate of such a form (`_sums_records`),
-at one node pair or all quadrature nodes, on one grid or several.
+The coordinates' amplitudes fall like 1/j, so a weight depends almost
+only on a path's first modes (the low effective dimension of Caflisch,
+Morokoff & Owen 1997), and drawing the coordinates is nearly all the
+cost: the drawn paths of a chunk form groups of `_GROUP` = 8, each path
+draws its own modes j <= `_OWN_MODES` = 16, and each group draws the
+modes above once for all its paths.  A group's normals form one row,
+its paths' own modes path by path, then the shared modes, each times
+dim; at 128 steps a path then costs about 30 normals instead of 127.
+Each path keeps the exact bridge law, and distinct groups are
+independent.  The pair units of a group's paths average into one group
+unit, and the group units are what the records below count, so every
+estimate stays unbiased and its error bar honest; a chunk's last group
+may hold fewer paths, as the lone unpaired path is a unit of one.  A
+chunk whose paths have no mode above 16 (n_steps <= 17), or whose groups
+would number no more than the 20 units the heavy-tail rule needs, draws
+every path alone, all its modes, exactly as a group of one
+(`_sums_layout`).  One function reduces every estimate of such a form
+(`_sums_records`), at one node pair or all quadrature nodes, on one
+grid or several.
 Callables and clipped forms need the values at the nodes: they draw
 n_steps increments per path and coordinate and turn each block into the
 bridge node-major, node k of every path in row k, by the walk, whose
@@ -79,7 +97,8 @@ level then averages w - w_ref, which is zero on every pair whose path
 and mirror its floor does not touch, provided w_ref has finite variance
 (see `_pair_estimates`).
 
-Each chunk reduces each row of pair units to one record, `_Stats`:
+Each chunk reduces each row of units (pair units along the walk, group
+units on the sums path) to one record, `_Stats`:
 count, mean, centred sum of squares, total and the 10 heaviest units,
 merged pairwise in chunk order (Chan, Golub & LeVeque 1979).  A row
 whose largest |w| lies below 1e-100 holds its squares in units of that
@@ -146,6 +165,29 @@ _WALK_BUFFERS = 6
 # of a record holding more than `_HEAVY_FRACTION` of its total flag it.
 _TOP_K = 10
 _HEAVY_FRACTION = 0.5
+# The sums path draws the sine modes j <= `_OWN_MODES` of each path alone and
+# those above once per group of `_GROUP` paths (`_sums_layout`).  The pair (J, K)
+# was chosen by time x se^2 against drawing every mode per path, on the 2-core
+# x86-64 host with one BLAS thread: the se from restricted `refine_steps` of
+# harmonic at (0.3, -0.2), t = 1, schedule 16-256, 40 seeds x 4096 paths (mean
+# reported se); the op times from harmonic and stark `estimate_Q` at 65 536 paths
+# x 128 steps, and from that refinement at 32 768 paths.
+#
+#     J, K     estimate  refine  level se  finest diff se  time x se^2: level, diff
+#     all, 1   71 ms     110 ms  1         1               1, 1
+#     16, 8    16 ms     23 ms   1.02      1.15            0.22, 0.27
+#     16, 4    29 ms     40 ms   1.00      1.06            0.37, 0.41
+#     16, 16   13 ms     17 ms   1.02      1.26            0.16, 0.24
+#     8, 8     15 ms     23 ms   1.00      1.26            0.21, 0.33
+#     8, 16    9 ms      14 ms   1.02      1.49            0.14, 0.29
+#     32, 8    23 ms     29 ms   0.99      1.08            0.25, 0.30
+#
+# The level se moves within the noise of its mean (about 1 %).  (16, 8) cuts
+# both costs about fourfold; the pairs that cut them further, (16, 16) and
+# (8, 16), widen the difference's error bars by 26-49 % instead of 15 % and
+# need chunks of twice as many paths before they share.
+_OWN_MODES = 16
+_GROUP = 8
 
 
 @dataclass(frozen=True)
@@ -282,12 +324,6 @@ def free_kernel(x, y, t: float) -> float:
     d2 = float(np.square(xv - yv).sum())
     dim = xv.size
     return float((2.0 * math.pi * t) ** (-0.5 * dim) * math.exp(-d2 / (2.0 * t)))
-
-
-def _block_rows(n_paths: int, n_steps: int, dim: int) -> int:
-    """Paths per row block of `n_steps` x `dim` normals each: at most `_BLOCK_ELEMENTS`
-    normals, one path if a path is larger, the whole chunk if a path draws none."""
-    return min(n_paths, max(1, _BLOCK_ELEMENTS // max(1, n_steps * dim)))
 
 
 def _walk_rows(n_paths: int, n_steps: int, dim: int) -> int:
@@ -471,70 +507,151 @@ def _sine_sums(n_steps: int, strides: tuple[int, ...], dim: int):
     return cached
 
 
-def _fold(v: np.ndarray, m: int, out: np.ndarray) -> None:
-    """Write into `out` the coordinates eta' of a grid of m steps, from those of a
-    grid of M steps in `v` (rows, M - 1, dim), m a divisor of M below it.
+def _fold(v: np.ndarray, m: int, out: np.ndarray, first: int = 1) -> None:
+    """Write into `out` the coordinates eta' of a grid of m steps, from coordinates
+    `v` (rows, L, dim) of modes first..first + L - 1 of a grid whose step count is a
+    multiple of m, all its other modes zero.
 
     On the nodes of the coarse grid sin(j k pi / M) is periodic in j with
     period 2m and odd about 0 and m, so mode j acts there as mode
     r = j mod 2m for 0 < r < m and as minus mode 2m - r for m < r < 2m
     (modes with r = 0 or m vanish).  The folded coordinates then carry
     the coarse nodes' values with the fine grid's normalization, so every
-    grid of the path reads C = sum |eta'|^2 / n_steps.
+    grid of the path reads C = sum |eta'|^2 / n_steps.  `out` holds the
+    first out.shape[1] coarse modes, which must include every mode the
+    folds reach: the first L of them for first = 1 and L < m.
     """
-    M = v.shape[1] + 1
-    np.subtract(v[:, :m - 1], v[:, 2 * m - 2:m - 1:-1], out=out)
-    for base in range(2 * m, M - 1, 2 * m):
-        out += v[:, base:base + m - 1]
-        if base + 2 * m <= M:
-            out -= v[:, base + 2 * m - 2:base + m - 1:-1]
+    out[...] = 0.0
+    end = first + v.shape[1]
+    for base in range(first - first % (2 * m), end, 2 * m):
+        lo, hi = max(base + 1, first), min(base + m, end)
+        if lo < hi:
+            out[:, lo - base - 1:hi - base - 1] += v[:, lo - first:hi - first]
+        lo, hi = max(base + m + 1, first), min(base + 2 * m, end)
+        if lo < hi:
+            out[:, base + 2 * m - hi:base + 2 * m - lo] -= v[:, lo - first:hi - first][:, ::-1]
+
+
+def _sums_layout(n_paths: int, n_steps: int, dim: int) -> tuple[int, int, int]:
+    """(group, own, rows) of a chunk that draws `n_paths` paths in sine coordinates:
+    paths per group, modes each path draws alone, and groups per row block.
+
+    Groups of `_GROUP` paths each draw their modes above `_OWN_MODES` once
+    (see `_bridge_sums`), unless no mode lies above it or the chunk would
+    then hold no more than `_TOP_K / _HEAVY_FRACTION` groups, too few for
+    the heavy-tail rule: then every path is a group of one and draws all
+    its n_steps - 1 modes alone.  A row block holds whole groups, at most
+    `_BLOCK_ELEMENTS` numbers with the copy of their own modes (one group
+    if a group is larger, the whole chunk if a path draws nothing).
+    """
+    modes = n_steps - 1
+    group, own = _GROUP, _OWN_MODES
+    if modes <= own or -(-n_paths // group) * _HEAVY_FRACTION <= _TOP_K:
+        group, own = 1, modes
+    # a group's row, and the copy of its own modes that its paths read as rows of their own
+    numbers = (group * own + modes - own + (group > 1) * group * own) * dim
+    return group, own, min(-(-n_paths // group), max(1, _BLOCK_ELEMENTS // max(1, numbers)))
 
 
 def _bridge_sums(gen: np.random.Generator, n_paths: int, n_steps: int, dim: int, strides):
     """Trapezoid sums A = sum' alpha, B = sum' u alpha, C = sum' |alpha|^2 per stride.
 
-    The paths are drawn in sine coordinates (see `stochastic`): each row
-    block of `_block_rows` paths is (rows, n_steps - 1, dim) standard
-    normals xi, drawn in C order into one reused buffer, so the blocks
-    are bit for bit the one-shot draw `gen.standard_normal((n_paths,
-    n_steps - 1, dim))`; a one-step grid draws nothing.  A and B of every
-    grid come from one matrix product on xi.  If no coarser grid has
-    interior nodes, C takes the squares of xi and one matrix-vector
-    product.  Otherwise xi is overwritten by eta = amp xi, each coarser
-    grid folds its coordinates (`_fold`) from the coarsest grid already
-    folded that it divides, or from eta, into a buffer of its own, and
-    every grid's C is its sum of squares / n_steps.  A stride s, which
-    must divide n_steps, restricts the path to the nodes that are
-    multiples of s: a grid of n_steps / s steps.  Yields, block after
-    block, a list of (A, B, C) for each stride in order, with A and B of
-    shape (rows, dim) and C of shape (rows,).
+    The paths are drawn in sine coordinates (see `stochastic`), in groups
+    of `_sums_layout`: each path of a group draws its own standard normals
+    xi_j for the modes j <= own, and the group draws those of the modes
+    j > own once, for all its paths.  A group's normals form one row: the
+    own modes of its paths, path by path, then the shared modes, each
+    mode times dim coordinates.  Each path thus has the exact bridge law,
+    and distinct groups are independent.  The rows are drawn in C order,
+    row block by row block of whole groups, into one reused buffer, so
+    the blocks are bit for bit one draw of the chunk's rows; a group of
+    one path draws its n_steps - 1 modes in the order of
+    `gen.standard_normal((n_paths, n_steps - 1, dim))`, and a one-step grid
+    draws nothing.  When the group size does not divide `n_paths`, the
+    chunk's last group is short: its row holds the own modes of its fewer
+    paths, then the shared modes.
+
+    A and B are linear in xi: every path reads its own modes through one
+    matrix product, and each group adds the product of its shared modes
+    once.  If no coarser grid has interior nodes, C is likewise a sum of
+    squares of the own modes and one of the shared modes.  Otherwise xi
+    becomes eta = amp xi, and each coarser grid folds (`_fold`) the own
+    and the shared coordinates apart, each from the coarsest grid
+    already folded that it divides; a path's C on a grid is then
+    (|o|^2 + 2 o . s + |s|^2) / n_steps, with o its folded own and s its
+    group's folded shared coordinates.  The own modes j <= own fold onto
+    themselves on every grid of more than own steps, so a path's work on
+    each grid is O(own), not O(n_steps).  A stride s, which must divide
+    n_steps, restricts the path to the nodes that are multiples of s: a
+    grid of n_steps / s steps.  Yields, block after block, a list of
+    (A, B, C) for each stride in order, with A and B of shape (paths, dim)
+    and C of shape (paths,), the paths of whole groups in draw order.
     """
     strides = tuple(strides)
     ab_cols, c_col, amp = _sine_sums(n_steps, strides, dim)
-    rows = _block_rows(n_paths, n_steps - 1, dim)
-    xi = np.empty((rows, n_steps - 1, dim))
+    group, own, rows = _sums_layout(n_paths, n_steps, dim)
+    split = own * dim  # the coefficients' rows that a path reads from its own modes
+    head = group * split  # a group row's own modes, path by path
+    xi = np.empty((rows, head + (n_steps - 1) * dim - split))
+    xo = np.empty((rows * group if group > 1 else 0, split))
     coarse = sorted({n_steps // s for s in strides} - {1, n_steps}, reverse=True)
-    folds = {m: np.empty((rows, m - 1, dim)) for m in coarse}
-    for start in range(0, n_paths, rows):
-        block = xi[:min(rows, n_paths - start)]
-        r = len(block)
-        gen.standard_normal(out=block)
-        flat = block.reshape(r, -1)
-        ab = (flat @ ab_cols).reshape(r, len(strides), 2, dim)
-        c = {1: np.zeros(r)}
-        if coarse:
-            flat *= amp
-            done = {n_steps: block}
-            for m in coarse:
-                source = done[min(M for M in done if M % m == 0)]
-                _fold(source, m, folds[m][:r])
-                done[m] = folds[m][:r]
-            for m, eta in done.items():
-                c[m] = np.square(eta, out=eta).reshape(r, -1).sum(axis=1) / n_steps
+    own_folds = {m: np.empty((rows * group, m - 1, dim)) for m in coarse if m <= own}
+    shared_folds = {m: np.empty((rows, m - 1, dim)) for m in coarse}
+    done = 0
+    while done < n_paths:
+        size = min(rows * group, n_paths - done)
+        g = -(-size // group)
+        short = size - (g - 1) * group  # paths of the block's last group
+        block = xi[:g]
+        gen.standard_normal(out=block.reshape(-1)[:block.size - (group - short) * split])
+        if short < group:  # move the short group's shared modes to their place
+            last = block[-1]
+            last[head:] = last[short * split:short * split + last.size - head].copy()
+            last[short * split:head] = 0.0
+        if group == 1:
+            own_xi = block
         else:
-            c[n_steps] = np.square(flat, out=flat) @ c_col
-        yield [(ab[:, level, 0], ab[:, level, 1], c[n_steps // s])
+            own_xi = xo[:g * group]
+            np.copyto(own_xi.reshape(g, head), block[:, :head])
+        shared = block[:, head:]
+        ab = (own_xi @ ab_cols[:split]).reshape(g, group, -1)
+        ab += (shared @ ab_cols[split:])[:, None]
+        ab = ab.reshape(g * group, len(strides), 2, dim)
+        c = {1: np.zeros(g * group)}
+        if coarse:
+            own_xi *= amp[:split]
+            shared *= amp[split:]
+            own_at = {n_steps: own_xi.reshape(g * group, own, dim)}
+            shared_at = {n_steps: shared.reshape(g, n_steps - 1 - own, dim)}
+            for m in coarse:
+                source = min(M for M in shared_at if M % m == 0)
+                _fold(shared_at[source], m, shared_folds[m][:g],
+                      own + 1 if source == n_steps else 1)
+                shared_at[m] = shared_folds[m][:g]
+                if m <= own:
+                    _fold(own_at.get(source, own_at[n_steps]), m, own_folds[m][:g * group])
+                    own_at[m] = own_folds[m][:g * group]
+            # grid m reads the own coordinates folded onto it, or the unfolded ones
+            reads = {m: m if m in own_at else n_steps for m in shared_at}
+            # the full grid's own and shared modes are disjoint: o . s = 0 there
+            cross = {m: 2.0 * np.vecdot(own_at[reads[m]].reshape(g, group, -1),
+                                        shared_at[m][:, :own_at[reads[m]].shape[1]]
+                                        .reshape(g, 1, -1))
+                     for m in coarse}
+            cross[n_steps] = 0.0
+            own_sq = {m: np.square(v, out=v).reshape(g, group, -1).sum(axis=2)
+                      for m, v in own_at.items()}
+            for m, v in shared_at.items():
+                shared_sq = np.square(v, out=v).reshape(g, -1).sum(axis=1)
+                c[m] = ((own_sq[reads[m]] + cross[m] + shared_sq[:, None]).reshape(-1)
+                        / n_steps)
+        else:
+            c[n_steps] = np.square(own_xi, out=own_xi) @ c_col[:split]
+            c[n_steps].reshape(g, group)[:] += (np.square(shared, out=shared)
+                                                @ c_col[split:])[:, None]
+        yield [(ab[:size, level, 0], ab[:size, level, 1], c[n_steps // s][:size])
                for level, s in enumerate(strides)]
+        done += size
 
 
 def _line_action(xs: np.ndarray, ys: np.ndarray, form: QuadraticForm,
@@ -596,56 +713,72 @@ def _unclipped(V: PotentialSpec) -> bool:
 def _pairs(count: int) -> tuple[int, int]:
     """The paths drawn for a chunk of `count` paths, ceil(count / 2), and how many of
     them are weighed with their mirrors, count // 2 (see the module docstring): the
-    pair units of `_sums_units` and `_walk_units` alike, in draw order."""
+    pair units of `_sums_units` and `_walk_units` alike, in draw order (those of
+    `_sums_units` then average by groups)."""
     return -(-count // 2), count // 2
 
 
 def _sums_units(gen: np.random.Generator, count: int, xs: np.ndarray, ys: np.ndarray,
                 t: float, form: QuadraticForm, n_steps: int, strides=(1,)):
-    """Pair units of an unclipped form at the node pairs (xs[i], ys[j]), x-major, on
+    """Group units of an unclipped form at the node pairs (xs[i], ys[j]), x-major, on
     the grid of each stride, from the sums (`_bridge_sums`) of a chunk of `count`
     paths drawn from `gen`.
 
-    The units fill, in draw order, one reused buffer of shape (strides,
-    node pairs, units) and at most `_BLOCK_ELEMENTS` numbers (one unit
-    per row if there are more rows).  A full buffer is yielded when more units
-    arrive and the last one after the chunk's last sums, so that reducing
-    it keeps no buffer of `_bridge_sums` alive for nothing; the next
-    buffer overwrites it.
+    Each drawn path is weighed with its mirror into a pair unit
+    (`_sums_weights`), and the pair units of a group of `_sums_layout`
+    average into one group unit: the unit that every record counts.  A
+    chunk's last group may hold fewer paths, and the lone unpaired path
+    of an odd count is one of them.  The units fill, in draw order, one
+    reused buffer of shape (strides, node pairs, units) and at most
+    `_BLOCK_ELEMENTS` numbers (one unit per row if there are more rows).
+    A full buffer is yielded when more units arrive and the last one
+    after the chunk's last sums, so that reducing it keeps no buffer of
+    `_bridge_sums` alive for nothing; the next buffer overwrites it.
     """
     drawn, paired = _pairs(count)
     n_x, n_y, dim = len(xs), len(ys), xs.shape[1]
-    size = min(drawn, max(1, _BLOCK_ELEMENTS // (len(strides) * n_x * n_y)))
-    rows = min(size, _block_rows(drawn, n_steps - 1, dim))
-    # the units and the scratch of `_sums_weights` share one allocation.  As
-    # two, glibc gave the heap they leave back to the system after each matrix
-    # element of 256 node pairs x 500 paths and faulted it in again on the
-    # next: 470 page faults, 2.4 -> 3.4 ms per call (2-core x86-64 host)
-    units, scratch = np.split(np.empty((len(strides) * size + rows) * n_x * n_y),
+    group, _, block_groups = _sums_layout(drawn, n_steps, dim)
+    size = min(-(-drawn // group), max(1, _BLOCK_ELEMENTS // (len(strides) * n_x * n_y)))
+    # groups weighed at once: the weights of their paths and the scratch of
+    # `_sums_weights` hold at most `_BLOCK_ELEMENTS` numbers each
+    rows = group * min(size, block_groups, max(1, _BLOCK_ELEMENTS // (n_x * n_y * group)))
+    # the units and the weights share one allocation.  As two, glibc gave the
+    # heap they leave back to the system after each matrix element of 256 node
+    # pairs x 500 paths and faulted it in again on the next: 470 page faults,
+    # 2.4 -> 3.4 ms per call (2-core x86-64 host)
+    units, weights = np.split(np.empty((len(strides) * size + 2 * rows) * n_x * n_y),
                               [len(strides) * n_x * n_y * size])
     units = units.reshape(len(strides), n_x, n_y, size)
-    scratch = scratch.reshape(n_x, n_y, rows)
     lines = [_line_action(xs, ys, form, n_steps // s) for s in strides]
-    filled = start = 0  # units in the buffer, and weighed in the chunk
+    filled = start = 0  # group units in the buffer, and paths weighed in the chunk
     for levels in _bridge_sums(gen, drawn, n_steps, dim, strides):
         done = 0
         while done < len(levels[0][2]):
             if filled == size:
                 yield units.reshape(len(strides), n_x * n_y, size)
                 filled = 0
-            k = min(len(levels[0][2]) - done, size - filled)
+            k = min(len(levels[0][2]) - done, (size - filled) * group, rows)
+            heads = np.arange(0, k, group)
+            # contiguous: numpy is about 1.6x slower on the ragged columns of a wider buffer
+            out = weights[:2 * n_x * n_y * k].reshape(2, n_x, n_y, k)
             for level, (sums, line) in enumerate(zip(levels, lines)):
-                _sums_weights([a[done:done + k] for a in sums], xs, ys, t, form, line,
-                              max(0, paired - start), (units[level, ..., filled:filled + k],
-                                                       scratch[..., :k]))
-            filled += k
+                w = _sums_weights([a[done:done + k] for a in sums], xs, ys, t, form, line,
+                                  max(0, paired - start), out)
+                # each group sums its paths in draw order; the last may hold fewer
+                unit = units[level, ..., filled:filled + len(heads)]
+                np.copyto(unit, w[..., ::group])
+                for j in range(1, group):
+                    later = w[..., j::group]
+                    unit[..., :later.shape[-1]] += later
+                unit /= np.minimum(k - heads, group)
+            filled += len(heads)
             done += k
             start += k
     yield units.reshape(len(strides), n_x * n_y, size)[..., :filled]
 
 
 def _unit_records(w: np.ndarray, coef=None) -> tuple[_Stats, ...]:
-    """The records of pair units w (strides, node pairs, units): the `_Stats` of each
+    """The records of units w (strides, node pairs, units): the `_Stats` of each
     row with its `_TOP_K` heaviest units, those of the successive differences
     w[s] - w[s - 1] if there are several strides, and those of the totals coef . w
     of each stride if `coef` is given.
@@ -692,8 +825,8 @@ def _tiny_scale(peak):
 @dataclass(frozen=True, eq=False)
 class _Stats:
     """Count, mean, centred sum of squares m2, total and top_k largest
-    weights (top_k 0 or `_TOP_K`) of each row of weights (pair units, in
-    an estimator), m2 in units of `scale` squared; `a + b` merges the
+    weights (top_k 0 or `_TOP_K`) of each row of weights (pair or group
+    units, in an estimator), m2 in units of `scale` squared; `a + b` merges the
     records of two sets of samples (see the module docstring)."""
 
     n: int
@@ -765,8 +898,8 @@ def _merged(records):
 def _finalize(stats: _Stats, steps, n_samples: int, q_ref=None,
               diffs: _Stats | None = None) -> np.ndarray:
     """An object array of estimates, one per entry of `stats.mean`, of `steps`
-    steps (broadcast against it) and `n_samples` paths each (`stats` counts pair
-    units, about half as many).  With a control, `q_ref` (NaN where a column has
+    steps (broadcast against it) and `n_samples` paths each (`stats` counts
+    units: pair units, about half as many, or group units of 8 pairs).  With a control, `q_ref` (NaN where a column has
     none, broadcast against the last axis) and the record of the differences
     w - w_ref, an entry reads max(Q_ref + mean difference, 0) with the
     differences' standard error; the flag and heavy-mass fraction stay the
@@ -1056,8 +1189,8 @@ def matrix_element(
     paths, drawn in the keyed chunks that `estimate_Q` uses with
     key=(), and each path enters only through its trapezoid sums, reduced
     as in `estimate_Q` (`_sums_records`).  The standard error then comes
-    from the per-path totals sum_ij coef_ij w_ij(path), which carry the
-    correlation between nodes that sharing creates.  A clipped form (a
+    from the totals sum_ij coef_ij w_ij(unit) of its group units, which
+    carry the correlation between nodes that sharing creates.  A clipped form (a
     truncation) or a callable potential gives every node pair its own
     stream keyed by the index pair, so calls with truncations of one
     potential at a fixed seed compare the same paths across levels; a

@@ -21,14 +21,21 @@ error, never the path law itself.
   shared-path `matrix_element` and, through them, the bound sweep) draw
   xi, read the path's trapezoid sums straight from it, without forming
   node values, and reduce them in one function (`feynman_kac._sums_records`);
-  `_sine_amplitudes` and `_sine_transform` give the basis.
+  `_sine_amplitudes` and `_sine_transform` give the basis.  The
+  amplitudes 1 / sqrt(n mu_j) fall like 1/j, so these estimators draw
+  the modes j <= 16 of each path alone and the higher modes once per
+  group of 8 paths (`feynman_kac._bridge_sums`): a group's normals are
+  one row, the own modes of its paths, path by path, then the shared
+  modes.  Every path still carries the exact law above, and the paths
+  of distinct groups are independent; the estimators average the units
+  of a group's paths into one group unit, which their error bars count.
 
 Both realizations are odd in the normals they read: the negated
 normals, -xi or the negated increments, give exactly the mirrored
 bridge -alpha, which has the same law.  The estimators use this to
 weigh every drawn path a second time as its mirror, without drawing it
-(see `feynman_kac`), so they draw half as many normals as they weigh
-paths.
+(see `feynman_kac`), so they draw at most half as many normals as they
+weigh paths.
 
 Because the grid law is exactly Gaussian, the expected weight of an
 unclipped quadratic potential on the grid is a Gaussian integral:

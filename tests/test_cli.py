@@ -368,6 +368,23 @@ def test_main_reports_a_huge_integer_literal_as_a_config_error(tmp_path, capsys,
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+@pytest.mark.parametrize("experiment, line", [
+    ("q-estimate", "potential = [1]"),
+    ("q-estimate", "potential = {}"),
+    ("matrix-element", "phi = {}"),
+    ("matrix-element", "psi = [\"bump\"]"),
+    ("refine-steps", "refine.mode = {\"restricted\": 1}"),
+], ids=["potential-list", "potential-object", "phi-object", "psi-list", "refine-mode-object"])
+def test_main_reports_a_list_or_object_choice_as_a_config_error(tmp_path, capsys, experiment,
+                                                                  line):
+    # a JSON list or object is unhashable, so it must not reach the membership test
+    key = line.partition(" =")[0]
+    potential = "" if key == "potential" else "potential = zero\n"
+    cfg = _write(tmp_path, "c.cfg", f"{potential}{line}\n")
+    assert main([experiment, "--config", cfg, "--output", str(tmp_path / "c.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: expected one of ")
+
+
 def test_main_unreadable_config_exit_code(tmp_path, capsys):
     missing = str(tmp_path / "nope.cfg")
     assert main(["q-estimate", "--config", missing]) == 1

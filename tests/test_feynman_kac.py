@@ -163,7 +163,7 @@ def test_total_underflow_is_not_flagged_as_divergence():
 def test_tiny_weights_keep_a_nonzero_error_bar():
     # weights near 1e-185 have squares below the smallest float: the record scales them first
     est = estimate_Q(30, 30, harmonic(), 1.0, 2000, 64, RngSeed(1))
-    assert est.mean == pytest.approx(8.960e-187, rel=1e-3, abs=0.0)
+    assert est.mean == pytest.approx(3.225e-182, rel=1e-3, abs=0.0)
     assert 0.5 * est.mean < est.std_error < math.inf
     assert est.divergence_suspected
     # three chunks merge rows of different scales, in the same order for any workers
@@ -263,15 +263,30 @@ class _CountingGenerator:
         return self.gen.standard_normal(out=out)
 
 
+def _layout_draws(n_paths: int, n_steps: int, dim: int) -> tuple[int, int]:
+    """The normals and the row blocks that `_bridge_sums` draws for `n_paths` paths: each
+    path's own modes and each group's shared ones, in blocks of whole groups."""
+    group, own, rows = feynman_kac._sums_layout(n_paths, n_steps, dim)
+    groups = -(-n_paths // group)
+    return (n_paths * own + groups * (n_steps - 1 - own)) * dim, -(-groups // rows)
+
+
 @pytest.mark.parametrize("n_steps, dim, strides", [
     (1, 2, (1,)), (2, 1, (2, 1)), (16, 3, (1,)), (256, 1, (16, 8, 4, 2, 1)),
 ])
 def test_sums_path_draws_n_steps_minus_one_normals_per_path(n_steps, dim, strides):
+    # up to 17 steps every path draws its n_steps - 1 modes alone; at 256 steps groups
+    # of 8 paths share the modes above 16, so a path draws 16 + 239 / 8 of them
     gen = _CountingGenerator(RngSeed(5).generator())
     paths = sum(len(levels[0][2]) for levels in _bridge_sums(gen, 3000, n_steps, dim, strides))
     assert paths == 3000
-    assert sum(gen.drawn) == 3000 * (n_steps - 1) * dim
-    assert len(gen.drawn) == -(-3000 // feynman_kac._block_rows(3000, n_steps - 1, dim))
+    normals, blocks = _layout_draws(3000, n_steps, dim)
+    assert sum(gen.drawn) == normals
+    assert len(gen.drawn) == blocks
+    if n_steps <= 17:
+        assert normals == 3000 * (n_steps - 1) * dim
+    else:
+        assert normals == (3000 * 16 + 375 * 239) * dim
 
 
 def test_one_step_estimate_is_the_exact_line_weight():
@@ -322,15 +337,39 @@ def _trapezoid_sums(alpha):
             for w in (tau, tau * u)] + [(sq, sq)]
 
 
+def _grouped_xi(gen, n_paths: int, n_steps: int, dim: int) -> np.ndarray:
+    """The sine coordinates (n_paths, n_steps - 1, dim) of `n_paths` paths drawn from gen
+    row by row, one row per group of `_sums_layout`: the own modes of the group's paths,
+    path by path, then the modes they share, each times dim.  A group of one path draws
+    its coordinates as `gen.standard_normal((1, n_steps - 1, dim))` would."""
+    group, own, _ = feynman_kac._sums_layout(n_paths, n_steps, dim)
+    xi = np.empty((n_paths, n_steps - 1, dim))
+    for first in range(0, n_paths, group):
+        k = min(group, n_paths - first)  # the chunk's last group may be short
+        row = gen.standard_normal((k * own + n_steps - 1 - own) * dim)
+        xi[first:first + k, :own] = row[:k * own * dim].reshape(k, own, dim)
+        xi[first:first + k, own:] = row[k * own * dim:].reshape(n_steps - 1 - own, dim)
+    return xi
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("n_steps, strides, n_paths", [
     (1, (1,), 50),
     (7, (7, 1), 50),
     (256, (16, 8, 4, 2, 1), 100),
     (4096, (4096, 64, 1), 60),  # several row blocks per chunk at dim 3
+    # groups of 8 paths share their modes above 16.  22 groups, the last of 2 paths
+    (128, (1,), 170),
+    # coarse grids of 5 and 10 steps fold the own modes, 20 keeps them as they are
+    (40, (8, 4, 2, 1), 171),
+    # 42 groups, the last of 5 paths
+    (256, (16, 8, 4, 2, 1), 333),
 ])
 def test_bridge_sums_match_trapezoid_sums_of_the_bridge(dim, n_steps, strides, n_paths):
-    alpha = _sine_bridge(RngSeed(41).generator().standard_normal((n_paths, n_steps - 1, dim)))
+    # at most 20 groups of 8 (160 paths), or at most 17 steps, every path draws alone
+    group = feynman_kac._sums_layout(n_paths, n_steps, dim)[0]
+    assert group == (8 if n_paths > 160 and n_steps > 17 else 1)
+    alpha = _sine_bridge(_grouped_xi(RngSeed(41).generator(), n_paths, n_steps, dim))
     start = 0
     for levels in _bridge_sums(RngSeed(41).generator(), n_paths, n_steps, dim, strides):
         assert len(levels) == len(strides)
@@ -492,21 +531,31 @@ def _drawn_weights(gen, n_paths, n_steps, x, y, t, V, strides):
     (stark(0.8), (4, 2, 1)),
     (dataclasses.replace(harmonic(dim=2), form=QuadraticForm(-0.2, (0.3, -0.6), 0.45)), (1,)),
 ], ids=["harmonic", "stark-strides", "dim-2-form"])
-@pytest.mark.parametrize("count", [1, 2, 97, 200])
+@pytest.mark.parametrize("count", [1, 2, 97, 200, 336, 401])
 def test_units_are_the_means_of_each_path_and_its_mirror(monkeypatch, V, strides, count):
     # on the sums path the mirror is the path drawn as the negated sine coordinates -xi
     # (the walk's mirrors are checked against the negated increments above); with an odd
-    # count the last path is a unit alone
-    n_steps, t = 16, 0.7
+    # count the last path is a unit alone.  Up to 200 paths (at most 100 drawn) every
+    # path is a group of one; 336 paths are 168 drawn in 21 groups of 8 that share their
+    # modes above 16, and 401 paths 201 drawn in 26 groups, the last of them the lone
+    # path alone.  A group's unit is the mean of its paths' pair units
+    n_steps, t = 64, 0.7
+    # 13 paths per row block alone, 2 groups of 8 per block when they share
     monkeypatch.setattr(feynman_kac, "_BLOCK_ELEMENTS", 13 * n_steps * V.dim)
     x, y = np.full(V.dim, 0.4), np.full(V.dim, -0.3)
     got = _chunk_units(RngSeed(9).generator(2), count, n_steps, x, y, t, V, strides)
     drawn = -(-count // 2)
+    group = 1 if count <= 200 else 8
+    assert feynman_kac._sums_layout(drawn, n_steps, V.dim)[0] == group
     plus = _drawn_weights(RngSeed(9).generator(2), drawn, n_steps, x, y, t, V, strides)
     minus = _drawn_weights(_NegatedGenerator(RngSeed(9).generator(2)), drawn, n_steps, x, y, t,
                            V, strides)
-    assert got.shape == (len(strides), drawn)
-    assert np.array_equal(got, _pair_units(plus, minus, count // 2))
+    pairs = _pair_units(plus, minus, count // 2).T
+    # summed in draw order, as the estimator sums them
+    want = np.stack([sum(pairs[a:a + group]) / len(pairs[a:a + group])
+                     for a in range(0, drawn, group)], axis=1)
+    assert got.shape == (len(strides), -(-drawn // group))
+    assert np.array_equal(got, want)
     if count % 2:
         assert np.array_equal(got[:, -1], plus[:, -1])
 
@@ -519,9 +568,9 @@ def test_a_chunk_draws_the_normals_of_half_its_paths(count, n_steps, dim, stride
     V = harmonic(dim=dim)
     units = _chunk_units(gen, count, n_steps, np.zeros(dim), np.ones(dim), 1.0, V, strides)
     drawn = -(-count // 2)
-    assert units.shape == (len(strides), drawn)
-    assert sum(gen.drawn) == drawn * (n_steps - 1) * dim
-    assert len(gen.drawn) == -(-drawn // feynman_kac._block_rows(drawn, n_steps - 1, dim))
+    group = feynman_kac._sums_layout(drawn, n_steps, dim)[0]
+    assert units.shape == (len(strides), -(-drawn // group))
+    assert (sum(gen.drawn), len(gen.drawn)) == _layout_draws(drawn, n_steps, dim)
 
 
 def _buffered_callers():
@@ -730,6 +779,91 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, V, exact):
     if exact:
         assert blocked == whole
     assert _flat(blocked) == pytest.approx(_flat(whole), rel=1e-12)
+
+
+@pytest.mark.parametrize("V", [stark(0.8), harmonic(dim=2)], ids=["stark", "dim-2"])
+def test_shared_mode_estimates_do_not_depend_on_blocks_or_workers(monkeypatch, V):
+    # three chunks, in groups of 8 paths that share their modes above 16.  Blocks hold
+    # whole groups and a group unit reads its own paths alone, so neither the row blocks
+    # nor the threads that run the chunks move a bit
+    def run(workers=1):
+        return (estimate_Q(0.4, -0.3, V, 0.8, 2 * feynman_kac._CHUNK + 3001, 64, RngSeed(4),
+                           workers=workers),
+                matrix_element(bump(width=0.8, dim=V.dim), bump(0.2, 0.8, dim=V.dim), V, 0.8,
+                               QuadratureConfig(2), McConfig(5001, 64), RngSeed(4),
+                               workers=workers))
+
+    whole = run()
+    assert feynman_kac._sums_layout(feynman_kac._CHUNK // 2, 64, V.dim)[0] == 8
+    assert run(workers=2) == whole
+    # a few groups per row block, while each chunk's units still fill one buffer (the
+    # records of several buffers merge in another order)
+    monkeypatch.setattr(feynman_kac, "_BLOCK_ELEMENTS", 2**13)
+    assert feynman_kac._sums_layout(feynman_kac._CHUNK // 2, 64, V.dim)[2] <= 27
+    assert run() == whole
+
+
+def test_unshared_layouts_reproduce_their_recorded_values():
+    # up to 17 steps, or with at most 20 groups of 8 paths in a chunk, every path draws
+    # all its modes alone: the values recorded before groups shared their high modes
+    est = estimate_Q(0.3, -0.2, harmonic(), 1.0, 20000, 16, RngSeed(7))
+    assert (est.mean, est.std_error) == (0.9117526972403069, 0.0006270812521629713)
+    rep = refine_steps(0.3, -0.2, stark(1.0), 1.0, 20000, (4, 8, 16), RngSeed(7))
+    assert [(e.mean, e.std_error) for e in rep.estimates] == [
+        (0.9893535006893762, 0.0005443035234192544), (0.9912987345153932, 0.0005716528203464687),
+        (0.9918129706466258, 0.0005781794410292013)]
+    assert rep.diff_means == (0.0019452338260167572, 0.0005142361312327961)
+    assert rep.diff_std_errors == (0.00017448595391729042, 8.715074240837319e-05)
+    me = matrix_element(bump(width=0.8), bump(0.2, 0.8), inverted_quadratic(0.5), 0.8,
+                        QuadratureConfig(3), McConfig(2000, 16), RngSeed(7))
+    assert (me.value, me.std_error) == (0.04842094872271157, 8.54294945232019e-05)
+    # 320 paths at 128 steps: 160 drawn paths would be 20 groups
+    assert feynman_kac._sums_layout(160, 128, 1)[0] == 1
+    assert feynman_kac._sums_layout(161, 128, 1)[0] == 8
+    est = estimate_Q(0.3, -0.2, stark(1.0), 1.0, 320, 128, RngSeed(7))
+    assert (est.mean, est.std_error) == (0.9967129600973603, 0.005249481647932332)
+    rep = refine_steps(0.3, -0.2, harmonic(), 1.0, 320, (16, 64, 128), RngSeed(7))
+    assert [(e.mean, e.std_error) for e in rep.estimates] == [
+        (0.9089329253504218, 0.005445919609739252), (0.9087218420412455, 0.005387663199405582),
+        (0.9087769644806165, 0.005407850510236063)]
+    assert rep.diff_means == (-0.0002110833091762951, 5.5122439371125405e-05)
+    assert rep.diff_std_errors == (0.00047232366583911293, 0.00011170731268009188)
+
+
+def _z_band(z, sigmas: float = 3.5) -> tuple[float, float, float]:
+    """|mean| and |sd - 1| of z-scores, and their bound: N standard normals have a mean of
+    standard deviation 1 / sqrt(N) and a sample sd of about 1 / sqrt(2 (N - 1)); the bound
+    is `sigmas` of the latter, and of the former `sigmas` / sqrt(N)."""
+    n = len(z)
+    return (abs(float(np.mean(z))) * math.sqrt(n), abs(float(np.std(z, ddof=1)) - 1.0)
+            * math.sqrt(2.0 * (n - 1)), sigmas)
+
+
+def test_shared_mode_error_bars_are_calibrated():
+    # 8192 paths at 128 steps: 4096 drawn in 512 groups of 8 that share their modes above
+    # 16, so every record counts group units.  Against the exact grid values the z-scores
+    # of seeds 0-39 must keep mean and sd within 3.5 standard deviations of those of
+    # standard normals (`_z_band`)
+    t, n_steps, n_samples = 1.0, 128, 8192
+    assert feynman_kac._sums_layout(n_samples // 2, n_steps, 1)[0] == 8
+    for V, x, y in ((harmonic(), 0.0, 0.0), (stark(1.0), 0.7, -0.6),
+                    (inverted_quadratic(0.5), 0.3, 0.3)):
+        exact = gaussian_q(x, y, V.form, t, n_steps)
+        z = [(e.mean - exact) / e.std_error
+             for e in (estimate_Q(x, y, V, t, n_samples, n_steps, RngSeed(k)) for k in range(40))]
+        mean, sd, bound = _z_band(z)
+        assert mean <= bound and sd <= bound
+    # the finest difference of a restricted refinement reads the shared modes most: taken
+    # over each path's units, its error bars fall about 15 % short (z sd 1.18 over these
+    # seeds), against 2 % for the levels above.  400 seeds put its band at sd 1 +- 0.12
+    V, x, y, schedule = harmonic(omega=2.0), 0.7, -0.6, (16, 32, 128)
+    exact = gaussian_q(x, y, V.form, t, 128) - gaussian_q(x, y, V.form, t, 32)
+    z = []
+    for k in range(400):
+        rep = refine_steps(x, y, V, t, n_samples, schedule, RngSeed(k))
+        z.append((rep.diff_means[-1] - exact) / rep.diff_std_errors[-1])
+    mean, sd, bound = _z_band(z)
+    assert mean <= bound and sd <= bound
 
 
 @pytest.mark.parametrize("V", [custom(_callable_harmonic, lambda eps: 0.0),

@@ -94,12 +94,12 @@ def test_traced_truncation_study_decomposes_each_distinct_level_once(perfbench_m
 
 def test_traced_estimate_spans_every_row_block_of_normals(perfbench_modules):
     # stochastic.normals_s times the draws of the sums path through the generator
-    # proxy: one span per row block of a harmonic estimate, whose 5000 paths are
-    # 2500 drawn paths and their mirrors
+    # proxy: one span per row block of a harmonic estimate, whose 10 000 paths are
+    # 5000 drawn paths, in groups of 8 that share their high modes, and their mirrors
     harness, workloads = perfbench_modules
     from bridgekac import feynman_kac, potentials, stochastic
 
-    n_samples, n_steps = 5000, 128
+    n_samples, n_steps = 10_000, 128
     tracer = harness.Tracer()
     workloads.instrument(tracer)
     try:
@@ -111,7 +111,8 @@ def test_traced_estimate_spans_every_row_block_of_normals(perfbench_modules):
         tracer.active = False
         tracer.restore()
     drawn = -(-n_samples // 2)
-    blocks = -(-drawn // feynman_kac._block_rows(drawn, n_steps - 1, 1))
+    group, _, rows = feynman_kac._sums_layout(drawn, n_steps, 1)
+    blocks = -(-(-(-drawn // group)) // rows)
     assert blocks > 1
     names = [span.name for span in tracer.spans]
     assert names.count("stochastic.normals") == blocks

@@ -59,6 +59,7 @@ INVALID = [
     ("choice", "matrix-element", "potential = square-well\nphi = box\npsi = 1\n"),
     ("choice-refine-mode", "refine-steps", "potential = zero\nrefine.mode = fast\n"),
     ("choice-list", "q-estimate", "potential = [1]\n"),
+    ("choice-object", "matrix-element", "potential = zero\nphi = {}\n"),
     ("levels-not-a-list", "truncation-study", "potential = zero\nlevels = 4\n"),
     ("levels-positive", "truncation-study", "potential = zero\nlevels = [1, NaN]\n"),
     ("levels-increasing", "truncation-study", "potential = zero\nlevels = [2, 2]\n"),
