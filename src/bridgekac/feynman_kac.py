@@ -18,15 +18,13 @@ row block at a time into a reused buffer of standard normals and
 reduced to per-path numbers before the next block is drawn, so memory
 does not grow with the chunk, nor with the time grid until one path
 alone outgrows a block; the blocks are drawn bit for bit as the chunk
-would be drawn at once.  A block holds at most 2^17 numbers (1 MB), so
-that it and the buffers reused beside it fit in a core's L2 cache (2 MB
-per core on the host measured, where op times were 6-7 % lower than
-with 4 MB blocks); the walk below keeps six buffers per block, so its
-blocks are a sixth of that.  Every per-path intermediate of an
-estimate, the trapezoid sums, bridge values, positions and potential
-values, exists for one block only; the pair units of the walk span a
-chunk, and the group units of an unclipped form fill one reused buffer
-under the same cap, reduced each time it fills.
+would be drawn at once.  A block holds at most 2^17 numbers (1 MB, see
+`_BLOCK_ELEMENTS`), six buffers of node values together for callables
+and clipped forms.  Every per-path intermediate of an estimate, the
+trapezoid sums, bridge values, positions and potential values, exists
+for one block only; the group units of a callable or clipped form span
+a chunk, and those of an unclipped form fill one reused buffer under
+the same cap, reduced each time it fills.
 
 The bridge law is centred, so a path alpha and its mirror -alpha are
 equally likely.  Every estimator draws ceil(count / 2) of a chunk's
@@ -39,66 +37,53 @@ reduction is linear: the records below, the control differences
 w - w_ref, the successive differences of `refine_steps` and the
 shared-path totals.  Taken over units, they give error bars that
 account for the pairing (and for the groups below), while `n_samples`
-still counts paths.  Terms
-odd in alpha, such as those of a linear potential, cancel within a
-pair: for `stark` the two weights of a pair correlate at about -0.92.
+still counts paths.  Terms odd in alpha, such as those of a linear
+potential, cancel within a pair: for `stark` the two weights of a pair
+correlate at about -0.92.
 
-The two kinds of potential read the normals as two realizations of the
-bridge law (see `stochastic`).  For an unclipped quadratic potential
-V(z) = q |z|^2 + g . z + c the trapezoid action of a path is linear in
-three of its trapezoid sums, A = sum' alpha, B = sum' u alpha and
-C = sum' |alpha|^2, plus terms that depend on x and y alone.  Such
-potentials draw each path as its n_steps - 1 sine coordinates per
-coordinate axis and take the sums from them by matrix products, without
-ever forming node values (`_bridge_sums`); this lets `matrix_element`
-reuse one set of paths at every quadrature node pair, and `refine_steps`
-gets the sums of every grid of its schedule from the same pass.
-A mirror's sums are -A, -B and C, so it needs no further products.
-The coordinates' amplitudes fall like 1/j, so a weight depends almost
-only on a path's first modes (the low effective dimension of Caflisch,
-Morokoff & Owen 1997), and drawing the coordinates is nearly all the
-cost: the drawn paths of a chunk form groups of `_GROUP` = 8, each path
-draws its own modes j <= `_OWN_MODES` = 16, and each group draws the
-modes above once for all its paths.  A group's normals form one row,
-its paths' own modes path by path, then the shared modes, each times
-dim; at 128 steps a path then costs about 30 normals instead of 127.
-Each path keeps the exact bridge law, and distinct groups are
-independent.  The pair units of a group's paths average into one group
-unit, and the group units are what the records below count, so every
-estimate stays unbiased and its error bar honest; a chunk's last group
-may hold fewer paths, as the lone unpaired path is a unit of one.  A
-chunk whose paths have no mode above 16 (n_steps <= 17), or whose groups
-would number no more than the 20 units the heavy-tail rule needs, draws
-every path alone, all its modes, exactly as a group of one
-(`_sums_layout`).  One function reduces every estimate of such a form
+Every estimator draws the same realization of the bridge law: sine
+coordinates in groups of `_GROUP` = 8 paths that share their modes
+above `_OWN_MODES` = 16 (see `stochastic` and `_group_rows`).  A weight
+depends almost only on a path's first modes (the low effective
+dimension of Caflisch, Morokoff & Owen 1997), and at 128 steps a path
+then costs about 30 normals instead of 127.  The pair units of a
+group's paths average into one group unit, which the records below
+count, so every estimate stays unbiased and its error bar honest; a
+chunk's last group may hold fewer paths.  A chunk whose paths have no
+mode above 16 (n_steps <= 17), or whose groups would number no more
+than the 20 units the heavy-tail rule needs, draws every path alone, as
+a group of one (`_sums_layout`).
+
+For an unclipped quadratic potential V(z) = q |z|^2 + g . z + c the
+trapezoid action of a path is linear in three of its trapezoid sums,
+A = sum' alpha, B = sum' u alpha and C = sum' |alpha|^2, plus terms
+that depend on x and y alone.  Such potentials take the sums from the
+coordinates by matrix products, without ever forming node values
+(`_bridge_sums`); this lets `matrix_element` reuse one set of paths at
+every quadrature node pair, and `refine_steps` gets the sums of every
+grid of its schedule from the same pass.  A mirror's sums are -A, -B
+and C.  One function reduces every estimate of such a form
 (`_sums_records`), at one node pair or all quadrature nodes, on one
 grid or several.
-Callables and clipped forms need the values at the nodes: they draw
-n_steps increments per path and coordinate and turn each block into the
-bridge node-major, node k of every path in row k, by the walk, whose
-steps then act on whole rows (`_bridge_blocks`).  A clipped form is
-weighed from the bridge values alone, with no positions: along
-(1-u) x + u y + sqrt(t) alpha its value is E + O, E even and O odd in
-alpha (`backend.form_parts`), so the mirror's values are E - O.  A
-callable is evaluated at the positions of the block's paths and then at
-those of their mirrors, rewritten from the same block.  Each floor's
-trapezoid action is taken from the values directly, and a path's
-weight is bit for bit the same whatever other paths share its block.
-Truncations max(V, -n) of one potential share the other way: V is
-evaluated along a path once and each level clips the values, so a
-truncation study draws and evaluates each path once for all levels.
-Along the walk the node pairs of a matrix element draw their own
-streams, but consecutive pairs of one chunk of paths each share row
-blocks, and their records come from one reduction (`_pair_estimates`).
-A clipped form also carries its own control variate: the unclipped
-form's weight w_ref of the same path, whose mean on the time grid,
-`stochastic.gaussian_q`, is a Gaussian integral known exactly.  Each
-level then averages w - w_ref, which is zero on every pair whose path
-and mirror its floor does not touch, provided w_ref has finite variance
-(see `_pair_estimates`).
+Callables and clipped forms need the values at the nodes, synthesized
+node-major for each block, node k of every path in row k
+(`_node_blocks`).  A clipped form is weighed from the bridge values
+alone: along (1-u) x + u y + sqrt(t) alpha its value is E + O, E even
+and O odd in alpha (`backend.form_parts`), so the mirror's values are
+E - O; a callable is evaluated at the positions of the block's paths
+and of their mirrors.  Each floor's trapezoid action is taken from the
+values directly.  Truncations max(V, -n) of one potential share the
+other way: V is evaluated along a path once and each level clips the
+values.  The node pairs of a matrix element draw their own streams, but
+consecutive pairs share row blocks and one reduction
+(`_pair_estimates`).  A clipped form also carries its own control
+variate: the unclipped form's weight w_ref of the same path, whose mean
+on the time grid, `stochastic.gaussian_q`, is a Gaussian integral known
+exactly.  Each level then averages w - w_ref, which is zero on every
+pair whose path and mirror its floor does not touch, provided w_ref has
+finite variance (see `_pair_estimates`).
 
-Each chunk reduces each row of units (pair units along the walk, group
-units on the sums path) to one record, `_Stats`:
+Each chunk reduces each row of group units to one record, `_Stats`:
 count, mean, centred sum of squares, total and the 10 heaviest units,
 merged pairwise in chunk order (Chan, Golub & LeVeque 1979).  A row
 whose largest |w| lies below 1e-100 holds its squares in units of that
@@ -145,22 +130,20 @@ __all__ = [
 
 _CHUNK = 32768
 # Cap on the row block of sine coordinates that `_bridge_sums` draws at
-# once, on the unit buffer of `_sums_units` and on the walk's buffers
-# together: 1 MB of float64.  The block and the buffers reused beside it
-# then fit in one core's 2 MB L2 on the 2-core x86-64 host measured, where
-# a 4 MB block alone did not: q-point and refine-long ops (one BLAS
+# once, on the unit buffer of `_sums_units` and on the node buffers of
+# `_node_blocks` together: 1 MB of float64.  The block and the buffers reused
+# beside it then fit in one core's 2 MB L2 on the 2-core x86-64 host measured,
+# where a 4 MB block alone did not: q-point and refine-long ops (one BLAS
 # thread) took 6-7 % less time at 2**17 than at 2**19; 2**16 was within
 # the noise of 2**17 and 2**15 slower.
 _BLOCK_ELEMENTS = 2**17
-# The walk (`_bridge_blocks`) keeps six block buffers at once: the normals
-# and the bridge values, then a clipped form's even and odd parts, values
-# and spare rows (a callable: positions, its values and spare rows).  Its
-# row blocks are sized so that all six hold `_BLOCK_ELEMENTS` together:
-# at the truncation-cli config the Monte Carlo of a study then peaks at
-# 2.4 MB of traced memory instead of 8.6 MB with six full blocks, and
-# neither its time nor that of a callable q-point op (65 536 paths x 128
-# steps) rose.
-_WALK_BUFFERS = 6
+# Blocks of node values hold `_BLOCK_ELEMENTS` in six buffers (`_node_blocks`):
+# with 3 or 4, a callable's temporaries faulted 10-18k pages per q-point op
+# (65 536 x 128) in one process, 82-85 instead of 57-59 ms.  Column tiles
+# (`_tiled_product`) hold 64 paths' own modes and 16 groups' shared modes (64:
+# 65 instead of 60 ms; 16 own: 4 ms more).  Up to `_DENSE_STEPS` steps the
+# shared modes take a dense product, above a DST-I.
+_NODE_BUFFERS, _OWN_TILE, _SHARED_TILE, _DENSE_STEPS = 6, 64, 16, 128
 # The heavy-tail rule (see the module docstring): the `_TOP_K` heaviest units
 # of a record holding more than `_HEAVY_FRACTION` of its total flag it.
 _TOP_K = 10
@@ -326,155 +309,210 @@ def free_kernel(x, y, t: float) -> float:
     return float((2.0 * math.pi * t) ** (-0.5 * dim) * math.exp(-d2 / (2.0 * t)))
 
 
-def _walk_rows(n_paths: int, n_steps: int, dim: int) -> int:
-    """Paths per row block of the walk: its `_WALK_BUFFERS` block buffers of
-    n_steps + 1 nodes x dim per path hold `_BLOCK_ELEMENTS` numbers together,
-    one path if a path is larger."""
-    return min(n_paths, max(1, _BLOCK_ELEMENTS // (_WALK_BUFFERS * (n_steps + 1) * dim)))
+def _group_rows(draws, n_steps: int, dim: int, group: int, own: int, rows: int):
+    """The standard normals of several draws of paths in sine coordinates, one row per
+    group, in row blocks of at most `rows` groups.
 
-
-def _bridge_blocks(draws, n_steps: int, dim: int):
-    """The bridges of several draws of paths, node-major, one row block at a time.
-
-    `draws` is a list of (gen, n_paths): n_paths paths drawn from gen,
-    one draw after the other.  Their standard normals are drawn into one
-    reused buffer of `_walk_rows` paths, a draw's rows continuing in the
-    next block where one fills up; drawn in C order, a draw's rows are
-    bit for bit its one-shot draw `gen.standard_normal((n_paths,
-    n_steps, dim))`.  Each block is yielded as (alpha, spans): alpha, of
-    shape (n_steps + 1, rows, dim), holds node k of every path in row k,
-    bit for bit `bridge_values` of the normals with the first two axes
-    swapped (nodes 0 and n_steps are zero); spans lists (draw index,
-    first column, end column) of the draws in the block.  The next block
-    overwrites alpha.
+    `draws` lists (gen, n_paths), drawn one after the other.  A group's
+    row holds the `own` modes of its paths, path by path, then the modes
+    they share, each times dim coordinates; a draw's last group may hold
+    fewer paths, its empty slots zero.  Drawn in C order, a draw's rows
+    are bit for bit one draw of them all, a group of one path in the
+    order of `gen.standard_normal((n_paths, n_steps - 1, dim))`.  Yields
+    (xi, spans) per block: its rows, and (draw index, first row, first
+    path in the block, first path in the draw, paths) per draw in it.
     """
-    rows = _walk_rows(sum(n for _, n in draws), n_steps, dim)
-    normals = np.empty((rows, n_steps, dim))
-    alpha = np.zeros((n_steps + 1, rows, dim))
-    # once a block is summed into alpha, its normals buffer holds the detrend term
-    work = normals.reshape(n_steps, rows, dim)
-    u = np.arange(1, n_steps + 1, dtype=np.float64) / n_steps
-
-    def walk(filled: int) -> np.ndarray:
-        b = np.cumsum(normals[:filled].transpose(1, 0, 2), axis=0, out=alpha[1:, :filled])
-        b *= np.sqrt(1.0 / n_steps)
-        b -= np.multiply(u[:, None, None], b[-1], out=work[:, :filled])
-        return alpha[:, :filled]
-
-    spans, filled = [], 0
+    split = own * dim  # the numbers of one path's own modes
+    head = group * split
+    xi = np.empty((rows, head + (n_steps - 1) * dim - split))
+    spans, filled, col = [], 0, 0
     for index, (gen, n_paths) in enumerate(draws):
         done = 0
         while done < n_paths:
-            take = min(rows - filled, n_paths - done)
-            gen.standard_normal(out=normals[filled:filled + take])
-            spans.append((index, filled, filled + take))
-            filled += take
-            done += take
+            size = min((rows - filled) * group, n_paths - done)
+            g = -(-size // group)
+            short = size - (g - 1) * group  # paths of the last group
+            block = xi[filled:filled + g]
+            gen.standard_normal(out=block.reshape(-1)[:block.size - (group - short) * split])
+            if short < group:  # move the short group's shared modes to their place
+                last = block[-1]
+                last[head:] = last[short * split:short * split + last.size - head].copy()
+                last[short * split:head] = 0.0
+            spans.append((index, filled, col, done, size))
+            filled, col, done = filled + g, col + size, done + size
             if filled == rows:
-                yield walk(filled), spans
-                spans, filled = [], 0
+                yield xi, spans
+                spans, filled, col = [], 0, 0
     if filled:
-        yield walk(filled), spans
+        yield xi[:filled], spans
 
 
-def _position_blocks(draws, n_steps: int, t: float):
-    """Positions (1-u) x + u y + sqrt(t) alpha(u) of the bridges of `_bridge_blocks`,
-    node-major, and of their mirrors -alpha.
+@lru_cache(maxsize=32)
+def _synthesis(n_steps: int):
+    """(own, shared): the maps from a path's sine coordinates to its node values
+    alpha(k / n), k = 1..n - 1, n = `n_steps` (see `stochastic`).
 
-    `draws` is a list of (gen, n_paths, x, y): n_paths paths drawn from
-    gen, pinned from x to y.  Each row block is yielded as (positions,
-    reflect): the positions of nodes 0..n_steps, of shape (n_steps + 1,
-    rows, dim), in one reused buffer; and a function that rewrites the
-    buffer as the positions (1-u) x + u y - sqrt(t) alpha(u) of the
-    block's mirrors and returns it.  Both are bit for bit
-    sqrt(t) `bridge_values` of the normals, and of the negated normals,
-    plus the line, with the first two axes swapped; the mirrors
-    are written from the bridge block, which the caller never sees, so
-    what the caller wrote into the positions does not reach them.  The
-    next block overwrites the buffer.
+    Column j - 1 of `own` is sqrt(2/n) amp_j sin(j k pi / n) over k, for
+    j <= `_OWN_MODES`.  `shared` is the same basis of the modes above up
+    to `_DENSE_STEPS` steps, above it the scales sqrt(2/n) amp_j (zero up
+    to `_OWN_MODES`) of a DST-I (`_sine_transform`), None with no modes.
     """
-    dim = draws[0][2].size
-    lines = [_backend._line_positions(n_steps, x, y)[:, None, :] for _, _, x, y in draws]
-    pos = np.empty((n_steps + 1, _walk_rows(sum(n for _, n, _, _ in draws), n_steps, dim), dim))
+    own, modes = min(_OWN_MODES, n_steps - 1), n_steps - 1
+    scale = _sine_amplitudes(n_steps) * math.sqrt(2.0 / n_steps)
 
-    def fill(alpha: np.ndarray, spans, scale: float) -> np.ndarray:
-        p = pos[:, :alpha.shape[1]]
-        # sqrt(t) alpha first, then the line
-        np.multiply(alpha, scale, out=p)
-        for i, a, b in spans:
-            p[:, a:b] += lines[i]
-        return p
+    def basis(first: int, end: int) -> np.ndarray:  # rows first..end - 1 of the identity
+        return np.ascontiguousarray(
+            (_sine_transform(np.eye(end - first, modes, first)) * scale[first:end, None]).T)
 
-    s = math.sqrt(t)
-    for alpha, spans in _bridge_blocks([(gen, n) for gen, n, _, _ in draws], n_steps, dim):
-        yield fill(alpha, spans, s), partial(fill, alpha, spans, -s)
+    shared = (None if own == modes else basis(own, modes) if n_steps <= _DENSE_STEPS
+              else np.where(np.arange(modes) < own, 0.0, scale))
+    cached = (basis(0, own), shared)
+    for a in cached[:1 + (shared is not None)]:
+        a.flags.writeable = False  # every caller shares them
+    return cached
 
 
-def _walk_units(draws, n_steps: int, t: float, V: PotentialSpec, strides=(1,),
+def _tiled_product(basis: np.ndarray, coords: np.ndarray, out: np.ndarray,
+                   scratch: np.ndarray) -> None:
+    """out = basis @ coords[:, :out.shape[1]], in column tiles as wide as `scratch`,
+    which receives a ragged last tile; `coords` holds whole tiles, zero past it.
+
+    OpenBLAS rounds a column of a product according to the product's
+    width, but within tiles of one width not according to its place, so
+    a column of `out` is bit for bit the same whatever out's width."""
+    width, tile = out.shape[1], scratch.shape[1]
+    for c in range(0, width, tile):
+        ragged = c + tile > width
+        np.matmul(basis, coords[:, c:c + tile], out=scratch if ragged else out[:, c:c + tile])
+        if ragged:
+            out[:, c:] = scratch[:, :width - c]
+
+
+def _node_blocks(draws, n_paths: int, n_steps: int, dim: int, buffers=()):
+    """The node values of the bridges of several draws of `n_paths` paths each, one row
+    block at a time, from the group rows of `_sums_layout` that each generator of
+    `draws` draws as `_bridge_sums` does (`_group_rows`).
+
+    A path's values are its own modes' basis product plus its group's
+    shared modes' dense product or DST-I (`_synthesis`); a group of one
+    path splits its modes the same way.  Fixed column tiles
+    (`_tiled_product`) keep them bit for bit the same in any block.  A
+    block holds whole groups, whose `_NODE_BUFFERS` buffers of node values
+    hold at most `_BLOCK_ELEMENTS` numbers (one group if larger).  Yields
+    (alpha, spans, views) per block: alpha (n_steps + 1, paths, dim) holds
+    node k of every path in row k, nodes 0 and n_steps zero; spans are
+    `_group_rows`'; views are buffers (n_steps + 1, paths, *shape) for
+    the shapes of `buffers`.  All are contiguous, overwritten next block.
+    """
+    group, layout_own, _ = _sums_layout(n_paths, n_steps, dim)
+    own_basis, shared = _synthesis(n_steps)
+    modes, own = own_basis.shape  # a group of one reads its first modes as its own
+    head = group * own * dim
+    rows = min(len(draws) * -(-n_paths // group),
+               max(1, _BLOCK_ELEMENTS // (_NODE_BUFFERS * (n_steps + 1) * dim * group)))
+    scratch = np.empty((modes, _OWN_TILE))
+    shapes = ((dim,), *buffers)
+    flats = [np.empty((n_steps + 1) * rows * group * math.prod(shape)) for shape in shapes]
+    for xi, spans in _group_rows([(gen, n_paths) for gen in draws], n_steps, dim, group,
+                                 layout_own, rows):
+        g, width = len(xi), sum(span[-1] for span in spans)
+        alpha, *views = (f[:(n_steps + 1) * width * math.prod(shape)]
+                         .reshape(n_steps + 1, width, *shape) for f, shape in zip(flats, shapes))
+        alpha[[0, -1]] = 0.0
+        inner = alpha[1:-1]
+        coords = np.zeros((own, -(-width * dim // _OWN_TILE) * _OWN_TILE))
+        for _, row, col, _, size in spans:
+            k = -(-size // group)
+            np.copyto(coords[:, col * dim:(col + size) * dim].reshape(own, size, dim),
+                      xi[row:row + k, :head].reshape(k * group, own, dim)[:size]
+                      .transpose(1, 0, 2))
+        _tiled_product(own_basis, coords, inner.reshape(modes, width * dim), scratch)
+        if shared is not None:
+            upper = xi[:, head:].reshape(g, modes - own, dim)
+            if shared.ndim == 2:
+                coords = np.zeros((modes - own, -(-g * dim // _SHARED_TILE) * _SHARED_TILE))
+                np.copyto(coords[:, :g * dim].reshape(modes - own, g, dim),
+                          upper.transpose(1, 0, 2))
+                nodes = np.empty((modes, g * dim))
+                _tiled_product(shared, coords, nodes, np.empty((modes, _SHARED_TILE)))
+                nodes = nodes.reshape(modes, g, dim)
+            else:
+                scaled = np.zeros((g, dim, modes))
+                np.multiply(upper.transpose(0, 2, 1), shared[own:], out=scaled[..., own:])
+                nodes = _sine_transform(scaled).transpose(2, 0, 1)
+            for _, row, col, _, size in spans:
+                full = size // group
+                part = inner[:, col:col + full * group].reshape(modes, full, group, dim)
+                np.add(part, nodes[:, row:row + full, None], out=part)
+                inner[:, col + full * group:col + size] += nodes[:, row + full:row + full + 1]
+        yield alpha, spans, views
+
+
+def _walk_units(draws, count: int, n_steps: int, t: float, V: PotentialSpec, strides=(1,),
                 floors=None) -> np.ndarray:
-    """Pair units of several draws of paths along the walk, one row per stride and
-    then per floor, one column per unit, the draws' units one after the other.
+    """Group units of several draws of paths, one row per stride and then per floor, one
+    column per unit, the draws' units one after the other.
 
-    `draws` is a list of (gen, count, x, y): `count` paths pinned from x
-    to y, of which ceil(count / 2) are drawn from gen and weighed with
-    their mirrors (`_pairs`).  Each row block is weighed in
-    one pass for all the draws in it.  A quadratic form (clipped at
-    `floors`, or at its own floor for None) takes its even and odd parts
-    from each draw's bridge values (`backend.form_parts`), and a path
-    and its mirror read E + O and E - O.  A callable is evaluated once at
-    all the nodes of `_position_blocks` and then once at those of the
-    mirrors.  Every stride reads strided rows of the same values
-    (`backend.floored_weights`), whose nodes include the coarser grids'.
-    Each unit depends on its own path alone, bit for bit, whatever block
-    it sits in.  (Unclipped forms weighed alone use `_sums_units`.)
+    `draws` lists (gen, x, y): `count` paths pinned from x to y, of which
+    ceil(count / 2) are drawn from gen as node values (`_node_blocks`)
+    and weighed with their mirrors (`_pairs`).  A quadratic form (clipped
+    at `floors`, or at its own floor for None) reads a path and its
+    mirror as E + O and E - O (`backend.form_parts`); a callable is
+    evaluated at the positions of both, each rewritten from alpha.  Every
+    stride reads strided rows of the same values
+    (`backend.floored_weights`).  A group's pair units average into its
+    unit as in `_sums_units`, bit for bit the same in any block.
     """
     form = V.form
-    if floors is None:
-        floors = (-math.inf if form is None else form.floor,)
-    sizes = [_pairs(count) for _, count, _, _ in draws]
-    paths = [(gen, drawn, x, y) for (gen, _, x, y), (drawn, _) in zip(draws, sizes)]
-    ends = np.cumsum([drawn for drawn, _ in sizes])
-    lone = ends[[drawn > paired for drawn, paired in sizes]] - 1
-    units = np.empty((len(strides) * len(floors), ends[-1]))
-    rows = _walk_rows(int(ends[-1]), n_steps, V.dim)
-    spare = np.empty((n_steps + 1, rows))
+    floors = (-math.inf if form is None else form.floor,) if floors is None else floors
+    drawn, paired = _pairs(count)
+    group = _sums_layout(drawn, n_steps, V.dim)[0]
+    per_draw = -(-drawn // group)
+    units = np.empty((len(strides) * len(floors), len(draws) * per_draw))
+    lines = [_backend._line_positions(n_steps, x, y)[:, None, :]
+             for _, x, y in (draws if form is None else ())]
+    # a callable's positions and spare rows, or a form's even, odd, values and spare rows
+    shapes = ((V.dim,), ()) if form is None else ((),) * 4
 
-    def weigh(v: np.ndarray) -> np.ndarray:
-        return np.array(_backend.floored_weights(v, floors, t, strides, spare[:, :v.shape[1]]))
+    def evaluated(alpha, spans, pos, scale: float) -> np.ndarray:
+        np.multiply(alpha, scale, out=pos)  # scale alpha first, then add the line
+        for index, _, col, _, n in spans:
+            pos[:, col:col + n] += lines[index]
+        v = np.asarray(V.evaluate(pos), dtype=np.float64)  # clipped in place below,
+        return v if v.flags.owndata and v.flags.writeable else v.copy()  # never a caller's view
 
-    if form is None:
-        weighed = ((weigh(_values(V, pos)), weigh(_values(V, reflect())))
-                   for pos, reflect in _position_blocks(paths, n_steps, t))
-    else:
-        even, odd, values = np.empty((3, n_steps + 1, rows))
-
-        def parts(alpha: np.ndarray, spans):
-            r = alpha.shape[1]
-            e, o = even[:, :r], odd[:, :r]
-            _backend.form_parts(alpha, [(*draws[i][2:], a, b) for i, a, b in spans], t, form,
-                                e, o)
-            return [weigh(combine(e, o, out=values[:, :r])) for combine in (np.add, np.subtract)]
-
-        weighed = (parts(alpha, spans) for alpha, spans
-                   in _bridge_blocks([(gen, n) for gen, n, _, _ in paths], n_steps, V.dim))
-    start = 0
-    for plus, minus in weighed:
-        stop = start + plus.shape[1]
-        block = units[:, start:stop]
-        np.add(plus, minus, out=block)
-        block *= 0.5
-        alone = lone[(lone >= start) & (lone < stop)] - start
-        block[:, alone] = plus[:, alone]
-        start = stop
+    for alpha, spans, views in _node_blocks([gen for gen, _, _ in draws], drawn, n_steps,
+                                            V.dim, shapes):
+        if form is None:
+            pos, spare = views
+            values = (evaluated(alpha, spans, pos, s) for s in (math.sqrt(t), -math.sqrt(t)))
+        else:
+            even, odd, buffer, spare = views
+            _backend.form_parts(alpha, [(*draws[index][1:], col, col + n)
+                                        for index, _, col, _, n in spans], t, form, even, odd)
+            values = (combine(even, odd, out=buffer) for combine in (np.add, np.subtract))
+        # the path's values, then its mirror's, each weighed before the next is formed
+        plus, pair = (np.array(_backend.floored_weights(v, floors, t, strides, spare))
+                      for v in values)
+        pair += plus
+        pair *= 0.5
+        for index, _, col, first, n in spans:
+            if drawn > paired and first + n == drawn:  # the draw's last path has no mirror
+                pair[:, col + n - 1] = plus[:, col + n - 1]
+            unit = index * per_draw + first // group
+            _group_means(pair[:, col:col + n], group, units[:, unit:unit + -(-n // group)])
     return units
 
 
-def _values(V: PotentialSpec, points: np.ndarray) -> np.ndarray:
-    """A callable's values at `points`, in an array of its own that may be overwritten."""
-    v = np.asarray(V.evaluate(points), dtype=np.float64)
-    if not (v.flags.owndata and v.flags.writeable):
-        v = v.copy()  # the clip works in place; a view may alias the caller's data
-    return v
+def _group_means(w: np.ndarray, group: int, out: np.ndarray) -> None:
+    """Write into `out` the means of consecutive groups of `group` units of w (..., k),
+    each summed in order; the last group may hold fewer."""
+    k = w.shape[-1]
+    np.copyto(out, w[..., ::group])
+    for j in range(1, group):
+        later = w[..., j::group]
+        out[..., :later.shape[-1]] += later
+    out /= np.minimum(k - np.arange(0, k, group), group) if k % group else group
 
 
 @lru_cache(maxsize=32)
@@ -534,7 +572,8 @@ def _fold(v: np.ndarray, m: int, out: np.ndarray, first: int = 1) -> None:
 
 def _sums_layout(n_paths: int, n_steps: int, dim: int) -> tuple[int, int, int]:
     """(group, own, rows) of a chunk that draws `n_paths` paths in sine coordinates:
-    paths per group, modes each path draws alone, and groups per row block.
+    paths per group, modes each path draws alone, and groups per row block of
+    `_bridge_sums` (`_node_blocks` sizes its own).
 
     Groups of `_GROUP` paths each draw their modes above `_OWN_MODES` once
     (see `_bridge_sums`), unless no mode lies above it or the chunk would
@@ -556,20 +595,9 @@ def _sums_layout(n_paths: int, n_steps: int, dim: int) -> tuple[int, int, int]:
 def _bridge_sums(gen: np.random.Generator, n_paths: int, n_steps: int, dim: int, strides):
     """Trapezoid sums A = sum' alpha, B = sum' u alpha, C = sum' |alpha|^2 per stride.
 
-    The paths are drawn in sine coordinates (see `stochastic`), in groups
-    of `_sums_layout`: each path of a group draws its own standard normals
-    xi_j for the modes j <= own, and the group draws those of the modes
-    j > own once, for all its paths.  A group's normals form one row: the
-    own modes of its paths, path by path, then the shared modes, each
-    mode times dim coordinates.  Each path thus has the exact bridge law,
-    and distinct groups are independent.  The rows are drawn in C order,
-    row block by row block of whole groups, into one reused buffer, so
-    the blocks are bit for bit one draw of the chunk's rows; a group of
-    one path draws its n_steps - 1 modes in the order of
-    `gen.standard_normal((n_paths, n_steps - 1, dim))`, and a one-step grid
-    draws nothing.  When the group size does not divide `n_paths`, the
-    chunk's last group is short: its row holds the own modes of its fewer
-    paths, then the shared modes.
+    The paths are drawn in sine coordinates xi (see `stochastic`), in the
+    groups of `_sums_layout`, one row of normals per group (`_group_rows`),
+    row block by row block of whole groups; a one-step grid draws nothing.
 
     A and B are linear in xi: every path reads its own modes through one
     matrix product, and each group adds the product of its shared modes
@@ -592,22 +620,12 @@ def _bridge_sums(gen: np.random.Generator, n_paths: int, n_steps: int, dim: int,
     group, own, rows = _sums_layout(n_paths, n_steps, dim)
     split = own * dim  # the coefficients' rows that a path reads from its own modes
     head = group * split  # a group row's own modes, path by path
-    xi = np.empty((rows, head + (n_steps - 1) * dim - split))
     xo = np.empty((rows * group if group > 1 else 0, split))
     coarse = sorted({n_steps // s for s in strides} - {1, n_steps}, reverse=True)
     own_folds = {m: np.empty((rows * group, m - 1, dim)) for m in coarse if m <= own}
     shared_folds = {m: np.empty((rows, m - 1, dim)) for m in coarse}
-    done = 0
-    while done < n_paths:
-        size = min(rows * group, n_paths - done)
-        g = -(-size // group)
-        short = size - (g - 1) * group  # paths of the block's last group
-        block = xi[:g]
-        gen.standard_normal(out=block.reshape(-1)[:block.size - (group - short) * split])
-        if short < group:  # move the short group's shared modes to their place
-            last = block[-1]
-            last[head:] = last[short * split:short * split + last.size - head].copy()
-            last[short * split:head] = 0.0
+    for block, ((*_, size),) in _group_rows([(gen, n_paths)], n_steps, dim, group, own, rows):
+        g = len(block)
         if group == 1:
             own_xi = block
         else:
@@ -651,7 +669,6 @@ def _bridge_sums(gen: np.random.Generator, n_paths: int, n_steps: int, dim: int,
                                                 @ c_col[split:])[:, None]
         yield [(ab[:size, level, 0], ab[:size, level, 1], c[n_steps // s][:size])
                for level, s in enumerate(strides)]
-        done += size
 
 
 def _line_action(xs: np.ndarray, ys: np.ndarray, form: QuadraticForm,
@@ -713,8 +730,8 @@ def _unclipped(V: PotentialSpec) -> bool:
 def _pairs(count: int) -> tuple[int, int]:
     """The paths drawn for a chunk of `count` paths, ceil(count / 2), and how many of
     them are weighed with their mirrors, count // 2 (see the module docstring): the
-    pair units of `_sums_units` and `_walk_units` alike, in draw order (those of
-    `_sums_units` then average by groups)."""
+    pair units of `_sums_units` and `_walk_units` alike, in draw order, which both
+    then average by groups."""
     return -(-count // 2), count // 2
 
 
@@ -726,14 +743,12 @@ def _sums_units(gen: np.random.Generator, count: int, xs: np.ndarray, ys: np.nda
 
     Each drawn path is weighed with its mirror into a pair unit
     (`_sums_weights`), and the pair units of a group of `_sums_layout`
-    average into one group unit: the unit that every record counts.  A
-    chunk's last group may hold fewer paths, and the lone unpaired path
-    of an odd count is one of them.  The units fill, in draw order, one
-    reused buffer of shape (strides, node pairs, units) and at most
-    `_BLOCK_ELEMENTS` numbers (one unit per row if there are more rows).
-    A full buffer is yielded when more units arrive and the last one
-    after the chunk's last sums, so that reducing it keeps no buffer of
-    `_bridge_sums` alive for nothing; the next buffer overwrites it.
+    average into one group unit (`_group_means`).  The units fill, in
+    draw order, one reused buffer of shape (strides, node pairs, units)
+    and at most `_BLOCK_ELEMENTS` numbers (one unit per row if there are
+    more rows).  A full buffer is yielded when more units arrive and the
+    last one after the chunk's last sums, so that reducing it keeps no
+    buffer of `_bridge_sums` alive for nothing; the next overwrites it.
     """
     drawn, paired = _pairs(count)
     n_x, n_y, dim = len(xs), len(ys), xs.shape[1]
@@ -758,20 +773,13 @@ def _sums_units(gen: np.random.Generator, count: int, xs: np.ndarray, ys: np.nda
                 yield units.reshape(len(strides), n_x * n_y, size)
                 filled = 0
             k = min(len(levels[0][2]) - done, (size - filled) * group, rows)
-            heads = np.arange(0, k, group)
             # contiguous: numpy is about 1.6x slower on the ragged columns of a wider buffer
             out = weights[:2 * n_x * n_y * k].reshape(2, n_x, n_y, k)
             for level, (sums, line) in enumerate(zip(levels, lines)):
                 w = _sums_weights([a[done:done + k] for a in sums], xs, ys, t, form, line,
                                   max(0, paired - start), out)
-                # each group sums its paths in draw order; the last may hold fewer
-                unit = units[level, ..., filled:filled + len(heads)]
-                np.copyto(unit, w[..., ::group])
-                for j in range(1, group):
-                    later = w[..., j::group]
-                    unit[..., :later.shape[-1]] += later
-                unit /= np.minimum(k - heads, group)
-            filled += len(heads)
+                _group_means(w, group, units[level, ..., filled:filled + -(-k // group)])
+            filled += -(-k // group)
             done += k
             start += k
     yield units.reshape(len(strides), n_x * n_y, size)[..., :filled]
@@ -958,11 +966,13 @@ def estimate_Q(
     workers: int = 1,
     key: tuple[int, ...] = (),
 ) -> QEstimate:
-    """Monte Carlo mean of exp(-action) over independent bridges.
+    """Monte Carlo mean of exp(-action) over bridges.
 
+    The bridges are drawn in groups that share their high sine modes, and
+    the standard error counts group units (see the module docstring).
     Sample streams are keyed by (seed, stream_id, *key, chunk index), so
     results are bit-reproducible for a fixed seed independently of the
-    worker count.  A clipped quadratic form (a truncation of `zero`,
+    worker count and of the row blocks.  A clipped quadratic form (a truncation of `zero`,
     `harmonic`, `stark` or `inverted_quadratic`) is estimated as
     max(Q_ref + mean(w - w_ref), 0), with w_ref the unclipped form's
     weight and Q_ref its exact grid value, whenever w_ref has finite
@@ -996,8 +1006,7 @@ def _pair_estimates(xs: np.ndarray, ys: np.ndarray, keys, V: PotentialSpec, t: f
     """Q estimates of max(V, floor) for each floor at each node pair (xs[p], ys[p]).
 
     Pair p draws its paths from the keyed chunks (*keys[p], chunk) once
-    for all floors along the walk (`_walk_units`); `floors=None`
-    estimates V itself.
+    for all floors (`_walk_units`); `floors=None` estimates V itself.
     When `n_samples` fits in one chunk, consecutive pairs whose units fit
     in `_BLOCK_ELEMENTS` together form a group: they share the row blocks
     of `_walk_units` and one `_Stats.of` over (floors x pairs) rows.  A
@@ -1031,8 +1040,8 @@ def _pair_estimates(xs: np.ndarray, ys: np.ndarray, keys, V: PotentialSpec, t: f
     groups = [range(a, min(a + size, len(keys))) for a in range(0, len(keys), size)]
 
     def chunk(pairs: range, levels, controlled: bool, gens, count: int):
-        w = _walk_units([(gen, count, xs[p], ys[p]) for gen, p in zip(gens, pairs)],
-                        n_steps, t, V, floors=levels)
+        w = _walk_units([(gen, xs[p], ys[p]) for gen, p in zip(gens, pairs)], count, n_steps,
+                        t, V, floors=levels)
         w = w.reshape(len(w), len(pairs), -1)
         if not controlled:
             return (_Stats.of(w, _TOP_K),)
@@ -1190,8 +1199,8 @@ def matrix_element(
     key=(), and each path enters only through its trapezoid sums, reduced
     as in `estimate_Q` (`_sums_records`).  The standard error then comes
     from the totals sum_ij coef_ij w_ij(unit) of its group units, which
-    carry the correlation between nodes that sharing creates.  A clipped form (a
-    truncation) or a callable potential gives every node pair its own
+    carry the correlation between nodes that sharing creates.  A clipped
+    form (a truncation) or a callable potential gives every node pair its own
     stream keyed by the index pair, so calls with truncations of one
     potential at a fixed seed compare the same paths across levels; a
     clipped form's Q at each node pair is read against the unclipped
@@ -1205,13 +1214,12 @@ def matrix_element(
     and about 3.6 for truncate(inverted_quadratic(0.5), 1.0) at 8 x 8
     nodes and t = 1.  What the node pairs share is their row blocks:
     when `mc.n_samples` fits in one chunk, consecutive pairs draw their
-    own paths into the same blocks of the walk, which are weighed in one
-    pass, and their records come from one reduction (`_pair_estimates`),
-    while each pair's estimate stays bit for bit that of `estimate_Q` at
-    the pair with key=(i, j).
-    `mc_samples_per_node` counts paths, each weighed with its mirror (see
-    `_pairs`).  Either way a fixed seed gives bit-identical
-    results for any worker count.
+    own paths into the same blocks of node values, weighed in one pass,
+    and their records come from one reduction (`_pair_estimates`), while
+    each pair's estimate stays bit for bit that of `estimate_Q` at the
+    pair with key=(i, j).  `mc_samples_per_node` counts paths, each
+    weighed with its mirror (see `_pairs`).  Either way a fixed seed
+    gives bit-identical results for any worker count.
     """
     return _matrix_elements(phi, psi, V, t, quadrature, mc, rng, None, workers=workers)[0]
 
@@ -1350,7 +1358,7 @@ def refine_steps(
             chunk = partial(_sums_records, xp[None], yp[None], t, V.form, n_max, strides, None)
         else:
             def chunk(gens, count: int):
-                return _unit_records(_walk_units([(gens[0], count, xp, yp)], n_max, t, V,
+                return _unit_records(_walk_units([(gens[0], xp, yp)], count, n_max, t, V,
                                                  strides)[:, None])
 
         levels, diffs = _over_chunks(rng, [()], n_samples, workers, chunk)

@@ -1,41 +1,33 @@
 """Brownian bridge sampling and Gaussian moment identities.
 
-The bridge is realized on a uniform grid over [0, 1] in one of two
-ways, both carrying the exact bridge law: covariance
+The bridge is realized on a uniform grid over [0, 1] in sine
+(Karhunen-Loeve) coordinates, carrying the exact bridge law: covariance
 min(s, u) (1 - max(s, u)) per coordinate and independent coordinates,
 so only time integrals along a path are subject to discretization
-error, never the path law itself.
+error, never the path law itself.  The interior values have precision
+K = n tridiag(-1, 2, -1), which the discrete sine basis diagonalizes, so
+alpha(k/n) = sum_j sqrt(2/n) sin(j k pi / n) xi_j / sqrt(n mu_j) with
+mu_j = 2 - 2 cos(j pi / n) and xi_1..xi_{n-1} independent standard
+normals per coordinate; `_sine_amplitudes` and `_sine_transform` give
+the basis.  The amplitudes 1 / sqrt(n mu_j) fall like 1/j, so every
+estimator draws the modes j <= 16 of each path alone and the higher
+modes once per group of 8 paths: a group's normals are one row, the own
+modes of its paths, path by path, then the shared modes
+(`feynman_kac._group_rows`).  Every path still carries the exact law
+above, and the paths of distinct groups are independent; the
+estimators average the units of a group's paths into one group unit,
+which their error bars count.  Unclipped quadratic forms read a path's
+trapezoid sums straight from xi, callables and clipped forms its node
+values (`feynman_kac._bridge_sums`, `feynman_kac._node_blocks`).
 
-- The walk: b(k/n) is the cumulative sum of independent Gaussian
-  increments of variance 1/n per coordinate, and alpha(k/n) is
-  b(k/n) - (k/n) b(1).  `bridge_values` and `sample_bridge` draw it;
-  so does `feynman_kac._bridge_blocks`, one row block at a time, for
-  every estimator that needs node values: callable potentials and
-  clipped quadratic forms.
-- Sine (Karhunen-Loeve) coordinates: the interior values have precision
-  K = n tridiag(-1, 2, -1), which the discrete sine basis diagonalizes,
-  so alpha(k/n) = sum_j sqrt(2/n) sin(j k pi / n) xi_j / sqrt(n mu_j)
-  with mu_j = 2 - 2 cos(j pi / n) and xi_1..xi_{n-1} independent
-  standard normals per coordinate.  The estimators of an unclipped
-  quadratic form (`estimate_Q`, both modes of `refine_steps`, the
-  shared-path `matrix_element` and, through them, the bound sweep) draw
-  xi, read the path's trapezoid sums straight from it, without forming
-  node values, and reduce them in one function (`feynman_kac._sums_records`);
-  `_sine_amplitudes` and `_sine_transform` give the basis.  The
-  amplitudes 1 / sqrt(n mu_j) fall like 1/j, so these estimators draw
-  the modes j <= 16 of each path alone and the higher modes once per
-  group of 8 paths (`feynman_kac._bridge_sums`): a group's normals are
-  one row, the own modes of its paths, path by path, then the shared
-  modes.  Every path still carries the exact law above, and the paths
-  of distinct groups are independent; the estimators average the units
-  of a group's paths into one group unit, which their error bars count.
+The map from normals to bridge is linear: the negated normals -xi give
+exactly the mirrored bridge -alpha, which has the same law.  The
+estimators use this to weigh every drawn path a second time as its
+mirror, without drawing it (see `feynman_kac`), so they draw at most
+half as many normals as they weigh paths.
 
-Both realizations are odd in the normals they read: the negated
-normals, -xi or the negated increments, give exactly the mirrored
-bridge -alpha, which has the same law.  The estimators use this to
-weigh every drawn path a second time as its mirror, without drawing it
-(see `feynman_kac`), so they draw at most half as many normals as they
-weigh paths.
+`sample_bridge` draws one path by the walk instead, with the same law
+(`bridge_values`: cumulative sums b of increments, less (k/n) b(1)).
 
 Because the grid law is exactly Gaussian, the expected weight of an
 unclipped quadratic potential on the grid is a Gaussian integral:

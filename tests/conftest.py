@@ -3,7 +3,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from bridgekac.feynman_kac import _bridge_blocks
+from bridgekac.feynman_kac import _node_blocks
 from bridgekac.stochastic import RngSeed
 
 
@@ -25,13 +25,13 @@ def counting_seed():
 
 
 def _bridge_batch(gen, n_steps, n_paths):
-    """n_paths one-coordinate bridges drawn from gen by the estimators' walk
-    (`feynman_kac._bridge_blocks`), one path per row: shape (n_paths, n_steps + 1)."""
+    """n_paths one-coordinate bridges drawn from gen by the estimators' sampler
+    (`feynman_kac._node_blocks`), one path per row: shape (n_paths, n_steps + 1)."""
     return np.concatenate([alpha[:, :, 0].T.copy()
-                           for alpha, _ in _bridge_blocks([(gen, n_paths)], n_steps, 1)])
+                           for alpha, _, _ in _node_blocks([gen], n_paths, n_steps, 1)])
 
 
 @pytest.fixture
 def bridge_batch():
-    """The walk's bridges as one array: call it with (generator, n_steps, n_paths)."""
+    """The estimators' bridges as one array: call it with (generator, n_steps, n_paths)."""
     return _bridge_batch

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bridgekac import backend
-from bridgekac.feynman_kac import _walk_units
+from bridgekac.feynman_kac import _node_blocks, _walk_units
 from bridgekac.potentials import QuadraticForm, harmonic, inverted_quadratic, stark, truncate
 from bridgekac.stochastic import RngSeed, bridge_values
 
@@ -106,11 +106,13 @@ def test_clipped_kernel_matches_reference_for_paths_and_mirrors(dim):
     strides = (1, 2, 4)
     n_paths, n_steps, t = 20, 16, 0.9
     x, y = np.linspace(0.4, 1.2, dim), np.linspace(-0.7, 0.1, dim)
-    normals = RngSeed(13).generator(0).standard_normal((n_paths, n_steps, dim))
+    # the paths that the estimators draw from this stream: 20 paths are groups of one
+    (alpha, _, _), = _node_blocks([RngSeed(13).generator(0)], n_paths, n_steps, dim)
+    alpha = alpha.transpose(1, 0, 2).copy()
     # each finite floor lies between the smallest and the largest per-path minimum of V, so
     # it binds on some paths and not on others whatever the stream draws
     u = np.linspace(0.0, 1.0, n_steps + 1)[:, None]
-    pos = (1.0 - u) * x + u * y + math.sqrt(t) * bridge_values(normals)
+    pos = (1.0 - u) * x + u * y + math.sqrt(t) * alpha
     lows = np.sort((form.quad * np.square(pos).sum(axis=-1) + pos @ form.lin + form.const)
                    .min(axis=1))
     floors = (0.5 * float(lows[4] + lows[5]), 0.5 * float(lows[14] + lows[15]), -math.inf)
@@ -120,19 +122,18 @@ def test_clipped_kernel_matches_reference_for_paths_and_mirrors(dim):
                                             dataclasses.replace(form, floor=f))
                          for s in strides for f in floors])
 
-    plus, minus = reference(bridge_values(normals)), reference(bridge_values(-normals))
+    plus, minus = reference(alpha), reference(-alpha)
     # both finite floors bind on some paths and not on others
     for k in range(2):
         assert 0 < np.count_nonzero(plus[k] != plus[2]) < n_paths
     even, odd = np.empty((2, n_steps + 1, n_paths))
-    backend.form_parts(bridge_values(normals).transpose(1, 0, 2), [(x, y, 0, n_paths)], t, form,
-                       even, odd)
+    backend.form_parts(alpha.transpose(1, 0, 2), [(x, y, 0, n_paths)], t, form, even, odd)
     for values, want in ((even + odd, plus), (even - odd, minus)):
         np.testing.assert_allclose(backend.floored_weights(values, floors, t, strides), want,
                                    rtol=1e-12)
     # a chunk of 39 paths draws these 20: 19 pairs of a path and its mirror, the last alone
     V = dataclasses.replace(harmonic(dim=dim), form=form)
-    units = _walk_units([(RngSeed(13).generator(0), 2 * n_paths - 1, x, y)], n_steps, t, V,
+    units = _walk_units([(RngSeed(13).generator(0), x, y)], 2 * n_paths - 1, n_steps, t, V,
                         strides, floors)
     want = plus.copy()
     want[:, :-1] = 0.5 * (plus[:, :-1] + minus[:, :-1])

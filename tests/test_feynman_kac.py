@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import operator
 import tracemalloc
@@ -19,12 +20,11 @@ from bridgekac.feynman_kac import (
     gaussian,
     matrix_element,
     refine_steps,
-    _bridge_blocks,
     _bridge_sums,
     _estimates,
     _line_action,
     _matrix_elements,
-    _position_blocks,
+    _node_blocks,
     _Stats,
     _sums_records,
     _sums_units,
@@ -38,7 +38,7 @@ from bridgekac.potentials import (
     QuadraticForm, custom, harmonic, inverted_quadratic, stark, truncate, zero,
 )
 from bridgekac.stochastic import (
-    DIVERGENT, RngSeed, _sine_amplitudes, _sine_transform, bridge_values, gaussian_q,
+    DIVERGENT, RngSeed, _sine_amplitudes, _sine_transform, gaussian_q,
 )
 
 
@@ -370,6 +370,9 @@ def test_bridge_sums_match_trapezoid_sums_of_the_bridge(dim, n_steps, strides, n
     group = feynman_kac._sums_layout(n_paths, n_steps, dim)[0]
     assert group == (8 if n_paths > 160 and n_steps > 17 else 1)
     alpha = _sine_bridge(_grouped_xi(RngSeed(41).generator(), n_paths, n_steps, dim))
+    # the node values that callables and clipped forms synthesize are the same paths
+    (nodes,) = _node_paths([RngSeed(41).generator()], n_paths, n_steps, dim)
+    np.testing.assert_allclose(nodes, alpha, rtol=0.0, atol=1e-12)
     start = 0
     for levels in _bridge_sums(RngSeed(41).generator(), n_paths, n_steps, dim, strides):
         assert len(levels) == len(strides)
@@ -385,33 +388,88 @@ def test_bridge_sums_match_trapezoid_sums_of_the_bridge(dim, n_steps, strides, n
     assert start == n_paths
 
 
-@pytest.mark.parametrize("ends", [False, True])
-def test_bridge_blocks_are_the_rows_of_the_one_shot_bridge(monkeypatch, ends):
-    # 13 rows per block: two draws of 60 and 40 paths are seven full blocks and a
-    # ragged one of 9, and the first draw ends inside the fifth block
-    monkeypatch.setattr(feynman_kac, "_BLOCK_ELEMENTS", 13 * feynman_kac._WALK_BUFFERS * 17 * 2)
-    normals = [RngSeed(47).generator(k).standard_normal((n, 16, 2))
-               for k, n in ((0, 60), (1, 40))]
-    alpha = np.concatenate([bridge_values(n) for n in normals]).transpose(1, 0, 2)
-    draws = [(RngSeed(47).generator(k), n) for k, n in ((0, 60), (1, 40))]
-    if ends:
-        # nodes 0..n: the positions of pin-to-pin paths from 0 to 0 at t = 1; their
-        # mirrors are the positions of the bridges of the negated normals
-        blocks, mirrors = [], []
-        for pos, reflect in _position_blocks([(gen, n, np.zeros(2), np.zeros(2))
-                                              for gen, n in draws], 16, 1.0):
-            blocks.append(pos.copy())
-            mirrors.append(reflect().copy())
-        mirrored = np.concatenate([bridge_values(-n) for n in normals]).transpose(1, 0, 2)
-        assert np.array_equal(np.concatenate(mirrors, axis=1), mirrored)
-    else:
-        blocks, spans = [], []
-        for block, where in _bridge_blocks(draws, 16, 2):
-            blocks.append(block.copy())
-            spans.append(where)
-        assert spans[4] == [(0, 0, 8), (1, 8, 13)] and spans[-1] == [(1, 0, 9)]
-    assert [b.shape[1] for b in blocks] == [13] * 7 + [9]
-    assert np.array_equal(np.concatenate(blocks, axis=1), alpha)
+def _node_paths(draws, n_paths, n_steps, dim):
+    """The bridges that `_node_blocks` synthesizes for each generator of `draws`, path-major:
+    one array (n_paths, n_steps + 1, dim) per draw, from the columns its blocks give it."""
+    paths = [np.empty((n_paths, n_steps + 1, dim)) for _ in draws]
+    for alpha, spans, _ in _node_blocks(draws, n_paths, n_steps, dim):
+        for index, _, col, first, size in spans:
+            paths[index][first:first + size] = alpha[:, col:col + size].transpose(1, 0, 2)
+    return paths
+
+
+@pytest.mark.parametrize("n_steps", [16, 64, 256], ids=["own", "dense", "dst"])
+def test_synthesized_nodes_do_not_depend_on_blocks_tiles_or_workers(monkeypatch, n_steps):
+    # two draws of 170 paths: 22 groups of 8 each, the last of 2 (at 16 steps, 170 groups
+    # of one).  The shared modes are one dense product per block up to 128 steps and one
+    # DST per group above.  A path's columns move between blocks and product tiles as
+    # the blocks shrink, and blocks run on three threads at once
+    dim, n_paths = 2, 170
+    group = feynman_kac._sums_layout(n_paths, n_steps, dim)[0]
+    assert group == (1 if n_steps <= 17 else 8)
+
+    def run():
+        return _node_paths([RngSeed(47).generator(k) for k in (0, 1)], n_paths, n_steps, dim)
+
+    whole = run()
+    for a, b in zip(whole, _node_paths([RngSeed(47).generator(k) for k in (0, 1)], n_paths,
+                                       n_steps, dim)):
+        assert np.array_equal(a, b)
+    assert all(np.all(p[:, [0, -1]] == 0.0) for p in whole)
+    for groups in (1, 3, 7):
+        # `groups` groups per block; blocks straddle the two draws unless groups divide 22
+        monkeypatch.setattr(feynman_kac, "_BLOCK_ELEMENTS",
+                            groups * group * feynman_kac._NODE_BUFFERS * (n_steps + 1) * dim)
+        widths = [alpha.shape[1] for alpha, _, _ in
+                  _node_blocks([RngSeed(47).generator(k) for k in (0, 1)], n_paths, n_steps,
+                               dim)]
+        assert max(widths) == groups * group
+        for runs in feynman_kac._run_ordered([run] * 3, 3):
+            for a, b in zip(whole, runs):
+                assert np.array_equal(a, b)
+
+
+class _StreamGenerator:
+    """Generator proxy whose standard normals are the numbers of `stream`, in order."""
+
+    def __init__(self, stream):
+        self.stream = stream.reshape(-1)
+        self.done = 0
+
+    def standard_normal(self, *, out):
+        flat = out.reshape(-1)
+        flat[:] = self.stream[self.done:self.done + flat.size]
+        self.done += flat.size
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n_steps", [2, 16, 17, 18, 128, 512])
+def test_synthesis_map_carries_the_bridge_covariance(n_steps, dim):
+    # a group's row of L normals gives its paths' node values linearly: drawn as the rows
+    # of the L x L identity, the groups' paths are the columns of that map.  Each path's
+    # map times its transpose is the bridge covariance min(s, u) (1 - max(s, u)) per
+    # coordinate, coordinates apart; two paths of one group covary by their shared modes
+    # alone: the covariance less that of the own modes j <= 16
+    own = min(16, n_steps - 1)
+    group = 8 if n_steps > 17 else 1
+    length = (group * own + n_steps - 1 - own) * dim
+    n_paths = length * group
+    assert feynman_kac._sums_layout(n_paths, n_steps, dim)[:2] == (
+        group, own if group > 1 else n_steps - 1)
+    (paths,) = _node_paths([_StreamGenerator(np.eye(length))], n_paths, n_steps, dim)
+    maps = paths.reshape(length, group, -1)  # [row, path of the group, (node, coordinate)]
+    u = np.arange(n_steps + 1) / n_steps
+    bridge = np.minimum.outer(u, u) * (1.0 - np.maximum.outer(u, u))
+    want = np.kron(bridge, np.eye(dim))
+    for p in sorted({0, group - 1}):
+        np.testing.assert_allclose(maps[:, p].T @ maps[:, p], want, rtol=0.0, atol=1e-12)
+    if group > 1:
+        own_nodes = np.zeros((n_steps + 1, own))
+        own_nodes[1:-1] = feynman_kac._synthesis(n_steps)[0]
+        shared = want - np.kron(own_nodes @ own_nodes.T, np.eye(dim))
+        assert np.abs(shared).max() > 1e-4
+        np.testing.assert_allclose(maps[:, 0].T @ maps[:, group - 1], shared, rtol=0.0,
+                                   atol=1e-12)
 
 
 def test_callable_may_return_a_read_only_view():
@@ -473,23 +531,33 @@ def _one_shot_weights(alpha, x, y, t, V, strides, floors=None):
                                    strides)
 
 
-@pytest.mark.parametrize("case", list(_STREAMED))
+@pytest.mark.parametrize("case", list(_STREAMED) + ["shared modes"])
 def test_streamed_weights_equal_one_shot_weights(monkeypatch, case):
-    V, strides, floors = _STREAMED[case]
     # 199 paths: 100 drawn, 13 per block (seven full blocks and a ragged one of 9), the
-    # first 99 weighed with their mirrors and the last a unit of its own
-    n_paths, n_steps, t = 199, 16, 0.8
-    monkeypatch.setattr(feynman_kac, "_BLOCK_ELEMENTS",
-                        13 * feynman_kac._WALK_BUFFERS * (n_steps + 1) * V.dim)
+    # first 99 weighed with their mirrors and the last a unit of its own.  With shared
+    # modes, 339 paths at 32 steps: 170 drawn in 22 groups of 8, the last of 2 holding the
+    # lone path, two groups per block; a group's unit is the mean of its pair units
+    V, strides, floors = _STREAMED.get(case, _STREAMED["callable"])
+    n_paths, n_steps, t = (339, 32, 0.8) if case == "shared modes" else (199, 16, 0.8)
+    drawn = -(-n_paths // 2)
+    group = feynman_kac._sums_layout(drawn, n_steps, V.dim)[0]
     x, y = np.full(V.dim, 0.4), np.full(V.dim, -0.3)
-    got = _walk_units([(RngSeed(3).generator(5), n_paths, x, y)], n_steps, t, V, strides, floors)
-    normals = RngSeed(3).generator(5).standard_normal((100, n_steps, V.dim))
+    # the one-shot bridges: every path in one block
+    (alpha,) = _node_paths([RngSeed(3).generator(5)], drawn, n_steps, V.dim)
+    monkeypatch.setattr(feynman_kac, "_BLOCK_ELEMENTS",
+                        13 * feynman_kac._NODE_BUFFERS * (n_steps + 1) * V.dim
+                        if group == 1 else 2 * 8 * feynman_kac._NODE_BUFFERS * (n_steps + 1))
+    got = _walk_units([(RngSeed(3).generator(5), x, y)], n_paths, n_steps, t, V, strides,
+                      floors)
 
     def one_shot(alpha):
         return _one_shot_weights(alpha, x, y, t, V, strides, floors)
 
-    want = _pair_units(one_shot(bridge_values(normals)), one_shot(bridge_values(-normals)), 99)
-    assert got.shape == want.shape == (len(strides) * (1 if floors is None else len(floors)), 100)
+    pairs = _pair_units(one_shot(alpha), one_shot(-alpha), n_paths // 2).T
+    want = np.stack([sum(pairs[a:a + group]) / len(pairs[a:a + group])
+                     for a in range(0, drawn, group)], axis=1)
+    assert got.shape == want.shape == (len(strides) * (1 if floors is None else len(floors)),
+                                       -(-drawn // group))
     assert np.array_equal(got, want)
 
 
@@ -514,16 +582,15 @@ def _chunk_units(gen, count, n_steps, x, y, t, V, strides):
 
 def _drawn_weights(gen, n_paths, n_steps, x, y, t, V, strides):
     """Weights of `n_paths` drawn paths each alone, no mirror: from the trapezoid sums of
-    an unclipped form, else along the walk; one row per stride."""
+    an unclipped form, else from the synthesized node values; one row per stride."""
     if V.form is not None and V.form.floor == -math.inf:
         lines = [_line_action(x[None], y[None], V.form, n_steps // s) for s in strides]
         return np.concatenate(
             [[_sums_weights(sums, x[None], y[None], t, V.form, line)[0, 0]
               for sums, line in zip(levels, lines)]
              for levels in _bridge_sums(gen, n_paths, n_steps, V.dim, strides)], axis=1)
-    normals = np.empty((n_paths, n_steps, V.dim))
-    gen.standard_normal(out=normals)
-    return np.array(_one_shot_weights(bridge_values(normals), x, y, t, V, strides))
+    (alpha,) = _node_paths([gen], n_paths, n_steps, V.dim)
+    return np.array(_one_shot_weights(alpha, x, y, t, V, strides))
 
 
 @pytest.mark.parametrize("V, strides", [
@@ -534,7 +601,7 @@ def _drawn_weights(gen, n_paths, n_steps, x, y, t, V, strides):
 @pytest.mark.parametrize("count", [1, 2, 97, 200, 336, 401])
 def test_units_are_the_means_of_each_path_and_its_mirror(monkeypatch, V, strides, count):
     # on the sums path the mirror is the path drawn as the negated sine coordinates -xi
-    # (the walk's mirrors are checked against the negated increments above); with an odd
+    # (the node values' mirrors are checked against -alpha above); with an odd
     # count the last path is a unit alone.  Up to 200 paths (at most 100 drawn) every
     # path is a group of one; 336 paths are 168 drawn in 21 groups of 8 that share their
     # modes above 16, and 401 paths 201 drawn in 26 groups, the last of them the lone
@@ -711,12 +778,14 @@ def test_shared_path_units_pair_as_the_pointwise_units(monkeypatch):
 def test_batched_node_pairs_equal_their_own_estimates(monkeypatch, V, workers, n_samples):
     # _CHUNK - 1 paths: each pair draws 16 384 paths, the last alone.  The truncation (two
     # rows: its floor and the control) weighs pairs 0-2 together and pair 3 alone, the
-    # callable all four; a walk block of 3276 paths holds the end of pair 0 and the start
-    # of pair 1, and each pair's paths span several blocks.  _CHUNK + 1 paths: chunk 0
+    # callable all four; a block of 3276 paths holds the end of pair 0 and the start of
+    # pair 1, and each pair's paths span several blocks.  _CHUNK + 1 paths: chunk 0
     # draws 16 384 paths and chunk 1 one path alone, and each pair is weighed alone
     n_steps = 4
     monkeypatch.setattr(feynman_kac, "_BLOCK_ELEMENTS", 3 * 2 * 16384)
-    assert feynman_kac._walk_rows(10**6, n_steps, 1) == 3276
+    blocks = _node_blocks([RngSeed(0).generator()] * 2, 16384, n_steps, 1)
+    assert [(alpha.shape[1], spans) for alpha, spans, _ in itertools.islice(blocks, 6)][4:] == [
+        (3276, [(0, 0, 0, 13104, 3276)]), (3276, [(0, 0, 0, 16380, 4), (1, 4, 4, 0, 3272)])]
     pair_estimates = feynman_kac._pair_estimates
     recorded = []
 
@@ -846,9 +915,17 @@ def test_shared_mode_error_bars_are_calibrated():
     # standard normals (`_z_band`)
     t, n_steps, n_samples = 1.0, 128, 8192
     assert feynman_kac._sums_layout(n_samples // 2, n_steps, 1)[0] == 8
-    for V, x, y in ((harmonic(), 0.0, 0.0), (stark(1.0), 0.7, -0.6),
-                    (inverted_quadratic(0.5), 0.3, 0.3)):
-        exact = gaussian_q(x, y, V.form, t, n_steps)
+    # harmonic and stark(1) also as callables, weighed from the node values synthesized
+    # from the same group rows, against the forms' exact grid values.  A clipped case
+    # waits for an exact time-grid oracle of clipped potentials (the planned `grid_q`,
+    # see ROADMAP.md): `gaussian_q` gives unclipped forms alone
+    for V, x, y, form in ((harmonic(), 0.0, 0.0, None), (stark(1.0), 0.7, -0.6, None),
+                          (inverted_quadratic(0.5), 0.3, 0.3, None),
+                          (custom(harmonic().evaluate, lambda eps: 0.0), 0.0, 0.0,
+                           harmonic().form),
+                          (custom(stark(1.0).evaluate, lambda eps: 0.0), 0.7, -0.6,
+                           stark(1.0).form)):
+        exact = gaussian_q(x, y, form or V.form, t, n_steps)
         z = [(e.mean - exact) / e.std_error
              for e in (estimate_Q(x, y, V, t, n_samples, n_steps, RngSeed(k)) for k in range(40))]
         mean, sd, bound = _z_band(z)
