@@ -66,7 +66,7 @@ and C.  One function reduces every estimate of such a form
 (`_sums_records`), at one node pair or all quadrature nodes, on one
 grid or several.
 Callables and clipped forms need the values at the nodes, synthesized
-node-major for each block, node k of every path in row k
+node-major for each block of whole groups, node k of every path in row k
 (`_node_blocks`).  A clipped form is weighed from the bridge values
 alone: along (1-u) x + u y + sqrt(t) alpha its value is E + O, E even
 and O odd in alpha (`backend.form_parts`), so the mirror's values are
@@ -320,12 +320,12 @@ def _group_rows(draws, n_steps: int, dim: int, group: int, own: int, rows: int):
     are bit for bit one draw of them all, a group of one path in the
     order of `gen.standard_normal((n_paths, n_steps - 1, dim))`.  Yields
     (xi, spans) per block: its rows, and (draw index, first row, first
-    path in the block, first path in the draw, paths) per draw in it.
+    path in the draw, paths) per draw in it.
     """
     split = own * dim  # the numbers of one path's own modes
     head = group * split
     xi = np.empty((rows, head + (n_steps - 1) * dim - split))
-    spans, filled, col = [], 0, 0
+    spans, filled = [], 0
     for index, (gen, n_paths) in enumerate(draws):
         done = 0
         while done < n_paths:
@@ -338,11 +338,11 @@ def _group_rows(draws, n_steps: int, dim: int, group: int, own: int, rows: int):
                 last = block[-1]
                 last[head:] = last[short * split:short * split + last.size - head].copy()
                 last[short * split:head] = 0.0
-            spans.append((index, filled, col, done, size))
-            filled, col, done = filled + g, col + size, done + size
+            spans.append((index, filled, done, size))
+            filled, done = filled + g, done + size
             if filled == rows:
                 yield xi, spans
-                spans, filled, col = [], 0, 0
+                spans, filled = [], 0
     if filled:
         yield xi[:filled], spans
 
@@ -397,12 +397,15 @@ def _node_blocks(draws, n_paths: int, n_steps: int, dim: int, buffers=()):
     shared modes' dense product or DST-I (`_synthesis`); a group of one
     path splits its modes the same way.  Fixed column tiles
     (`_tiled_product`) keep them bit for bit the same in any block.  A
-    block holds whole groups, whose `_NODE_BUFFERS` buffers of node values
+    block holds whole groups, `group` columns each (row r's from column
+    r * group; a short group's empty slots hold its shared modes' values,
+    and nothing reads them), whose `_NODE_BUFFERS` buffers of node values
     hold at most `_BLOCK_ELEMENTS` numbers (one group if larger).  Yields
-    (alpha, spans, views) per block: alpha (n_steps + 1, paths, dim) holds
-    node k of every path in row k, nodes 0 and n_steps zero; spans are
-    `_group_rows`'; views are buffers (n_steps + 1, paths, *shape) for
-    the shapes of `buffers`.  All are contiguous, overwritten next block.
+    (alpha, spans, views) per block: alpha (n_steps + 1, columns, dim)
+    holds node k of every column in row k, nodes 0 and n_steps zero;
+    spans are `_group_rows`'; views are buffers (n_steps + 1, columns,
+    *shape) for the shapes of `buffers`.  All are contiguous, overwritten
+    next block.
     """
     group, layout_own, _ = _sums_layout(n_paths, n_steps, dim)
     own_basis, shared = _synthesis(n_steps)
@@ -415,17 +418,14 @@ def _node_blocks(draws, n_paths: int, n_steps: int, dim: int, buffers=()):
     flats = [np.empty((n_steps + 1) * rows * group * math.prod(shape)) for shape in shapes]
     for xi, spans in _group_rows([(gen, n_paths) for gen in draws], n_steps, dim, group,
                                  layout_own, rows):
-        g, width = len(xi), sum(span[-1] for span in spans)
+        g, width = len(xi), len(xi) * group
         alpha, *views = (f[:(n_steps + 1) * width * math.prod(shape)]
                          .reshape(n_steps + 1, width, *shape) for f, shape in zip(flats, shapes))
         alpha[[0, -1]] = 0.0
         inner = alpha[1:-1]
         coords = np.zeros((own, -(-width * dim // _OWN_TILE) * _OWN_TILE))
-        for _, row, col, _, size in spans:
-            k = -(-size // group)
-            np.copyto(coords[:, col * dim:(col + size) * dim].reshape(own, size, dim),
-                      xi[row:row + k, :head].reshape(k * group, own, dim)[:size]
-                      .transpose(1, 0, 2))
+        np.copyto(coords[:, :width * dim].reshape(own, width, dim),
+                  xi[:, :head].reshape(width, own, dim).transpose(1, 0, 2))
         _tiled_product(own_basis, coords, inner.reshape(modes, width * dim), scratch)
         if shared is not None:
             upper = xi[:, head:].reshape(g, modes - own, dim)
@@ -440,15 +440,12 @@ def _node_blocks(draws, n_paths: int, n_steps: int, dim: int, buffers=()):
                 scaled = np.zeros((g, dim, modes))
                 np.multiply(upper.transpose(0, 2, 1), shared[own:], out=scaled[..., own:])
                 nodes = _sine_transform(scaled).transpose(2, 0, 1)
-            for _, row, col, _, size in spans:
-                full = size // group
-                part = inner[:, col:col + full * group].reshape(modes, full, group, dim)
-                np.add(part, nodes[:, row:row + full, None], out=part)
-                inner[:, col + full * group:col + size] += nodes[:, row + full:row + full + 1]
+            paths = inner.reshape(modes, g, group, dim)
+            np.add(paths, nodes[:, :, None], out=paths)
         yield alpha, spans, views
 
 
-def _walk_units(draws, count: int, n_steps: int, t: float, V: PotentialSpec, strides=(1,),
+def _node_units(draws, count: int, n_steps: int, t: float, V: PotentialSpec, strides=(1,),
                 floors=None) -> np.ndarray:
     """Group units of several draws of paths, one row per stride and then per floor, one
     column per unit, the draws' units one after the other.
@@ -458,8 +455,9 @@ def _walk_units(draws, count: int, n_steps: int, t: float, V: PotentialSpec, str
     and weighed with their mirrors (`_pairs`).  A quadratic form (clipped
     at `floors`, or at its own floor for None) reads a path and its
     mirror as E + O and E - O (`backend.form_parts`); a callable is
-    evaluated at the positions of both, each rewritten from alpha.  Every
-    stride reads strided rows of the same values
+    evaluated at the positions of both, each rewritten from alpha, over
+    a draw's whole groups: at up to group - 1 finite positions more per
+    draw.  Every stride reads strided rows of the same values
     (`backend.floored_weights`).  A group's pair units average into its
     unit as in `_sums_units`, bit for bit the same in any block.
     """
@@ -474,29 +472,31 @@ def _walk_units(draws, count: int, n_steps: int, t: float, V: PotentialSpec, str
     # a callable's positions and spare rows, or a form's even, odd, values and spare rows
     shapes = ((V.dim,), ()) if form is None else ((),) * 4
 
-    def evaluated(alpha, spans, pos, scale: float) -> np.ndarray:
+    def evaluated(alpha, whole, pos, scale: float) -> np.ndarray:
         np.multiply(alpha, scale, out=pos)  # scale alpha first, then add the line
-        for index, _, col, _, n in spans:
-            pos[:, col:col + n] += lines[index]
+        for index, first, end in whole:
+            pos[:, first:end] += lines[index]
         v = np.asarray(V.evaluate(pos), dtype=np.float64)  # clipped in place below,
         return v if v.flags.owndata and v.flags.writeable else v.copy()  # never a caller's view
 
     for alpha, spans, views in _node_blocks([gen for gen, _, _ in draws], drawn, n_steps,
                                             V.dim, shapes):
+        whole = [(index, row * group, (row - (-n // group)) * group) for index, row, _, n in spans]
         if form is None:
             pos, spare = views
-            values = (evaluated(alpha, spans, pos, s) for s in (math.sqrt(t), -math.sqrt(t)))
+            values = (evaluated(alpha, whole, pos, s) for s in (math.sqrt(t), -math.sqrt(t)))
         else:
             even, odd, buffer, spare = views
-            _backend.form_parts(alpha, [(*draws[index][1:], col, col + n)
-                                        for index, _, col, _, n in spans], t, form, even, odd)
+            _backend.form_parts(alpha, [(*draws[index][1:], first, end)
+                                        for index, first, end in whole], t, form, even, odd)
             values = (combine(even, odd, out=buffer) for combine in (np.add, np.subtract))
         # the path's values, then its mirror's, each weighed before the next is formed
         plus, pair = (np.array(_backend.floored_weights(v, floors, t, strides, spare))
                       for v in values)
         pair += plus
         pair *= 0.5
-        for index, _, col, first, n in spans:
+        for index, row, first, n in spans:  # the draw's real columns alone
+            col = row * group
             if drawn > paired and first + n == drawn:  # the draw's last path has no mirror
                 pair[:, col + n - 1] = plus[:, col + n - 1]
             unit = index * per_draw + first // group
@@ -730,7 +730,7 @@ def _unclipped(V: PotentialSpec) -> bool:
 def _pairs(count: int) -> tuple[int, int]:
     """The paths drawn for a chunk of `count` paths, ceil(count / 2), and how many of
     them are weighed with their mirrors, count // 2 (see the module docstring): the
-    pair units of `_sums_units` and `_walk_units` alike, in draw order, which both
+    pair units of `_sums_units` and `_node_units` alike, in draw order, which both
     then average by groups."""
     return -(-count // 2), count // 2
 
@@ -1006,24 +1006,25 @@ def _pair_estimates(xs: np.ndarray, ys: np.ndarray, keys, V: PotentialSpec, t: f
     """Q estimates of max(V, floor) for each floor at each node pair (xs[p], ys[p]).
 
     Pair p draws its paths from the keyed chunks (*keys[p], chunk) once
-    for all floors (`_walk_units`); `floors=None` estimates V itself.
+    for all floors (`_node_units`); `floors=None` estimates V itself.
     When `n_samples` fits in one chunk, consecutive pairs whose units fit
-    in `_BLOCK_ELEMENTS` together form a group: they share the row blocks
-    of `_walk_units` and one `_Stats.of` over (floors x pairs) rows.  A
-    pair of more paths, whose chunks fill many blocks on their own, is a
-    group alone.  `workers` threads split the groups, or the chunks of
-    the only group.  With one worker, streams open pair by pair, in
-    chunk order, each when its chunk is drawn.  Each record row depends
-    on its own pair's paths alone, so every pair's estimates equal its
-    own one-pair call bit for bit, for any workers.
+    in `_BLOCK_ELEMENTS` together form a batch: their draws fill the same
+    row blocks of whole path groups (`_node_blocks`), and one `_Stats.of`
+    reduces (floors x pairs) rows.  A pair of more paths, whose chunks
+    fill many blocks on their own, is a batch alone.  `workers` threads
+    split the batches, or the chunks of the only batch.  With one worker,
+    streams open pair by pair, in chunk order, each when its chunk is
+    drawn.  Each record row depends on its own pair's paths alone, so
+    every pair's estimates equal its own one-pair call bit for bit, for
+    any workers.
 
     A clipped quadratic form is estimated with the unclipped form as
     control variate wherever that form's weights have finite variance
     (see `_form_floors`): one more floor, -inf, gives each path its
     reference weight w_ref, whose mean Q_ref on the grid is known
     exactly, and each level reports max(Q_ref + mean(w - w_ref), 0) with
-    the standard error of the differences; a group none of whose pairs
-    has a Q_ref weighs no control row.  The coefficient is fixed at 1,
+    the standard error of the differences; a call none of whose pairs
+    has a Q_ref drops the control's floor.  The coefficient is fixed at 1,
     so each level depends on its own floor alone and stays
     non-decreasing path by path; a path that no floor touches adds
     exactly zero.  The divergence flag and the heavy-mass fraction come
@@ -1034,38 +1035,36 @@ def _pair_estimates(xs: np.ndarray, ys: np.ndarray, keys, V: PotentialSpec, t: f
     floors, control = _form_floors(V, floors)
     q_refs = np.array([_control_mean(x, y, V.form, t, n_steps) if control else math.nan
                        for x, y in zip(xs, ys)])
+    if control and np.isnan(q_refs).all():  # no pair reads the control's floor, the last
+        floors, control = floors[:-1], False
     n_rows = 1 if floors is None else len(floors)
     drawn = _pairs(n_samples)[0]
     size = 1 if n_samples > _CHUNK else max(1, _BLOCK_ELEMENTS // (n_rows * drawn))
-    groups = [range(a, min(a + size, len(keys))) for a in range(0, len(keys), size)]
+    batches = [range(a, min(a + size, len(keys))) for a in range(0, len(keys), size)]
 
-    def chunk(pairs: range, levels, controlled: bool, gens, count: int):
-        w = _walk_units([(gen, xs[p], ys[p]) for gen, p in zip(gens, pairs)], count, n_steps,
-                        t, V, floors=levels)
+    def chunk(pairs: range, gens, count: int):
+        w = _node_units([(gen, xs[p], ys[p]) for gen, p in zip(gens, pairs)], count, n_steps,
+                        t, V, floors=floors)
         w = w.reshape(len(w), len(pairs), -1)
-        if not controlled:
+        if not control:
             return (_Stats.of(w, _TOP_K),)
         plain = _Stats.of(w[:-1], _TOP_K)
         w[:-1] -= w[-1]
         return plain, _Stats.of(w[:-1])
 
-    def group(pairs: range):
-        controlled = not np.isnan(q_refs[pairs]).all()
-        # the control's floor, the last, is weighed only where a pair reads it
-        levels = floors[:-1] if control and not controlled else floors
+    def batch(pairs: range):
         return _over_chunks(rng, [keys[p] for p in pairs], n_samples,
-                            workers if len(groups) == 1 else 1,
-                            partial(chunk, pairs, levels, controlled))
+                            workers if len(batches) == 1 else 1, partial(chunk, pairs))
 
     estimates = []
-    for pairs, (plain, *diffs) in zip(groups, _run_ordered([partial(group, g) for g in groups],
-                                                          workers)):
+    for pairs, (plain, *diffs) in zip(batches, _run_ordered([partial(batch, b) for b in batches],
+                                                           workers)):
         estimates += _finalize(plain, n_steps, n_samples, q_refs[pairs], *diffs).T.tolist()
     return estimates
 
 
 def _form_floors(V: PotentialSpec, floors):
-    """The floors `_walk_units` clips V at, and whether the last of them is the control's.
+    """The floors `_node_units` clips V at, and whether the last of them is the control's.
 
     For anything but a quadratic form clipped at some floor, `floors`
     come back unchanged, with False.  A clipped form's floors become
@@ -1214,12 +1213,12 @@ def matrix_element(
     and about 3.6 for truncate(inverted_quadratic(0.5), 1.0) at 8 x 8
     nodes and t = 1.  What the node pairs share is their row blocks:
     when `mc.n_samples` fits in one chunk, consecutive pairs draw their
-    own paths into the same blocks of node values, weighed in one pass,
-    and their records come from one reduction (`_pair_estimates`), while
-    each pair's estimate stays bit for bit that of `estimate_Q` at the
-    pair with key=(i, j).  `mc_samples_per_node` counts paths, each
-    weighed with its mirror (see `_pairs`).  Either way a fixed seed
-    gives bit-identical results for any worker count.
+    own paths into the same blocks of node values, in whole groups of
+    `_GROUP` columns, weighed in one pass, and their records come from
+    one reduction (`_pair_estimates`), while each pair's estimate stays
+    bit for bit that of `estimate_Q` at the pair with key=(i, j).
+    `mc_samples_per_node` counts paths, each weighed with its mirror
+    (`_pairs`); a fixed seed gives bit-identical results for any workers.
     """
     return _matrix_elements(phi, psi, V, t, quadrature, mc, rng, None, workers=workers)[0]
 
@@ -1358,7 +1357,7 @@ def refine_steps(
             chunk = partial(_sums_records, xp[None], yp[None], t, V.form, n_max, strides, None)
         else:
             def chunk(gens, count: int):
-                return _unit_records(_walk_units([(gens[0], xp, yp)], count, n_max, t, V,
+                return _unit_records(_node_units([(gens[0], xp, yp)], count, n_max, t, V,
                                                  strides)[:, None])
 
         levels, diffs = _over_chunks(rng, [()], n_samples, workers, chunk)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bridgekac import backend
-from bridgekac.feynman_kac import _node_blocks, _walk_units
+from bridgekac.feynman_kac import _node_blocks, _node_units
 from bridgekac.potentials import QuadraticForm, harmonic, inverted_quadratic, stark, truncate
 from bridgekac.stochastic import RngSeed, bridge_values
 
@@ -133,7 +133,7 @@ def test_clipped_kernel_matches_reference_for_paths_and_mirrors(dim):
                                    rtol=1e-12)
     # a chunk of 39 paths draws these 20: 19 pairs of a path and its mirror, the last alone
     V = dataclasses.replace(harmonic(dim=dim), form=form)
-    units = _walk_units([(RngSeed(13).generator(0), x, y)], 2 * n_paths - 1, n_steps, t, V,
+    units = _node_units([(RngSeed(13).generator(0), x, y)], 2 * n_paths - 1, n_steps, t, V,
                         strides, floors)
     want = plus.copy()
     want[:, :-1] = 0.5 * (plus[:, :-1] + minus[:, :-1])

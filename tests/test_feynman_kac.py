@@ -25,13 +25,13 @@ from bridgekac.feynman_kac import (
     _line_action,
     _matrix_elements,
     _node_blocks,
+    _node_units,
     _Stats,
     _sums_records,
     _sums_units,
     _sums_weights,
     _tensor_gauss_legendre,
     _unit_records,
-    _walk_units,
 )
 from bridgekac.oracles import mehler_kernel, stark_q
 from bridgekac.potentials import (
@@ -390,10 +390,13 @@ def test_bridge_sums_match_trapezoid_sums_of_the_bridge(dim, n_steps, strides, n
 
 def _node_paths(draws, n_paths, n_steps, dim):
     """The bridges that `_node_blocks` synthesizes for each generator of `draws`, path-major:
-    one array (n_paths, n_steps + 1, dim) per draw, from the columns its blocks give it."""
+    one array (n_paths, n_steps + 1, dim) per draw, from the columns its blocks give it:
+    those of a span's whole groups, from its first row on, less a short group's empty slots."""
+    group = feynman_kac._sums_layout(n_paths, n_steps, dim)[0]
     paths = [np.empty((n_paths, n_steps + 1, dim)) for _ in draws]
     for alpha, spans, _ in _node_blocks(draws, n_paths, n_steps, dim):
-        for index, _, col, first, size in spans:
+        for index, row, first, size in spans:
+            col = row * group
             paths[index][first:first + size] = alpha[:, col:col + size].transpose(1, 0, 2)
     return paths
 
@@ -547,7 +550,7 @@ def test_streamed_weights_equal_one_shot_weights(monkeypatch, case):
     monkeypatch.setattr(feynman_kac, "_BLOCK_ELEMENTS",
                         13 * feynman_kac._NODE_BUFFERS * (n_steps + 1) * V.dim
                         if group == 1 else 2 * 8 * feynman_kac._NODE_BUFFERS * (n_steps + 1))
-    got = _walk_units([(RngSeed(3).generator(5), x, y)], n_paths, n_steps, t, V, strides,
+    got = _node_units([(RngSeed(3).generator(5), x, y)], n_paths, n_steps, t, V, strides,
                       floors)
 
     def one_shot(alpha):
@@ -769,8 +772,8 @@ def test_shared_path_units_pair_as_the_pointwise_units(monkeypatch):
     assert me.value == pytest.approx(want, rel=1e-12)
 
 
-@pytest.mark.parametrize("n_samples", [feynman_kac._CHUNK - 1, feynman_kac._CHUNK + 1],
-                         ids=["one chunk", "two chunks"])
+@pytest.mark.parametrize("n_samples", [feynman_kac._CHUNK - 1, feynman_kac._CHUNK + 1, 999],
+                         ids=["one chunk", "two chunks", "short group"])
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("V", [truncate(inverted_quadratic(0.5), 1.0),
                                custom(_callable_harmonic, lambda eps: 0.0)],
@@ -780,12 +783,21 @@ def test_batched_node_pairs_equal_their_own_estimates(monkeypatch, V, workers, n
     # rows: its floor and the control) weighs pairs 0-2 together and pair 3 alone, the
     # callable all four; a block of 3276 paths holds the end of pair 0 and the start of
     # pair 1, and each pair's paths span several blocks.  _CHUNK + 1 paths: chunk 0
-    # draws 16 384 paths and chunk 1 one path alone, and each pair is weighed alone
-    n_steps = 4
-    monkeypatch.setattr(feynman_kac, "_BLOCK_ELEMENTS", 3 * 2 * 16384)
-    blocks = _node_blocks([RngSeed(0).generator()] * 2, 16384, n_steps, 1)
-    assert [(alpha.shape[1], spans) for alpha, spans, _ in itertools.islice(blocks, 6)][4:] == [
-        (3276, [(0, 0, 0, 13104, 3276)]), (3276, [(0, 0, 0, 16380, 4), (1, 4, 4, 0, 3272)])]
+    # draws 16 384 paths and chunk 1 one path alone, and each pair is weighed alone.
+    # 999 paths at 32 steps: each pair draws 500 paths in 62 groups of 8 and a short one
+    # of 4 that holds the last path alone, and all four pairs are weighed together.  A
+    # block of 11 groups holds the last 8 of pair 0, the short one's 4 empty slots as
+    # columns, and the first 3 of pair 1
+    if n_samples == 999:
+        n_steps, drawn, block = 32, 500, 11 * 8 * feynman_kac._NODE_BUFFERS * 33
+        layout = [(88, [(0, 0, 352, 88)]), (88, [(0, 0, 440, 60), (1, 8, 0, 24)])]
+    else:
+        n_steps, drawn, block = 4, 16384, 3 * 2 * 16384
+        layout = [(3276, [(0, 0, 13104, 3276)]), (3276, [(0, 0, 16380, 4), (1, 4, 0, 3272)])]
+    monkeypatch.setattr(feynman_kac, "_BLOCK_ELEMENTS", block)
+    blocks = _node_blocks([RngSeed(0).generator()] * 2, drawn, n_steps, 1)
+    assert [(alpha.shape[1], spans) for alpha, spans, _ in itertools.islice(blocks, 6)][4:] == (
+        layout)
     pair_estimates = feynman_kac._pair_estimates
     recorded = []
 
@@ -1349,14 +1361,14 @@ def test_clipped_form_keeps_plain_weights_where_the_control_has_infinite_varianc
 @pytest.mark.parametrize("t, weighed", [(1.0, [-4.0, -math.inf]), (2.5, [-4.0])])
 def test_the_control_row_is_weighed_only_where_a_reference_exists(monkeypatch, t, weighed):
     # above the doubled form's threshold w_ref has infinite variance: no Q_ref, no control
-    walk_units = feynman_kac._walk_units
+    node_units = feynman_kac._node_units
     floors = []
 
     def record(*args, **kwargs):
         floors.append(list(kwargs["floors"]))
-        return walk_units(*args, **kwargs)
+        return node_units(*args, **kwargs)
 
-    monkeypatch.setattr(feynman_kac, "_walk_units", record)
+    monkeypatch.setattr(feynman_kac, "_node_units", record)
     estimate_Q(0.2, -0.1, truncate(inverted_quadratic(1.0), 4.0), t, 100, 8, RngSeed(4))
     assert floors == [weighed]
 
